@@ -21,7 +21,3 @@ class ConjectureRefutation(CayleyDenseError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class MddConstructionError(CayleyDenseError):
-    """Both the greedy stage and the corrective search failed to build a diagram."""

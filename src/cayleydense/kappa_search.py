@@ -13,9 +13,12 @@ symmetries only, so the minimum is never approximated:
     equal moduli on non-cyclic groups.
 
 A candidate's BFS is aborted once its level exceeds the best diameter found
-so far; aborted candidates are strictly worse than the running minimum, so
-every true minimizer is fully evaluated and the reported witness is the
-lexicographically least one regardless of worker count.
+so far. That also aborts a candidate whose diameter equals the running
+minimum, so not every minimizer is fully evaluated. The reported witness is
+still the lexicographically least one regardless of worker count: each scan
+runs in lexicographic order, so a tie aborted this way comes after the
+minimizer already held, and the merge across groups and shards keeps the
+least of the scanned minimizers.
 """
 
 from __future__ import annotations

@@ -5,6 +5,14 @@ A diagram for Cay(G, {g1, ..., gd}) is a set of n lattice points in N^d
 every group element exactly once, the set is downward closed, and each
 point's 1-norm equals the BFS distance of its image.
 
+Many diagrams can serve one digraph; `build_mdd` returns a canonical one.
+Each element is represented by its graded-lex least word: the
+lexicographically least point among those of minimal 1-norm mapping to it.
+Graded lex is a term order, so these points form a downward-closed set (the
+staircase of a monomial ideal, in the view of Gomez-Perez, Gutierrez and
+Ibeas, SIAM J. Discrete Math. 21, 2007) and one pass in BFS order over the
+n vertices and d generators finds them all, in O(n*d).
+
 Diameter convention: the diagram's own diameter is measured at the far
 corner of each cube, so it exceeds the max point norm by d. This module
 only ever exposes that quantity as `solid_diameter` (= d + max point norm
@@ -13,17 +21,20 @@ only ever exposes that quantity as `solid_diameter` (= d + max point norm
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .abelian import GroupElement, InvariantFactors
-from .cayley import CayleyDigraph, dilate_digraph, distance_profile
-from .errors import MddConstructionError
+from .abelian import GroupElement
+from .cayley import (
+    CayleyDigraph,
+    bfs_distances,
+    dilate_digraph,
+    distance_profile,
+    successor_table,
+)
+from .errors import InternalConsistencyError
 from .zmatrix import Matrix, det, minors_gcd, proper_generating_set
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,86 +90,40 @@ def phi(g: CayleyDigraph, a: tuple[int, ...]) -> GroupElement:
     return out
 
 
-def _candidates(
-    group: InvariantFactors,
-    gens: tuple[GroupElement, ...],
-    target_idx: int,
-    norm: int,
-) -> list[tuple[int, ...]]:
-    """All points with the given 1-norm mapping to the target, lex ascending."""
-    d = len(gens)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: tuple[int, ...], value: GroupElement) -> None:
-        if i == d - 1:
-            v = group.add(value, group.scalar_mul(remaining, gens[i]))
-            if group.index(v) == target_idx:
-                out.append(acc + (remaining,))
-            return
-        step = gens[i]
-        v = value
-        for x in range(remaining + 1):
-            rec(i + 1, remaining - x, acc + (x,), v)
-            v = group.add(v, step)
-
-    rec(0, norm, (), group.zero())
-    return out
-
-
 def build_mdd(g: CayleyDigraph) -> Mdd:
-    """Deterministic diagram construction.
+    """The graded-lex diagram: each element's lex least word of minimal norm.
 
-    Elements are processed by increasing BFS distance (ties by element
-    index); each takes the lexicographically smallest minimal-norm
-    representative whose immediate predecessors are already placed. That
-    greedy first descent suffices in practice; a depth-first corrective
-    search backtracks over earlier choices if it ever strands an element,
-    and its activation is logged.
+    rep(0) = 0, and rep(x) is the lexicographic minimum of rep(x - g_i) + e_i
+    over the generators i with dist(x - g_i) = dist(x) - 1. One pass over the
+    vertices in BFS order offers rep(v) + e_i to every successor one level
+    further out, so the build is O(n*d) on top of a single BFS.
+
+    The recurrence is exact because graded lex is compatible with
+    translation: if rep(x)_i > 0, then rep(x) - e_i reaches x - g_i with norm
+    dist(x) - 1, and a lex smaller word there plus e_i would beat rep(x), so
+    rep(x) - e_i = rep(x - g_i). Hence rep(x) is among the offered
+    candidates, and every point's lower neighbours are in the set.
     """
     group = g.group
-    gens = g.normalized_gens
-    profile = distance_profile(g)
-    dist = profile.distances
     n = group.order
-    order = sorted(range(n), key=lambda i: (dist[i], i))
-    cands = [_candidates(group, gens, idx, dist[idx]) for idx in order]
-
-    chosen: list[tuple[int, ...] | None] = [None] * n
-    placed: set[tuple[int, ...]] = set()
-    pointer = [0] * n
-    pos = 0
-    backtracked = False
-    while pos < n:
-        found = False
-        options = cands[pos]
-        k = pointer[pos]
-        while k < len(options):
-            a = options[k]
-            if all(
-                a[:i] + (a[i] - 1,) + a[i + 1 :] in placed
-                for i in range(len(a))
-                if a[i] > 0
-            ):
-                chosen[pos] = a
-                placed.add(a)
-                pointer[pos] = k
-                found = True
-                break
-            k += 1
-        if found:
-            pos += 1
-            continue
-        pointer[pos] = 0
-        pos -= 1
-        if pos < 0:
-            raise MddConstructionError(f"diagram construction exhausted for {g}")
-        backtracked = True
-        placed.discard(chosen[pos])  # LIFO removal keeps the set downward closed
-        chosen[pos] = None
-        pointer[pos] += 1
-    if backtracked:
-        logger.info("corrective backtracking engaged while building a diagram for %s", g)
-    return Mdd(points=frozenset(placed), source=g)
+    tables = [successor_table(group, t) for t in g.normalized_gens]
+    dist = bfs_distances(group, g.normalized_gens, tables)
+    if dist is None:
+        raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
+    rep: list[tuple[int, ...] | None] = [None] * n
+    rep[0] = (0,) * g.degree
+    for v in sorted(range(n), key=dist.__getitem__):
+        a = rep[v]
+        level = dist[v] + 1
+        for i, tbl in enumerate(tables):
+            w = tbl[v]
+            if dist[w] == level:
+                b = a[:i] + (a[i] + 1,) + a[i + 1 :]
+                if rep[w] is None or b < rep[w]:
+                    rep[w] = b
+    # copied from a set, the frozenset is sized to fit; grown from a list it
+    # can take twice the memory, and callers keep many diagrams alive
+    return Mdd(points=frozenset(set(rep)), source=g)
 
 
 def verify_mdd(h: Mdd) -> bool:

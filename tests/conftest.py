@@ -40,6 +40,39 @@ def word_length_oracle(moduli, gens, max_norm):
     return best
 
 
+def lex_least_word_oracle(moduli, gens):
+    """Lexicographically least word of minimal 1-norm for each element.
+
+    Words are listed norm by norm, each norm in lexicographic order, so the
+    first word to reach an element is its least one. Stops once every
+    element is reached, or after norm n - 1 when gens do not generate.
+    """
+    d = len(gens)
+    n = 1
+    for m in moduli:
+        n *= m
+
+    def words(i, remaining):
+        if i == d - 1:
+            yield (remaining,)
+            return
+        for x in range(remaining + 1):
+            for rest in words(i + 1, remaining - x):
+                yield (x,) + rest
+
+    best: dict[tuple, tuple] = {}
+    norm = 0
+    while len(best) < n and norm < n:
+        for word in words(0, norm):
+            value = tuple(
+                sum(c * g[j] for c, g in zip(word, gens)) % m
+                for j, m in enumerate(moduli)
+            )
+            best.setdefault(value, word)
+        norm += 1
+    return best
+
+
 def closure_oracle(moduli, gens):
     """Subgroup generated by the given elements, by plain closure."""
     zero = tuple(0 for _ in moduli)

@@ -19,6 +19,7 @@ from cayleydense.mdd import (
     verify_mdd,
 )
 from cayleydense.zmatrix import det
+from conftest import lex_least_word_oracle, proper_corpus
 
 U2 = upsilon(2, 1)
 Z7 = CayleyDigraph.from_cyclic(7, (1, 2))
@@ -176,3 +177,36 @@ def test_dilation_preserves_diagram_structure():
         assert len(hd.points) == m ** g.degree * g.order
         assert verify_mdd(hd)
         assert solid_diameter(hd) == m * solid_diameter(h)
+
+
+def _differential_digraphs():
+    yield from proper_corpus()
+    rng = random.Random(4129)
+    done = 0
+    while done < 1000:
+        n = rng.randint(2, 40)
+        d = rng.randint(1, 3)
+        if n - 1 < d:
+            continue
+        try:
+            yield CayleyDigraph.from_cyclic(n, rng.sample(range(1, n), d))
+        except ValueError:
+            continue
+        done += 1
+    yield CayleyDigraph(InvariantFactors((2, 8)), ((1, 0), (1, 1)))
+    yield CayleyDigraph(InvariantFactors((3, 12)), ((1, 5), (0, 1)))
+    yield CayleyDigraph(InvariantFactors((1, 3, 12)), ((0, 1, 0), (0, 2, 1), (0, 0, 5)))
+    yield CayleyDigraph(InvariantFactors((1, 2, 8)), ((0, 1, 0), (0, 1, 3), (0, 0, 2)))
+    yield CayleyDigraph(InvariantFactors((2, 2, 8)), ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+    yield CayleyDigraph(InvariantFactors((2, 2, 8)), ((1, 1, 0), (0, 1, 2), (1, 0, 1)))
+
+
+def test_build_mdd_matches_lex_least_word_oracle():
+    count = 0
+    for g in _differential_digraphs():
+        moduli = tuple(g.group)
+        gens = [tuple(x % m for x, m in zip(t, moduli)) for t in g.gens]
+        want = frozenset(lex_least_word_oracle(moduli, gens).values())
+        assert build_mdd(g).points == want, str(g)
+        count += 1
+    assert count >= 1200
