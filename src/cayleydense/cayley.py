@@ -111,21 +111,48 @@ class DistanceProfile:
         return dict(self.items())
 
 
-def successor_table(group: InvariantFactors, gen: GroupElement) -> list[int]:
-    """Dense successor map v -> index(element(v) + gen)."""
-    n = group.order
-    return [group.index(group.add(group.element(v), gen)) for v in range(n)]
+def successor_table(group: InvariantFactors, gen: Sequence[int]) -> list[int]:
+    """Dense successor map v -> index(element(v) + gen), as a mixed-radix product.
+
+    Indices are mixed-radix with the last coordinate fastest, so the table
+    over a prefix of the coordinates extends to the next coordinate (modulus
+    s, shift x) as tbl' = [t*s + (y + x) % s for t in tbl for y in range(s)]:
+    addition is coordinatewise with no carry, so the prefix of v + gen is the
+    successor of v's prefix and its last digit is v's digit shifted. Starting
+    from [0] for the empty prefix, one pass per coordinate gives exactly the
+    table that adding gen to every element and re-indexing gives, with
+    integer arithmetic only and no tuple built per vertex. The shift is
+    reduced first, so unreduced and negative lifts give the same table.
+    """
+    if len(gen) != group.rank:
+        raise ValueError(
+            f"element has {len(gen)} coordinates, group has rank {group.rank}"
+        )
+    tbl = [0]
+    for x, s in zip(gen, group):
+        x %= s
+        shifted = [*range(x, s), *range(x)]  # y -> (y + x) % s
+        tbl = shifted if tbl == [0] else [t * s + y for t in tbl for y in shifted]
+    return tbl
 
 
 def bfs_distances(
     group: InvariantFactors,
-    gens: Sequence[GroupElement],
+    gens: Sequence[GroupElement] | None,
     tables: Sequence[Sequence[int]] | None = None,
+    abort_above: int | None = None,
 ) -> list[int] | None:
-    """Distances from 0 to all vertices, or None when gens do not generate."""
+    """Distances from 0 to all vertices, or None when gens do not generate.
+
+    `gens` is only read when `tables` is None. With `abort_above`, the BFS
+    stops before opening a level above it and returns None: the answer comes
+    back only for diameters strictly below `abort_above`, so a tie aborts
+    too (the rule the kappa search prunes with).
+    """
     n = group.order
     if tables is None:
-        tables = [successor_table(group, group.reduce(t)) for t in gens]
+        tables = [successor_table(group, t) for t in gens]
+    limit = n if abort_above is None else abort_above
     dist = [-1] * n
     dist[0] = 0
     seen = 1
@@ -133,6 +160,8 @@ def bfs_distances(
     level = 0
     while frontier:
         level += 1
+        if level > limit:
+            return None
         nxt = []
         for v in frontier:
             for tbl in tables:

@@ -47,12 +47,19 @@ class CommandResult:
 
 
 def _parse_matrix(text: str):
+    """A nonempty rectangular list of integer rows; anything else is a usage error."""
     try:
         m = json.loads(text)
-        assert isinstance(m, list) and m and all(isinstance(r, list) for r in m)
-    except (json.JSONDecodeError, AssertionError):
+    except json.JSONDecodeError:
+        m = None
+    if not (
+        isinstance(m, list)
+        and m
+        and all(isinstance(r, list) and r and len(r) == len(m[0]) for r in m)
+        and all(type(x) is int for r in m for x in r)
+    ):
         raise SystemExit(f"cannot parse matrix literal: {text!r}")
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(tuple(row) for row in m)
 
 
 def _parse_digraph(text: str) -> CayleyDigraph:

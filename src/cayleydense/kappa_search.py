@@ -12,13 +12,13 @@ symmetries only, so the minimum is never approximated:
   * full-listed: additionally quotient by coordinate permutations among
     equal moduli on non-cyclic groups.
 
-A candidate's BFS is aborted once its level exceeds the best diameter found
-so far. That also aborts a candidate whose diameter equals the running
-minimum, so not every minimizer is fully evaluated. The reported witness is
-still the lexicographically least one regardless of worker count: each scan
-runs in lexicographic order, so a tie aborted this way comes after the
-minimizer already held, and the merge across groups and shards keeps the
-least of the scanned minimizers.
+A candidate's BFS (`bfs_distances` with `abort_above`) is aborted once its
+level exceeds the best diameter found so far. That also aborts a candidate
+whose diameter equals the running minimum, so not every minimizer is fully
+evaluated. The reported witness is still the lexicographically least one
+regardless of worker count: each scan runs in lexicographic order, so a tie
+aborted this way comes after the minimizer already held, and the merge
+across groups and shards keeps the least of the scanned minimizers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import gcd
 from pathlib import Path
 
 from .abelian import InvariantFactors, enumerate_groups
-from .cayley import CayleyDigraph, successor_table
+from .cayley import CayleyDigraph, bfs_distances, successor_table
 from .density import is_conjectural, lower_bound
 from .errors import ConjectureRefutation, InternalConsistencyError
 
@@ -160,30 +160,6 @@ def cache_get(path: str | Path, d: int, n: int, settings: dict) -> KappaRecord |
     return KappaCache(path).get(d, n, settings)
 
 
-def _bounded_diameter(tables, n: int, abort_above: int | None) -> int | None:
-    """BFS diameter, or None when not generating or provably above the bound."""
-    dist = [-1] * n
-    dist[0] = 0
-    seen = 1
-    frontier = [0]
-    level = 0
-    while True:
-        level += 1
-        if abort_above is not None and level > abort_above:
-            return None
-        nxt = []
-        for v in frontier:
-            for tbl in tables:
-                w = tbl[v]
-                if dist[w] < 0:
-                    dist[w] = level
-                    nxt.append(w)
-                    seen += 1
-        if not nxt:
-            return level - 1 if seen == n else None
-        frontier = nxt
-
-
 def _unit_values(n: int) -> list[bool]:
     return [gcd(v, n) == 1 for v in range(n)]
 
@@ -273,9 +249,10 @@ def _scan_group(
             tuple(sorted(pm[i] for i in idxs)) < idxs for pm in perm_maps
         ):
             continue
-        k = _bounded_diameter([table_for(i) for i in idxs], n, best_k)
-        if k is None:
+        dist = bfs_distances(group, None, [table_for(i) for i in idxs], best_k)
+        if dist is None:
             continue
+        k = max(dist)
         if best_k is None or k < best_k:
             best_k, best_gens = k, idxs
         elif k == best_k and (best_gens is None or idxs < best_gens):

@@ -26,13 +26,7 @@ from itertools import product
 from math import gcd
 
 from .abelian import GroupElement
-from .cayley import (
-    CayleyDigraph,
-    bfs_distances,
-    dilate_digraph,
-    distance_profile,
-    successor_table,
-)
+from .cayley import CayleyDigraph, bfs_distances, dilate_digraph, successor_table
 from .errors import InternalConsistencyError
 from .zmatrix import Matrix, det, minors_gcd, proper_generating_set
 
@@ -127,28 +121,44 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
 
 
 def verify_mdd(h: Mdd) -> bool:
-    """Check all three diagram conditions against a fresh BFS profile."""
+    """Check all three diagram conditions with one set of successor tables.
+
+    The tables drive a fresh BFS for the distances and also map the points
+    to the group. After the count, rank and sign checks, the points are
+    walked in norm order, which gives each point's group index without phi:
+    idx(0) = 0 and idx(a) = tables[i][idx(a - e_i)] for any i with a_i > 0.
+    Every lower neighbour a - e_i has norm one less, so it is in the set
+    exactly when it was already walked; looking it up checks downward
+    closure and gives its index. phi(a) = phi(a - e_i) + g_i makes the walk
+    exact. Injectivity and norm = BFS distance are checked on those indices.
+    """
     g = h.source
     group = g.group
-    n = group.order
+    d = group.rank
     pts = h.points
-    if len(pts) != n:
+    if len(pts) != group.order:
         return False
-    profile = distance_profile(g)
-    seen: set[int] = set()
-    for a in pts:
-        if len(a) != group.rank or any(x < 0 for x in a):
-            return False
+    if any(len(a) != d or min(a) < 0 for a in pts):
+        return False
+    tables = [successor_table(group, t) for t in g.normalized_gens]
+    dist = bfs_distances(group, None, tables)
+    if dist is None:
+        raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
+    index: dict[tuple[int, ...], int] = {}
+    seen = [False] * group.order
+    for a in sorted(pts, key=sum):
+        idx = 0
         for i, x in enumerate(a):
-            if x > 0 and a[:i] + (x - 1,) + a[i + 1 :] not in pts:
-                return False
-        idx = group.index(phi(g, a))
-        if idx in seen:
+            if x:
+                below = index.get(a[:i] + (x - 1,) + a[i + 1 :])
+                if below is None:
+                    return False
+                idx = tables[i][below]
+        if seen[idx] or dist[idx] != sum(a):
             return False
-        seen.add(idx)
-        if sum(a) != profile.distances[idx]:
-            return False
-    return len(seen) == n
+        seen[idx] = True
+        index[a] = idx
+    return True
 
 
 def solid_diameter(h: Mdd) -> int:

@@ -20,6 +20,66 @@ def mod_add(moduli, a, b):
     return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
 
+def mixed_radix_index(moduli, a):
+    """Position of a reduced element when elements are listed last coordinate fastest."""
+    idx = 0
+    for x, m in zip(a, moduli):
+        idx = idx * m + x
+    return idx
+
+
+def successor_table_oracle(moduli, gen):
+    """Index of v + gen for every element v, listed by mixed_radix_index."""
+    elems = list(product(*(range(m) for m in moduli)))
+    return [mixed_radix_index(moduli, mod_add(moduli, v, gen)) for v in elems]
+
+
+def bfs_distance_oracle(moduli, gens):
+    """Word length of every element by plain BFS, or None when gens do not generate."""
+    zero = tuple(0 for _ in moduli)
+    dist = {zero: 0}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = mod_add(moduli, v, g)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    n = 1
+    for m in moduli:
+        n *= m
+    return dist if len(dist) == n else None
+
+
+def mdd_oracle(moduli, gens, points):
+    """Whether points form a minimum distance diagram, with phi by plain arithmetic.
+
+    The conditions: n points of the right rank in N^d, downward closed, phi
+    injective, and each point's 1-norm equal to its image's BFS distance.
+    """
+    d = len(gens)
+    dist = bfs_distance_oracle(moduli, gens)
+    if dist is None or len(points) != len(dist):
+        return False
+    images = set()
+    for a in points:
+        if len(a) != d or any(x < 0 for x in a):
+            return False
+        for i in range(d):
+            if a[i] > 0 and a[:i] + (a[i] - 1,) + a[i + 1 :] not in points:
+                return False
+        value = tuple(
+            sum(c * g[j] for c, g in zip(a, gens)) % m for j, m in enumerate(moduli)
+        )
+        if value in images or dist[value] != sum(a):
+            return False
+        images.add(value)
+    return True
+
+
 def word_length_oracle(moduli, gens, max_norm):
     """Min 1-norm of a nonnegative word for each element, by full enumeration."""
     d = len(gens)

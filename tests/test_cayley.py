@@ -1,18 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import (
     CayleyDigraph,
+    bfs_distances,
     diameter,
     dilate_digraph,
     distance_profile,
     solid_density,
+    successor_table,
     upsilon,
 )
-from conftest import word_length_oracle
+from conftest import (
+    bfs_distance_oracle,
+    chains_oracle,
+    mixed_radix_index,
+    successor_table_oracle,
+    word_length_oracle,
+)
 
 GAMMA1 = CayleyDigraph(InvariantFactors((1, 72)), ((-1, 4), (-3, 11)))
 GAMMA2 = CayleyDigraph(InvariantFactors((3, 24)), ((0, 1), (-1, 3)))
@@ -116,3 +125,39 @@ def test_literal_roundtrip():
     assert g == GAMMA2
     assert CayleyDigraph.from_literal(g.to_literal()) == g
     assert str(g) == "Cay(Z3+Z24,{(0,1),(-1,3)})"
+
+
+def test_successor_table_matches_oracle():
+    rng = random.Random(6151)
+    chains = 0
+    for d in (1, 2, 3):
+        for n in range(1, 49):
+            for moduli in sorted(chains_oracle(n, d)):
+                group = InvariantFactors(moduli)
+                chains += 1
+                for gen in product(*(range(m) for m in moduli)):
+                    want = successor_table_oracle(moduli, gen)
+                    assert successor_table(group, gen) == want, (moduli, gen)
+                    lift = tuple(x + m * rng.randint(-3, 3) for x, m in zip(gen, moduli))
+                    assert successor_table(group, group.reduce(lift)) == want
+                    assert successor_table(group, lift) == want, (moduli, lift)
+    assert chains == 196
+
+
+def test_bfs_distances_abort_rule():
+    """With abort_above, the BFS answers only when the diameter is strictly below it."""
+    for moduli in ((12,), (2, 6), (1, 3, 9), (2, 2, 4)):
+        group = InvariantFactors(moduli)
+        elems = list(product(*(range(m) for m in moduli)))[1:]
+        for gens in combinations(elems, len(moduli)):
+            oracle = bfs_distance_oracle(moduli, gens)
+            dist = bfs_distances(group, gens)
+            if oracle is None:
+                assert dist is None
+                continue
+            by_index = sorted(oracle, key=lambda e: mixed_radix_index(moduli, e))
+            assert dist == [oracle[e] for e in by_index]
+            k = max(dist)
+            for bound in range(1, k + 3):
+                got = bfs_distances(group, gens, abort_above=bound)
+                assert got == (dist if k < bound else None), (moduli, gens, bound)

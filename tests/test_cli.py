@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,19 @@ def test_mdd_cli_cycle(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_mdd_verify_cli_reports_hand_edited_failure(tmp_path, capsys):
+    literal = '{"moduli":[1,3],"gens":[[0,1],[1,-1]]}'
+    target = tmp_path / "u2.mdd"
+    assert main(["mdd", "build", literal, "-o", str(target)]) == 0
+    capsys.readouterr()
+    text = target.read_text()
+    assert text.splitlines()[1:] == ["0 0", "0 1", "1 0"]
+    # (2, 0) reaches 2*g1 = g2, which is one step from 0, not two
+    target.write_text(text.replace("0 1\n", "2 0\n"))
+    assert main(["mdd", "verify", str(target)]) == 0
+    assert capsys.readouterr().out == "false\n"
+
+
 def test_mdd_render_layers(tmp_path, capsys):
     literal = '{"moduli":[1,1,16],"gens":[[0,0,1],[0,1,-12],[1,0,-11]]}'
     target = tmp_path / "g.mdd"
@@ -156,6 +172,43 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["nonsense"])
     assert exc.value.code == 2
+
+
+BAD_MATRIX_LITERALS = [
+    '{"a":1}',  # not a list
+    "[]",  # empty
+    "[[]]",  # empty row
+    "[1,2]",  # rows are not lists
+    "[[1,2],[3]]",  # ragged
+    '[[1,"x"]]',  # non-integer entry
+    "[[1.5,2],[0,1]]",  # a float would be truncated
+    "[[2.0,0],[0,1]]",
+    "[[true,0],[0,1]]",  # bools are not integers
+    "not json",
+]
+
+
+@pytest.mark.parametrize("command", ["snf", "proper"])
+def test_bad_matrix_literals_exit_2(command, capsys):
+    for literal in BAD_MATRIX_LITERALS:
+        assert main([command, literal]) == 2, literal
+        err = capsys.readouterr().err
+        assert err == f"cannot parse matrix literal: {literal!r}\n"
+
+
+def test_bad_matrix_literal_exit_2_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for literal in ('{"a":1}', "[]"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "cayleydense.cli", "snf", literal],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_kappa_cli_with_cache(tmp_path, capsys):

@@ -19,7 +19,7 @@ from cayleydense.mdd import (
     verify_mdd,
 )
 from cayleydense.zmatrix import det
-from conftest import lex_least_word_oracle, proper_corpus
+from conftest import lex_least_word_oracle, mdd_oracle, proper_corpus
 
 U2 = upsilon(2, 1)
 Z7 = CayleyDigraph.from_cyclic(7, (1, 2))
@@ -210,3 +210,67 @@ def test_build_mdd_matches_lex_least_word_oracle():
         assert build_mdd(g).points == want, str(g)
         count += 1
     assert count >= 1200
+
+
+def _outer_corners(pts):
+    """Points just above the staircase: a + e_i outside the set."""
+    out = set()
+    for a in pts:
+        for i in range(len(a)):
+            b = a[:i] + (a[i] + 1,) + a[i + 1 :]
+            if b not in pts:
+                out.add(b)
+    return sorted(out)
+
+
+def _mutations(g, pts, rng):
+    """Seeded edits of a valid diagram, each named after the fault it plants."""
+    ordered = sorted(pts)
+    d = g.degree
+    a = rng.choice(ordered)
+    yield "move", pts - {a} | {rng.choice(_outer_corners(pts - {a}))}
+    yield "above", pts | {rng.choice(_outer_corners(pts))}
+    if len(ordered) > 1:
+        a, b = rng.sample(ordered, 2)
+        i = rng.randrange(d)
+        a2 = a[:i] + (b[i],) + a[i + 1 :]
+        b2 = b[:i] + (a[i],) + b[i + 1 :]
+        yield "swap", pts - {a, b} | {a2, b2}
+    a = rng.choice(ordered)
+    i = rng.randrange(d)
+    yield "negative", pts - {a} | {a[:i] + (-1,) + a[i + 1 :]}
+    a = rng.choice(ordered)
+    yield "rank", pts - {a} | {a + (0,) if rng.random() < 0.5 else a[:-1]}
+    # an outer corner's image is already hit by some point of the set;
+    # put the corner in place of a different point so the count stays n
+    c = rng.choice(_outer_corners(pts))
+    images = {phi(g, p): p for p in ordered}
+    twin = images[phi(g, c)]
+    victim = rng.choice([p for p in ordered if p != twin])
+    yield "same-image", pts - {victim} | {c}
+    # faults only the count and rank checks see: one cube short, and the
+    # whole diagram lifted into one dimension more
+    corners = [p for p in ordered if not any(q in pts for q in _outer_corners({p}))]
+    yield "drop", pts - {rng.choice(corners)}
+    yield "lift", frozenset(p + (0,) for p in ordered)
+
+
+def test_verify_mdd_rejection_matches_phi_oracle():
+    rng = random.Random(5501)
+    verdicts = {}
+    for g in proper_corpus():
+        moduli = tuple(g.group)
+        h = build_mdd(g)
+        assert verify_mdd(h) and mdd_oracle(moduli, g.gens, h.points)
+        for kind, pts in _mutations(g, h.points, rng):
+            want = mdd_oracle(moduli, g.gens, frozenset(pts))
+            got = verify_mdd(Mdd(points=frozenset(pts), source=g))
+            assert got == want, (kind, str(g), sorted(pts))
+            verdicts.setdefault(kind, []).append(want)
+    assert set(verdicts) == {
+        "move", "above", "swap", "negative", "rank", "same-image", "drop", "lift"
+    }
+    for kind in ("above", "negative", "rank", "same-image", "drop", "lift"):
+        assert not any(verdicts[kind]), kind
+    assert verdicts["move"].count(False) > len(verdicts["move"]) // 2
+    assert verdicts["swap"].count(False) > len(verdicts["swap"]) // 2
