@@ -5,6 +5,14 @@ vectors they were given as, not eagerly reduced: dilation reuses the same
 coordinate vectors over the scaled group, and (-1, 3) over Z_3+Z_24 and
 over Z_6+Z_48 are different residues of the same lift. All arithmetic
 reduces on use.
+
+`bfs_distances` is the one BFS that computes distances; elements are
+indexed mixed-radix, last coordinate fastest, and `successor_table` maps
+each index to the index of its sum with a generator. The kappa search
+indexes elements the same way but keeps vertex sets as n-bit ints and
+grows balls instead: B_L(S) = B_L(S minus g) | (B_L-1(S) + g) for any g
+in S, which is exact because the group is Abelian, so every shortest word
+can list its copies of g last.
 """
 
 from __future__ import annotations
@@ -140,19 +148,14 @@ def bfs_distances(
     group: InvariantFactors,
     gens: Sequence[GroupElement] | None,
     tables: Sequence[Sequence[int]] | None = None,
-    abort_above: int | None = None,
 ) -> list[int] | None:
     """Distances from 0 to all vertices, or None when gens do not generate.
 
-    `gens` is only read when `tables` is None. With `abort_above`, the BFS
-    stops before opening a level above it and returns None: the answer comes
-    back only for diameters strictly below `abort_above`, so a tie aborts
-    too (the rule the kappa search prunes with).
+    `gens` is only read when `tables` is None.
     """
     n = group.order
     if tables is None:
         tables = [successor_table(group, t) for t in gens]
-    limit = n if abort_above is None else abort_above
     dist = [-1] * n
     dist[0] = 0
     seen = 1
@@ -160,8 +163,6 @@ def bfs_distances(
     level = 0
     while frontier:
         level += 1
-        if level > limit:
-            return None
         nxt = []
         for v in frontier:
             for tbl in tables:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand honors --format {human,csv,jsonl}. Exit codes: 0 success,
-2 usage error, 3 internal-consistency violation (a proven bound failed,
+2 usage error (bad arguments, values out of range, unreadable files),
+3 internal-consistency violation (a proven bound failed,
 which must never happen), 4 conjecture-refutation event (a degree-3 result
 beats the conjectural constant; the payload carries the witness).
 Degree-3 bound outputs rest on the conjectural constant 21/250 and are
@@ -67,8 +68,6 @@ def _parse_digraph(text: str) -> CayleyDigraph:
         return CayleyDigraph.from_literal(text)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SystemExit(f"cannot parse digraph literal: {text!r} ({exc})")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
 
 
 def _rat(r: Fraction) -> str:
@@ -615,6 +614,9 @@ def run(argv: list[str] | None = None) -> CommandResult:
         result = CommandResult(4, [payload], f"CONJECTURE REFUTATION: {exc}\n")
     except InternalConsistencyError as exc:
         result = CommandResult(3, [{"error": str(exc)}], f"INTERNAL CONSISTENCY: {exc}\n")
+    except (ValueError, OSError) as exc:  # out-of-range values, unreadable files
+        message = " ".join(str(exc).split())
+        result = CommandResult(2, [{"error": message}], f"error: {message}\n")
     result.fmt = args.format
     return result
 

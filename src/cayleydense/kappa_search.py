@@ -1,9 +1,8 @@
 """Exhaustive minimum-diameter search over all groups of a given order.
 
 kappa(d, n) ranges over every invariant-factor chain of order n and every
-d-subset of nonzero elements; non-generating sets are detected by the BFS
-itself (it fails to reach the whole group). Reductions are exact digraph
-symmetries only, so the minimum is never approximated:
+d-subset of nonzero elements. Reductions are exact digraph symmetries
+only, so the minimum is never approximated:
 
   * units: on cyclic groups, generating sets are identified under
     multiplication by a unit. Skipping a set is sound exactly when another
@@ -12,13 +11,27 @@ symmetries only, so the minimum is never approximated:
   * full-listed: additionally quotient by coordinate permutations among
     equal moduli on non-cyclic groups.
 
-A candidate's BFS (`bfs_distances` with `abort_above`) is aborted once its
-level exceeds the best diameter found so far. That also aborts a candidate
-whose diameter equals the running minimum, so not every minimizer is fully
-evaluated. The reported witness is still the lexicographically least one
-regardless of worker count: each scan runs in lexicographic order, so a tie
-aborted this way comes after the minimizer already held, and the merge
-across groups and shards keeps the least of the scanned minimizers.
+A candidate is judged by its balls, not by a BFS. A vertex set is an n-bit
+int (bit v is the element of mixed-radix index v), and translating it by an
+element is one masked rotation per nonzero coordinate. The ball B_L of a
+set S is the set of sums of at most L elements of S, so S generates with
+diameter k exactly when B_k is the first ball that is the whole group. The
+group is Abelian, so a word of length <= L in g_1..g_j either avoids g_j or
+is g_j plus a word of length <= L - 1, which gives the exact recursion
+
+    B_L(g_1..g_j) = B_L(g_1..g_j-1) | (B_L-1(g_1..g_j) + g_j).
+
+The balls of a prefix are built once and shared by every set that starts
+with it. Once a ball equals the one before it stays fixed, so if that
+happens before it is the whole group, the set generates a proper subgroup.
+
+A candidate counts only when B_(best_k - 1) is the whole group, that is,
+when its diameter is strictly below the best found so far. A candidate whose
+diameter equals the running minimum is rejected too, so not every minimizer
+is fully evaluated. The reported witness is still the lexicographically
+least one regardless of worker count: each scan runs in lexicographic order,
+so a tie rejected this way comes after the minimizer already held, and the
+merge across groups and shards keeps the least of the scanned minimizers.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from math import gcd
 from pathlib import Path
 
 from .abelian import InvariantFactors, enumerate_groups
-from .cayley import CayleyDigraph, bfs_distances, successor_table
+from .cayley import CayleyDigraph
 from .density import is_conjectural, lower_bound
 from .errors import ConjectureRefutation, InternalConsistencyError
 
@@ -203,6 +216,62 @@ def _coordinate_permutation_maps(group: InvariantFactors) -> list[list[int]]:
     return maps
 
 
+def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int, int], ...]:
+    """Masked rotations that translate a vertex bitset by `gen`.
+
+    Bit v of a set stands for the element of mixed-radix index v (last
+    coordinate fastest, as in `successor_table`). Adding x to a coordinate of
+    modulus s and stride w moves v up by x*w when v's digit there is below
+    s - x, and down by (s - x)*w otherwise. `lo` marks the first kind: the low
+    (s - x)*w bits of every s*w-bit period, one multiplication by the repunit
+    full // (2**(s*w) - 1), so no mask is ever built bit by bit.
+    """
+    full = (1 << group.order) - 1
+    rots = []
+    w = group.order
+    for x, s in zip(gen, group):
+        w //= s
+        x %= s
+        if x:
+            lo = ((1 << (s - x) * w) - 1) * (full // ((1 << s * w) - 1))
+            rots.append((lo, full ^ lo, x * w, (s - x) * w))
+    return tuple(rots)
+
+
+def _translate(bits: int, rots) -> int:
+    """The vertex set `bits` shifted by the element whose `_rotations` are `rots`."""
+    for lo, hi, up, down in rots:
+        bits = ((bits & lo) << up) | ((bits & hi) >> down)
+    return bits
+
+
+def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
+    """Balls B_0, B_1, ... of a set of elements, given those of all but one.
+
+    `below` lists the balls of the set without its element g (`rots` are
+    g's rotations); its last entry stands for every larger radius. Every
+    word of length <= L either avoids g or is g plus a word of length
+    <= L - 1, so B_L = below[L] | (B_L-1 + g). The list ends at the first
+    ball that is the whole group (`full`; the set generates, with diameter
+    len - 1), at a ball equal to the one before (it stopped growing, so it
+    is a proper subgroup and the set does not generate), or at radius
+    `limit`. In each case its last entry again stands for larger radii up to
+    `limit`.
+    """
+    balls = [1]
+    ball = 1
+    top = len(below) - 1
+    for level in range(1, limit + 1):
+        prev = ball
+        ball = _translate(ball, rots) | below[level if level < top else top]
+        if ball == prev:
+            break
+        balls.append(ball)
+        if ball == full:
+            break
+    return balls
+
+
 def _scan_group(
     group: InvariantFactors,
     d: int,
@@ -216,6 +285,11 @@ def _scan_group(
     `first` restricts to sets whose least element index is `first` (the
     parallel work unit). `stop_at` makes the scan return as soon as a set
     achieving that diameter is found (sequential pruned mode only).
+
+    A set counts only if its ball of radius best_k - 1 is the whole group.
+    The balls of each proper prefix of the current set are kept in `balls`
+    and shared by every set that starts with it; `combinations` yields those
+    sets one after another.
     """
     n = group.order
     cyclic = _is_cyclic_chain(group)
@@ -225,15 +299,17 @@ def _scan_group(
         if (not cyclic and symmetry == "full-listed")
         else []
     )
-    tables: dict[int, list[int]] = {}
+    full = (1 << n) - 1
+    rotations: list = [None] * n  # per element index, built on first use
 
-    def table_for(idx: int) -> list[int]:
-        tbl = tables.get(idx)
-        if tbl is None:
-            tbl = successor_table(group, group.element(idx))
-            tables[idx] = tbl
-        return tbl
+    def rots_of(idx: int):
+        rots = rotations[idx]
+        if rots is None:
+            rots = rotations[idx] = _rotations(group, group.element(idx))
+        return rots
 
+    balls = [[1]] * d  # balls[j]: the balls of the set's first j elements
+    held = (0,) * (d - 1)  # the prefix they belong to; 0 is in no set, so all differ
     best_k = bound_hint
     best_gens: tuple[int, ...] | None = None
     if first is None:
@@ -249,18 +325,23 @@ def _scan_group(
             tuple(sorted(pm[i] for i in idxs)) < idxs for pm in perm_maps
         ):
             continue
-        dist = bfs_distances(group, None, [table_for(i) for i in idxs], best_k)
-        if dist is None:
-            continue
-        k = max(dist)
-        if best_k is None or k < best_k:
-            best_k, best_gens = k, idxs
-        elif k == best_k and (best_gens is None or idxs < best_gens):
-            best_gens = idxs
-        if stop_at is not None and best_gens is not None and best_k <= stop_at:
+        limit = n - 1 if best_k is None else best_k - 1
+        prefix = idxs[:-1]
+        if prefix != held:
+            j = 0
+            while prefix[j] == held[j]:
+                j += 1
+            for t in range(j, d - 1):  # best_k only falls, so these stay deep enough
+                balls[t + 1] = _grow_balls(balls[t], rots_of(idxs[t]), limit, full)
+            held = prefix
+        reach = _grow_balls(balls[d - 1], rots_of(idxs[-1]), limit, full)
+        if reach[-1] != full:
+            continue  # does not generate, or no better than best_k
+        best_k, best_gens = len(reach) - 1, idxs
+        if stop_at is not None and best_k <= stop_at:
             return best_k, best_gens, True
     if best_gens is None:
-        return None, None, False  # nothing beat (or matched) the incoming hint here
+        return None, None, False  # nothing beat the incoming hint here
     return best_k, best_gens, False
 
 

@@ -8,7 +8,8 @@ divisor products only.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
+from math import gcd
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph
@@ -52,6 +53,74 @@ def bfs_distance_oracle(moduli, gens):
     for m in moduli:
         n *= m
     return dist if len(dist) == n else None
+
+
+def scan_group_oracle(
+    moduli, d, symmetry, bound_hint, first=None, stop_at=None, memo=None
+):
+    """One group's kappa scan, by plain BFS on tuples: (best_k, best_gens, hit).
+
+    Sets are index tuples (mixed_radix_index) in lexicographic order. The
+    symmetry rules: on cyclic chains under "units" or "full-listed", skip a
+    set that has a unit but not 1; on other chains under "full-listed", skip
+    a set that some coordinate permutation among equal moduli maps to a
+    lexicographically smaller sorted set. A set counts only when it
+    generates with diameter strictly below the best so far (a tie does not
+    count). `first` keeps the sets whose least index is `first`; `stop_at`
+    returns at the first counted set of diameter <= stop_at. `memo` (a dict)
+    keeps the scanned sets and their diameters across calls.
+    """
+    if memo is None:
+        memo = {}
+    key = (tuple(moduli), d, symmetry)
+    if key not in memo:
+        memo[key] = _scanned_sets_oracle(moduli, d, symmetry, memo)
+    best_k, best_gens = bound_hint, None
+    for idxs, k in memo[key]:
+        if first is not None and idxs[0] != first:
+            continue
+        if k is None or (best_k is not None and k >= best_k):
+            continue
+        best_k, best_gens = k, idxs
+        if stop_at is not None and k <= stop_at:
+            return best_k, best_gens, True
+    if best_gens is None:
+        return None, None, False
+    return best_k, best_gens, False
+
+
+def _scanned_sets_oracle(moduli, d, symmetry, memo):
+    """The d-sets a scan keeps under `symmetry`, each with its diameter or None."""
+    elems = list(product(*(range(m) for m in moduli)))
+    n = len(elems)
+    cyclic = all(m == 1 for m in moduli[:-1])
+    units = None
+    if cyclic and symmetry in ("units", "full-listed"):
+        units = [gcd(v, n) == 1 for v in range(n)]
+    perms = []
+    if not cyclic and symmetry == "full-listed":
+        r = len(moduli)
+        perms = [
+            p
+            for p in permutations(range(r))
+            if all(moduli[p[i]] == moduli[i] for i in range(r))
+        ]
+    moved = [
+        [mixed_radix_index(moduli, tuple(e[c] for c in p)) for e in elems]
+        for p in perms
+    ]
+    kept = []
+    for idxs in combinations(range(1, n), d):
+        if units is not None and 1 not in idxs and any(units[i] for i in idxs):
+            continue
+        if any(tuple(sorted(m[i] for i in idxs)) < idxs for m in moved):
+            continue
+        diam_key = (tuple(moduli), idxs)
+        if diam_key not in memo:
+            dist = bfs_distance_oracle(moduli, [elems[i] for i in idxs])
+            memo[diam_key] = None if dist is None else max(dist.values())
+        kept.append((idxs, memo[diam_key]))
+    return kept
 
 
 def mdd_oracle(moduli, gens, points):

@@ -196,6 +196,31 @@ def test_bad_matrix_literals_exit_2(command, capsys):
         assert err == f"cannot parse matrix literal: {literal!r}\n"
 
 
+VALUE_ERROR_PROBES = [
+    ["snf", "[[1,2,3]]"],  # not square
+    ["proper", "[[2,0],[0,0]]"],  # singular
+    ["bound", "-d", "4", "-n", "10"],  # no density constant for degree 4
+    ["bound", "-d", "2", "-n", "0"],
+    ["tight", "coeff", "-d", "2", "-n", "0"],
+    ["dilate", "-m", "0", '{"moduli":[3],"gens":[[1]]}'],
+    ["kappa", "-d", "3", "-n", "1"],
+    ["gaps", "-d", "2", "--from", "10", "--to", "5"],  # empty range
+    ["mdd", "verify", "MISSING"],  # no such file
+]
+
+
+@pytest.mark.parametrize("argv", VALUE_ERROR_PROBES, ids=lambda a: " ".join(a[:2]))
+def test_value_and_os_errors_exit_2(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.mdd") if a == "MISSING" else a for a in argv]
+    result = run(argv)
+    assert result.exit_code == 2
+    assert len(result.rows) == 1 and set(result.rows[0]) == {"error"}
+    assert result.human.count("\n") == 1 and result.human.startswith("error: ")
+    assert main(["--format", "jsonl"] + argv) == 2
+    out = capsys.readouterr().out
+    assert [json.loads(line) for line in out.splitlines()] == result.rows
+
+
 def test_bad_matrix_literal_exit_2_under_optimize():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)

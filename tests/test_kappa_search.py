@@ -1,5 +1,9 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
+from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.density import lower_bound
 from cayleydense.errors import InternalConsistencyError
@@ -7,8 +11,19 @@ from cayleydense.kappa_search import (
     KappaCache,
     KappaRecord,
     SearchSpec,
+    _grow_balls,
+    _rotations,
+    _scan_group,
+    _translate,
     gap_table,
     kappa,
+)
+from conftest import (
+    bfs_distance_oracle,
+    chains_oracle,
+    mixed_radix_index,
+    scan_group_oracle,
+    successor_table_oracle,
 )
 
 
@@ -31,16 +46,18 @@ def test_kappa_effective_prune_rules():
 
 def test_symmetry_levels_agree():
     for d in (1, 2, 3):
-        for n in (6, 10, 12, 16, 20, 24):
+        for n in (6, 10, 12, 16, 18, 20, 24, 27, 32):
             results = {
                 level: kappa(
                     SearchSpec(
                         d=d, n=n, symmetry_level=level, prune_with_lower_bound=False
                     )
-                ).kappa
+                )
                 for level in ("none", "units", "full-listed")
             }
-            assert len(set(results.values())) == 1, (d, n, results)
+            assert len({rec.kappa for rec in results.values()}) == 1, (d, n, results)
+            witnesses = [rec.witness for rec in results.values()]
+            assert all(w == witnesses[0] for w in witnesses), (d, n, results)
 
 
 def test_prune_does_not_change_kappa():
@@ -55,6 +72,11 @@ def test_worker_count_independence():
     multi = kappa(SearchSpec(d=2, n=20, prune_with_lower_bound=False, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
+    for n in (16, 24):  # d = 3 never prunes by default, so workers take the pool path
+        base = kappa(SearchSpec(d=3, n=n, worker_count=1))
+        multi = kappa(SearchSpec(d=3, n=n, worker_count=2))
+        assert base.kappa == multi.kappa, n
+        assert base.witness == multi.witness, n
 
 
 def test_witness_upper_bounds():
@@ -114,3 +136,71 @@ def test_kappa_never_beats_the_bound():
     for n in range(3, 26):
         rec = kappa(SearchSpec(d=2, n=n))
         assert rec.kappa >= lower_bound(2, n)
+
+
+def test_translate_matches_successor_oracle():
+    rng = random.Random(4111)
+    chains = 0
+    for d in (1, 2, 3):
+        for n in range(1, 49):
+            for moduli in sorted(chains_oracle(n, d)):
+                group = InvariantFactors(moduli)
+                chains += 1
+                sets = [rng.getrandbits(n) for _ in range(3)] + [(1 << n) - 1]
+                for gen in product(*(range(m) for m in moduli)):
+                    rots = _rotations(group, gen)
+                    table = successor_table_oracle(moduli, gen)
+                    for bits in sets:
+                        want = sum(1 << table[v] for v in range(n) if bits >> v & 1)
+                        assert _translate(bits, rots) == want, (moduli, gen, bits)
+    assert chains == 196
+
+
+def _ball_bits(moduli, dist, radius):
+    return sum(1 << mixed_radix_index(moduli, e) for e, k in dist.items() if k <= radius)
+
+
+def test_scan_abort_rule():
+    """At bound b, a set's balls reach the whole group only when its diameter is below b."""
+    for moduli in ((12,), (2, 6), (1, 3, 9), (2, 2, 4)):
+        group = InvariantFactors(moduli)
+        n = group.order
+        full = (1 << n) - 1
+        elems = list(product(*(range(m) for m in moduli)))[1:]
+        for gens in combinations(elems, len(moduli)):
+            oracle = bfs_distance_oracle(moduli, gens)
+            k = None if oracle is None else max(oracle.values())
+            for bound in range(1, (n if k is None else k) + 3):
+                balls = [1]
+                for g in gens:
+                    balls = _grow_balls(balls, _rotations(group, g), bound - 1, full)
+                case = (moduli, gens, bound)
+                assert (balls[-1] == full) == (k is not None and k < bound), case
+                assert all(a != b for a, b in zip(balls, balls[1:]))  # stops once fixed
+                if k is not None:
+                    assert len(balls) - 1 == min(k, bound - 1), case
+                    assert balls == [_ball_bits(moduli, oracle, r) for r in range(len(balls))]
+
+
+@pytest.mark.parametrize("d,max_n,total", [(1, 40, 8244), (2, 40, 12312), (3, 30, 12672)])
+def test_scan_group_matches_oracle(d, max_n, total):
+    """Every chain, symmetry level, hint, stop_at, and every first for n <= 20."""
+    cases = 0
+    for n in range(2, max_n + 1):
+        for moduli in sorted(chains_oracle(n, d)):
+            group = InvariantFactors(moduli)
+            memo = {}
+            firsts = [None] + (list(range(1, n)) if n <= 20 else [])
+            for symmetry in ("none", "units", "full-listed"):
+                for hint in (None, 2, 3, 4, 5, 8):
+                    for stop_at in (None, 3):
+                        for first in firsts:
+                            got = _scan_group(
+                                group, d, symmetry, hint, first=first, stop_at=stop_at
+                            )
+                            want = scan_group_oracle(
+                                moduli, d, symmetry, hint, first, stop_at, memo
+                            )
+                            assert got == want, (moduli, symmetry, hint, first, stop_at)
+                            cases += 1
+    assert cases == total
