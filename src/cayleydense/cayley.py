@@ -4,7 +4,9 @@ A digraph is (group, generators). Generators are stored as the integer
 vectors they were given as, not eagerly reduced: dilation reuses the same
 coordinate vectors over the scaled group, and (-1, 3) over Z_3+Z_24 and
 over Z_6+Z_48 are different residues of the same lift. All arithmetic
-reduces on use.
+reduces on use. So a dilate exists only when the lifts generate the scaled
+group, and every dilate exists exactly when the lifts, as the columns of a
+matrix, are unimodular (`mdd.is_proper`).
 
 `bfs_distances` is the one BFS that computes distances; elements are
 indexed mixed-radix, last coordinate fastest, and `successor_table` maps
@@ -199,19 +201,30 @@ def solid_density(g: CayleyDigraph) -> Fraction:
 def dilate_digraph(g: CayleyDigraph, m: int, strict: bool = False) -> CayleyDigraph:
     """Same generator coordinate vectors over the group with each modulus times m.
 
-    The diameter identity k(mG) = m(k+d)-d needs a proper generating set;
-    strict mode verifies that first, the default trusts the caller.
+    The m-th dilate exists when the stored lifts generate the scaled group,
+    and then k(mG) = m(k+d) - d; a dilate that does not exist raises
+    ValueError. Strict mode also refuses g unless every dilate exists, which
+    is when the lifts are unimodular (`mdd.is_proper`).
     """
     if m < 1:
         raise ValueError(f"dilation factor must be >= 1, got {m}")
     if strict:
         from .mdd import is_proper  # deferred: mdd depends on this module
 
-        if is_proper(g) is not True:
-            raise ValueError("generating set is not proper; refusing strict dilation")
+        if not is_proper(g):
+            raise ValueError(
+                f"the lifts of {g} are not unimodular; refusing strict dilation"
+            )
     if m == 1:
         return g
-    return CayleyDigraph(InvariantFactors(tuple(m * s for s in g.group)), g.gens)
+    group = InvariantFactors(tuple(m * s for s in g.group))
+    try:
+        return CayleyDigraph(group, g.gens)
+    except ValueError:  # lifts nonzero and distinct mod s stay so mod m*s
+        mods = "+".join(f"Z{s}" for s in group)
+        raise ValueError(
+            f"{g} has no dilate by {m}: its lifts do not generate {mods}"
+        ) from None
 
 
 # Named digraphs: the degree-2 and degree-3 seeds whose dilates stay extremal.

@@ -59,7 +59,7 @@ def _parse_matrix(text: str):
         and all(isinstance(r, list) and r and len(r) == len(m[0]) for r in m)
         and all(type(x) is int for r in m for x in r)
     ):
-        raise SystemExit(f"cannot parse matrix literal: {text!r}")
+        raise ValueError(f"cannot parse matrix literal: {text!r}")
     return tuple(tuple(row) for row in m)
 
 
@@ -67,7 +67,7 @@ def _parse_digraph(text: str) -> CayleyDigraph:
     try:
         return CayleyDigraph.from_literal(text)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise SystemExit(f"cannot parse digraph literal: {text!r} ({exc})")
+        raise ValueError(f"cannot parse digraph literal: {text!r} ({exc})")
 
 
 def _rat(r: Fraction) -> str:
@@ -142,11 +142,11 @@ def read_mdd_file(text: str) -> mdd_mod.Mdd:
             continue
         if line.startswith("#"):
             if source is None:
-                source = CayleyDigraph.from_literal(line[1:].strip())
+                source = _parse_digraph(line[1:].strip())
             continue
         points.add(tuple(int(x) for x in line.split()))
     if source is None:
-        raise SystemExit("diagram file has no digraph header line")
+        raise ValueError("diagram file has no digraph header line")
     return mdd_mod.Mdd(points=frozenset(points), source=source)
 
 
@@ -263,7 +263,7 @@ def _cmd_mdd(args) -> CommandResult:
     elif h.source.degree == 3:
         content = mdd_layers_text(h)
     else:
-        raise SystemExit("rendering supports degree 2 (SVG) and 3 (layers) only")
+        raise ValueError("rendering supports degree 2 (SVG) and 3 (layers) only")
     _emit(args.out, content)
     return CommandResult(0, [{"rendered": True}], "")
 
@@ -283,7 +283,7 @@ def _cmd_dilate(args) -> CommandResult:
 
 def _cmd_bound(args) -> CommandResult:
     if (args.n is None) == (args.k is None):
-        raise SystemExit("bound: give exactly one of -n (lower bound) or -k (max order)")
+        raise ValueError("bound: give exactly one of -n (lower bound) or -k (max order)")
     if args.n is not None:
         value = density_mod.lower_bound(args.d, args.n)
         label = _bound_label(args.d, "l")
@@ -338,7 +338,7 @@ def _cache_from(args) -> kappa_search.KappaCache | None:
 
 def _cmd_kappa(args) -> CommandResult:
     if args.d == 3 and args.n > KAPPA_D3_LIMIT and not args.long_running:
-        raise SystemExit(
+        raise ValueError(
             f"kappa(3, n > {KAPPA_D3_LIMIT}) is not a desk-scale default; "
             "rerun with --long-running"
         )
@@ -367,9 +367,9 @@ def _cmd_kappa(args) -> CommandResult:
 
 def _cmd_gaps(args) -> CommandResult:
     if args.n_from < 2:
-        raise SystemExit("gaps: the order range must start at n >= 2")
+        raise ValueError("gaps: the order range must start at n >= 2")
     if args.n_to > GAPS_DEFAULT_LIMIT and not args.long_running:
-        raise SystemExit(
+        raise ValueError(
             f"gap ranges beyond n = {GAPS_DEFAULT_LIMIT} are not desk-scale defaults; "
             "rerun with --long-running"
         )
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("digraph", help="digraph literal, or diagram file with --mdd")
     s.add_argument("-m", type=int, required=True, help="dilation factor (>= 1)")
     s.add_argument("--mdd", action="store_true", help="treat the argument as a diagram file")
-    s.add_argument("--strict", action="store_true", help="verify properness first")
+    s.add_argument("--strict", action="store_true", help="refuse lifts that are not unimodular")
     s.add_argument("-o", "--out", default=None)
     s.set_defaults(handler=_cmd_dilate)
 
@@ -624,10 +624,7 @@ def run(argv: list[str] | None = None) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     try:
         result = run(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
+    except SystemExit as exc:  # argparse: --help, or a malformed command line
         return exc.code if exc.code is not None else 0
     sys.stdout.write(_render(result, result.fmt))
     return result.exit_code

@@ -17,6 +17,10 @@ Diameter convention: the diagram's own diameter is measured at the far
 corner of each cube, so it exceeds the max point norm by d. This module
 only ever exposes that quantity as `solid_diameter` (= d + max point norm
 = digraph diameter + d) to keep the off-by-d trap out of the API.
+
+A digraph is proper when every dilate of it exists (`is_proper`), which is
+when its stored lifts form a unimodular matrix. Whenever a dilate exists,
+`dilate_mdd` gives a diagram of it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import gcd
 from .abelian import GroupElement
 from .cayley import CayleyDigraph, bfs_distances, dilate_digraph, successor_table
 from .errors import InternalConsistencyError
-from .zmatrix import Matrix, det, minors_gcd, proper_generating_set
+from .zmatrix import Matrix, is_unimodular
 
 
 @dataclass(frozen=True)
@@ -265,77 +269,14 @@ def lshape_tessellation_matrix(shape: LShape) -> Matrix:
     return ((shape.l, -shape.w), (-shape.y, shape.h))
 
 
-# Properness. A generating set is proper when its vectors are the columns of
-# the unimodular row witness from a Smith decomposition of a basis of the
-# digraph's relation lattice. Witnesses are not unique, so after the cheap
-# sufficient checks this falls back to an exact existence test: the stored
-# lifts T admit a witness iff some unimodular integer matrix is congruent to
-# T entrywise, row i taken modulo s_i. Rows with s_i = 1 are free; the rest
-# are enumerated modulo s_d, which is exact but only affordable for small
-# residue spaces.
+def is_proper(g: CayleyDigraph) -> bool:
+    """Whether every dilate of g exists: the stored lifts are unimodular.
 
-_COMPLETION_BUDGET = 200_000
-
-
-def _witness_completion_exists(g: CayleyDigraph) -> bool | None:
-    group = g.group
-    d = group.rank
-    cols = [list(t) for t in g.gens]
-    t_mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    big = group[-1]
-    constrained = [i for i in range(d) if group[i] > 1]
-    combos = 1
-    for i in constrained:
-        combos *= (big // group[i]) ** d
-    if combos > _COMPLETION_BUDGET:
-        return None
-    free = [i for i in range(d) if group[i] == 1]
-    row_choices = []
-    for i in constrained:
-        step = group[i]
-        reps = [
-            [t_mat[i][j] + step * k for k in range(big // step)] for j in range(d)
-        ]
-        row_choices.append([list(r) for r in product(*reps)])
-    for pick in product(*row_choices):
-        fixed = [list(row) for row in pick]
-        if free:
-            if gcd(minors_gcd(fixed, len(fixed)), big) == 1:
-                return True
-        else:
-            if det(fixed) % big in (1, big - 1):
-                return True
-    return False
-
-
-def is_proper(g: CayleyDigraph, tessellation: Matrix | None = None) -> bool | None:
-    """Decide whether the generating set is proper.
-
-    Fast paths: unimodular stored lifts are always proper; for degree 2 the
-    canonical route goes through the extracted L-shape's tessellation matrix,
-    and a caller-supplied tessellation matrix is used the same way for
-    higher degrees. Otherwise an exact witness-existence test runs, and None
-    is returned when that test would exceed its enumeration budget
-    (undecidable here, distinct from False).
+    Let T hold the stored lifts as columns. If |det T| = 1, T maps Z^d onto
+    Z^d and so onto every quotient; the lifts generate the group of every
+    dilate. Otherwise some prime p divides det T (any p when det T = 0). The
+    p-th dilate's group maps onto Z^d/pZ^d, where the lifts become the
+    columns of T mod p; that matrix is singular, so they do not generate and
+    the p-th dilate does not exist.
     """
-    d = g.degree
-    lifts = [[g.gens[j][i] for j in range(d)] for i in range(d)]
-    if abs(det(lifts)) == 1:
-        return True
-    candidate_matrices = []
-    if tessellation is not None:
-        candidate_matrices.append(tessellation)
-    if d == 2:
-        candidate_matrices.append(lshape_tessellation_matrix(extract_lshape(build_mdd(g))))
-    for m in candidate_matrices:
-        if abs(det(m)) != g.order:
-            continue
-        group, gens = proper_generating_set(m)
-        if tuple(group) != tuple(g.group):
-            continue
-        if all(
-            g.group.reduce(u) == w
-            for u, w in zip(gens, g.normalized_gens)
-        ):
-            return True
-    return _witness_completion_exists(g)
+    return is_unimodular(g.gens)  # rows of T^T; transposing keeps det

@@ -10,8 +10,6 @@ so the final diagonal is nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 from typing import Sequence
 
 from .abelian import InvariantFactors
@@ -208,7 +206,8 @@ def proper_generating_set(
     The group is read off the diagonal of the Smith form and the generators
     are the columns of the witness U, returned as integer vectors (their
     classes modulo the group are what matter; the integer lifts are the
-    canonical representatives used for dilation).
+    canonical representatives used for dilation). U is unimodular, so every
+    dilate of the resulting digraph exists.
     """
     if det(m) == 0:
         raise ValueError("matrix must be nonsingular")
@@ -218,17 +217,3 @@ def proper_generating_set(
     gens = tuple(tuple(dec.U[i][j] for i in range(d)) for j in range(d))
     return group, gens
 
-
-def minors_gcd(rows: Sequence[Sequence[int]], size: int) -> int:
-    """gcd of all size x size minors of a rectangular integer matrix."""
-    r, c = len(rows), len(rows[0])
-    if size > r or size > c:
-        raise ValueError("minor size exceeds matrix dimensions")
-    g = 0
-    for ris in combinations(range(r), size):
-        for cis in combinations(range(c), size):
-            sub = [[rows[i][j] for j in cis] for i in ris]
-            g = gcd(g, det(sub))
-            if g == 1:
-                return 1
-    return g

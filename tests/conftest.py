@@ -123,6 +123,19 @@ def _scanned_sets_oracle(moduli, d, symmetry, memo):
     return kept
 
 
+def det_oracle(rows):
+    """Determinant by the Leibniz sum over permutations (small matrices only)."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def mdd_oracle(moduli, gens, points):
     """Whether points form a minimum distance diagram, with phi by plain arithmetic.
 

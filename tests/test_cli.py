@@ -127,6 +127,13 @@ def test_dilate_cli(capsys):
     assert capsys.readouterr().out == "Cay(Z6+Z48,{(0,1),(-1,3)})\n"
 
 
+def test_dilate_strict_cli_refuses_non_unimodular_lifts(capsys):
+    literal = '{"moduli":[1,5],"gens":[[0,1],[0,2]]}'
+    assert main(["--format", "jsonl", "dilate", "-m", "2", "--strict", literal]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert "not unimodular" in json.loads(line)["error"]
+
+
 def test_dilate_mdd_cli(tmp_path, capsys):
     literal = '{"moduli":[1,3],"gens":[[0,1],[1,-1]]}'
     target = tmp_path / "u2.mdd"
@@ -191,13 +198,14 @@ BAD_MATRIX_LITERALS = [
 @pytest.mark.parametrize("command", ["snf", "proper"])
 def test_bad_matrix_literals_exit_2(command, capsys):
     for literal in BAD_MATRIX_LITERALS:
-        assert main([command, literal]) == 2, literal
-        err = capsys.readouterr().err
-        assert err == f"cannot parse matrix literal: {literal!r}\n"
+        assert main(["--format", "jsonl", command, literal]) == 2, literal
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"error": f"cannot parse matrix literal: {literal!r}"}
 
 
 VALUE_ERROR_PROBES = [
     ["snf", "[[1,2,3]]"],  # not square
+    ["snf", "not json"],
     ["proper", "[[2,0],[0,0]]"],  # singular
     ["bound", "-d", "4", "-n", "10"],  # no density constant for degree 4
     ["bound", "-d", "2", "-n", "0"],
@@ -205,6 +213,13 @@ VALUE_ERROR_PROBES = [
     ["dilate", "-m", "0", '{"moduli":[3],"gens":[[1]]}'],
     ["kappa", "-d", "3", "-n", "1"],
     ["gaps", "-d", "2", "--from", "10", "--to", "5"],  # empty range
+    # options reordered so that each probe's id (its first two words) is new
+    ["gaps", "--from", "1", "--to", "5", "-d", "2"],
+    ["gaps", "--to", "61", "--from", "3", "-d", "2"],  # needs --long-running
+    ["kappa", "-n", "129", "-d", "3"],  # needs --long-running
+    ["bound", "-n", "5", "-k", "3", "-d", "2"],  # both -n and -k
+    ["diameter", "not json"],
+    ["diameter", '{"moduli":[3]}'],  # no generators
     ["mdd", "verify", "MISSING"],  # no such file
 ]
 
@@ -219,6 +234,19 @@ def test_value_and_os_errors_exit_2(argv, tmp_path, capsys):
     assert main(["--format", "jsonl"] + argv) == 2
     out = capsys.readouterr().out
     assert [json.loads(line) for line in out.splitlines()] == result.rows
+
+
+def test_diagram_file_usage_errors_exit_2(tmp_path, capsys):
+    headerless = tmp_path / "headerless.mdd"
+    headerless.write_text("0 0\n0 1\n")
+    four = tmp_path / "four.mdd"
+    literal = '{"moduli":[1,1,1,5],"gens":[[0,0,0,1],[0,0,0,2],[0,0,0,3],[0,0,0,4]]}'
+    assert main(["mdd", "build", literal, "-o", str(four)]) == 0
+    capsys.readouterr()
+    for argv in (["mdd", "verify", str(headerless)], ["mdd", "render", str(four)]):
+        assert main(["--format", "jsonl"] + argv) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert set(json.loads(line)) == {"error"}
 
 
 def test_bad_matrix_literal_exit_2_under_optimize():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,13 @@ from cayleydense.mdd import (
     verify_mdd,
 )
 from cayleydense.zmatrix import det
-from conftest import lex_least_word_oracle, mdd_oracle, proper_corpus
+from conftest import (
+    bfs_distance_oracle,
+    det_oracle,
+    lex_least_word_oracle,
+    mdd_oracle,
+    proper_corpus,
+)
 
 U2 = upsilon(2, 1)
 Z7 = CayleyDigraph.from_cyclic(7, (1, 2))
@@ -114,26 +121,27 @@ def test_lshape_parameter_validation():
 
 def test_is_proper_decisions():
     assert is_proper(U2) is True
-    assert (
-        is_proper(SPACE_SEED, tessellation=((-1, -1, 0), (-1, 0, -4), (1, -3, 0)))
-        is True
-    )
     assert is_proper(SPACE_SEED) is True  # unimodular lift matrix
-    # rings: only steps congruent to +-1 admit a unimodular witness
+    # rings: only the lift 1 generates Z_mn for every m
     assert is_proper(CayleyDigraph.from_cyclic(5, (2,))) is False
-    assert is_proper(CayleyDigraph.from_cyclic(5, (4,))) is True
-    # the stored lifts are not a witness themselves (determinant 0) but
-    # U = [[1,1],[1,2]] is congruent to them row-wise and is unimodular
-    assert is_proper(CayleyDigraph.from_cyclic(3, (1, 2))) is True
+    ring = CayleyDigraph.from_cyclic(5, (4,))
+    assert is_proper(ring) is False  # 4 does not generate Z10
+    with pytest.raises(ValueError, match="refusing strict dilation"):
+        dilate_digraph(ring, 3, strict=True)
+    assert diameter(dilate_digraph(ring, 3)) == 14  # 4 generates Z15
+    # (0,1),(0,2) do not generate Z2+Z6
+    assert is_proper(CayleyDigraph.from_cyclic(3, (1, 2))) is False
 
 
-def test_is_proper_undecidable_budget():
-    # non-unimodular lifts over a group whose residue space is too large to
-    # enumerate: the existence test must refuse rather than guess
+def test_is_proper_rejects_det_three():
     g = CayleyDigraph(
         InvariantFactors((2, 2, 32)), ((0, 1, 2), (1, 0, 2), (1, 1, 1))
     )
-    assert is_proper(g) is None
+    assert det(g.gens) == 3
+    assert is_proper(g) is False
+    with pytest.raises(ValueError, match="no dilate by 3"):
+        dilate_digraph(g, 3)
+    assert tuple(dilate_digraph(g, 2).group) == (4, 4, 64)
 
 
 def test_cyclic_corpus_invariants():
@@ -177,6 +185,71 @@ def test_dilation_preserves_diagram_structure():
         assert len(hd.points) == m ** g.degree * g.order
         assert verify_mdd(hd)
         assert solid_diameter(hd) == m * solid_diameter(h)
+
+
+def _dilation_cases():
+    """(g, factors): the proper corpus, cyclic digraphs and random lifts."""
+    for g in proper_corpus():
+        yield g, (1, 2)
+    for d, top in ((1, 40), (2, 30), (3, 12)):
+        for n in range(d + 1, top + 1):
+            for steps in combinations(range(1, n), d):
+                try:
+                    g = CayleyDigraph.from_cyclic(n, steps)
+                except ValueError:
+                    continue
+                yield g, [m for m in range(1, 5) if m**d * n <= 1000]
+    rng = random.Random(7919)
+    chains = [(1, 12), (2, 6), (3, 9), (1, 20), (2, 10)]
+    chains += [(1, 1, 12), (1, 2, 6), (2, 2, 4), (1, 3, 6)]
+    done = 0
+    while done < 600:
+        moduli = chains[done % len(chains)]
+        d = len(moduli)
+        lifts = [[rng.randint(-6, 6) for _ in moduli] for _ in moduli]
+        try:
+            g = CayleyDigraph(InvariantFactors(moduli), lifts)
+        except ValueError:
+            continue
+        done += 1
+        yield g, [m for m in range(1, 5) if m**d * g.order <= 1000]
+
+
+def test_dilation_exists_exactly_when_lifts_generate():
+    # all cyclic d <= 3, n <= 40 would take minutes; the cyclic part stops
+    # at n = 30 for d = 2 and n = 12 for d = 3
+    counts = {}  # (proper, dilate exists) -> number of (g, m) pairs
+    for g, factors in _dilation_cases():
+        d = g.degree
+        proper = abs(det_oracle(g.gens)) == 1
+        assert is_proper(g) is proper, str(g)
+        h = k = None
+        for m in factors:
+            moduli = tuple(m * s for s in g.group)
+            dist = bfs_distance_oracle(moduli, g.gens)
+            key = (proper, dist is not None)
+            counts[key] = counts.get(key, 0) + 1
+            if proper:
+                assert dilate_digraph(g, m, strict=True) == dilate_digraph(g, m)
+            else:
+                with pytest.raises(ValueError, match="refusing strict dilation") as exc:
+                    dilate_digraph(g, m, strict=True)
+                assert str(g) in str(exc.value)
+            if dist is None:
+                mods = "+".join(f"Z{s}" for s in moduli)
+                with pytest.raises(ValueError) as exc:
+                    dilate_digraph(g, m)
+                assert str(g) in str(exc.value) and mods in str(exc.value)
+                continue
+            gm = dilate_digraph(g, m)
+            if h is None:
+                h, k = build_mdd(g), diameter(g)
+            assert diameter(gm) == max(dist.values()) == m * (k + d) - d, (str(g), m)
+            hd = dilate_mdd(h, m)
+            assert hd.source == gm
+            assert verify_mdd(hd) and solid_diameter(hd) == m * solid_diameter(h)
+    assert counts[True, True] >= 3100 and (True, False) not in counts
+    assert counts[False, True] >= 6800 and counts[False, False] >= 12900
 
 
 def _differential_digraphs():

@@ -9,7 +9,6 @@ from cayleydense.zmatrix import (
     invariant_factors,
     is_unimodular,
     mat_mul,
-    minors_gcd,
     proper_generating_set,
     scale,
     smith_normal_form,
@@ -153,8 +152,3 @@ def test_snf_postconditions_fuzz():
 def test_rectangular_invariant_factors():
     assert invariant_factors([[4, 16]]) == (4,)
     assert invariant_factors([[1, 1, 2, 0], [0, 1, 0, 2]]) == (1, 1)
-
-
-def test_minors_gcd():
-    assert minors_gcd([[2, 4, 6]], 1) == 2
-    assert minors_gcd([[1, 0], [0, 1]], 2) == 1
