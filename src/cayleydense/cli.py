@@ -47,27 +47,34 @@ class CommandResult:
     fmt: str = "human"
 
 
+def _int_rows(x) -> bool:
+    """A JSON list of lists of integers; floats and bools are not integers here."""
+    return isinstance(x, list) and all(
+        isinstance(r, list) and all(type(v) is int for v in r) for r in x
+    )
+
+
 def _parse_matrix(text: str):
     """A nonempty rectangular list of integer rows; anything else is a usage error."""
     try:
         m = json.loads(text)
     except json.JSONDecodeError:
         m = None
-    if not (
-        isinstance(m, list)
-        and m
-        and all(isinstance(r, list) and r and len(r) == len(m[0]) for r in m)
-        and all(type(x) is int for r in m for x in r)
-    ):
+    if not (_int_rows(m) and m and all(r and len(r) == len(m[0]) for r in m)):
         raise ValueError(f"cannot parse matrix literal: {text!r}")
     return tuple(tuple(row) for row in m)
 
 
 def _parse_digraph(text: str) -> CayleyDigraph:
     try:
-        return CayleyDigraph.from_literal(text)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"cannot parse digraph literal: {text!r} ({exc})")
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None
+    if not (
+        isinstance(obj, dict) and _int_rows([obj.get("moduli")]) and _int_rows(obj.get("gens"))
+    ):
+        raise ValueError(f"cannot parse digraph literal: {text!r}")
+    return CayleyDigraph.from_literal(obj)
 
 
 def _rat(r: Fraction) -> str:
@@ -150,18 +157,7 @@ def read_mdd_file(text: str) -> mdd_mod.Mdd:
     return mdd_mod.Mdd(points=frozenset(points), source=source)
 
 
-def render_gaps_csv(rows: list[tuple[int, int]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "gap"])
-    for n, gap in rows:
-        writer.writerow([n, gap])
-    return out.getvalue()
-
-
 def gaps_svg(rows: list[tuple[int, int]], cell: int = 6) -> str:
-    if not rows:
-        return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
     max_gap = max(g for _, g in rows)
     h = (max_gap + 1) * 4 * cell + 20
     w = len(rows) * cell + 20
@@ -336,21 +332,24 @@ def _cache_from(args) -> kappa_search.KappaCache | None:
     return kappa_search.KappaCache(path) if path else None
 
 
+def _search_spec(args, n: int) -> kappa_search.SearchSpec:
+    return kappa_search.SearchSpec(
+        d=args.d,
+        n=n,
+        prune_with_lower_bound=not args.no_prune,
+        symmetry_level=args.symmetry,
+        worker_count=args.jobs,
+        conjectural_prune=args.prune_conjectural,
+    )
+
+
 def _cmd_kappa(args) -> CommandResult:
     if args.d == 3 and args.n > KAPPA_D3_LIMIT and not args.long_running:
         raise ValueError(
             f"kappa(3, n > {KAPPA_D3_LIMIT}) is not a desk-scale default; "
             "rerun with --long-running"
         )
-    spec = kappa_search.SearchSpec(
-        d=args.d,
-        n=args.n,
-        prune_with_lower_bound=not args.no_prune,
-        symmetry_level=args.symmetry,
-        worker_count=args.jobs,
-        conjectural_prune=args.prune_conjectural,
-    )
-    rec = kappa_search.kappa(spec, cache=_cache_from(args))
+    rec = kappa_search.kappa(_search_spec(args, args.n), cache=_cache_from(args))
     row = {
         "d": rec.d,
         "n": rec.n,
@@ -373,27 +372,19 @@ def _cmd_gaps(args) -> CommandResult:
             f"gap ranges beyond n = {GAPS_DEFAULT_LIMIT} are not desk-scale defaults; "
             "rerun with --long-running"
         )
-    template = kappa_search.SearchSpec(
-        d=args.d,
-        n=max(args.n_from, 2),
-        prune_with_lower_bound=not args.no_prune,
-        symmetry_level=args.symmetry,
-        worker_count=args.jobs,
-        conjectural_prune=args.prune_conjectural,
-    )
-    rows = kappa_search.gap_table(
-        args.d, args.n_from, args.n_to, spec_template=template, cache=_cache_from(args)
-    )
-    if args.csv_out:
-        _emit(args.csv_out, render_gaps_csv(rows))
-    if args.svg_out:
-        _emit(args.svg_out, gaps_svg(rows))
+    spec = _search_spec(args, args.n_from)
+    rows = kappa_search.gap_table(args.d, args.n_from, args.n_to, spec, _cache_from(args))
     label = _bound_label(args.d, "l")
     payload = [{"n": n, "gap": gap} for n, gap in rows]
     human = _render_table(
         ["n", f"kappa-{label}"], [[str(n), str(g)] for n, g in rows]
     )
-    return CommandResult(0, payload, human)
+    result = CommandResult(0, payload, human)
+    if args.csv_out:
+        _emit(args.csv_out, _render(result, "csv"))
+    if args.svg_out:
+        _emit(args.svg_out, gaps_svg(rows))
+    return result
 
 
 def _table1_rows() -> list[dict]:
@@ -540,33 +531,36 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-d", type=int, required=True)
     t.set_defaults(handler=_cmd_tight, what="xd")
 
-    s = sub.add_parser("kappa", help="exhaustive minimum diameter search")
-    s.add_argument("-d", type=int, required=True)
-    s.add_argument("-n", type=int, required=True)
-    s.add_argument("--jobs", type=int, default=1, help="worker processes")
-    s.add_argument("--symmetry", choices=kappa_search.SYMMETRY_LEVELS, default="units")
-    s.add_argument("--no-prune", action="store_true", help="disable the lower-bound early exit")
-    s.add_argument(
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("-d", type=int, required=True)
+    search.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; they shard an unpruned search by chain and least element, "
+        "and a pruned search runs in one process",
+    )
+    search.add_argument("--symmetry", choices=kappa_search.SYMMETRY_LEVELS, default="units")
+    search.add_argument("--no-prune", action="store_true", help="disable the lower-bound early exit")
+    search.add_argument(
         "--prune-conjectural",
         action="store_true",
         help="let d=3 prune against the conjectural bound (off by default)",
     )
-    s.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
-    s.add_argument("--long-running", action="store_true")
+    search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
+    search.add_argument("--long-running", action="store_true")
+
+    s = sub.add_parser("kappa", parents=[search], help="exhaustive minimum diameter search")
+    s.add_argument("-n", type=int, required=True)
     s.set_defaults(handler=_cmd_kappa)
 
-    s = sub.add_parser("gaps", help="kappa minus the lower bound over an order range")
-    s.add_argument("-d", type=int, required=True)
+    s = sub.add_parser(
+        "gaps", parents=[search], help="kappa minus the lower bound over an order range"
+    )
     s.add_argument("--from", dest="n_from", type=int, required=True)
     s.add_argument("--to", dest="n_to", type=int, required=True)
-    s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--symmetry", choices=kappa_search.SYMMETRY_LEVELS, default="units")
-    s.add_argument("--no-prune", action="store_true")
-    s.add_argument("--prune-conjectural", action="store_true")
-    s.add_argument("--cache", default=None)
     s.add_argument("--csv-out", default=None, help="write a two-column n,gap CSV")
     s.add_argument("--svg-out", default=None, help="write a point-plot SVG")
-    s.add_argument("--long-running", action="store_true")
     s.set_defaults(handler=_cmd_gaps)
 
     s = sub.add_parser("table1", help="dilation table for the two order-72 degree-2 seeds")

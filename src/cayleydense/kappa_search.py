@@ -32,6 +32,13 @@ is fully evaluated. The reported witness is still the lexicographically
 least one regardless of worker count: each scan runs in lexicographic order,
 so a tie rejected this way comes after the minimizer already held, and the
 merge across groups and shards keeps the least of the scanned minimizers.
+
+One loop runs every search over shards (moduli, first), in chain order: a
+whole chain per shard on one worker, one per chain and least element on a
+pool of several. Shards run in waves (one shard, or 4 x workers), and each
+wave's hint is the least diameter found before it, so the merge of one
+(k, moduli, gens) comparison sees every tie inside a wave. A pruned search
+stops at its first hit on the bound, so it always runs on one worker.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from math import gcd
 from pathlib import Path
@@ -163,14 +171,6 @@ class KappaCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(record.to_json() + "\n")
-
-
-def cache_put(path: str | Path, record: KappaRecord) -> None:
-    KappaCache(path).put(record)
-
-
-def cache_get(path: str | Path, d: int, n: int, settings: dict) -> KappaRecord | None:
-    return KappaCache(path).get(d, n, settings)
 
 
 def _unit_values(n: int) -> list[bool]:
@@ -346,10 +346,7 @@ def _scan_group(
 
 
 def _scan_task(args):
-    moduli, d, symmetry, bound_hint, first = args
-    group = InvariantFactors(moduli)
-    k, gens, _ = _scan_group(group, d, symmetry, bound_hint, first=first)
-    return k, gens
+    return _scan_group(*args)  # (group, d, symmetry, bound_hint, first, stop_at)
 
 
 def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
@@ -365,50 +362,28 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
         if hit is not None:
             return hit
     started = time.monotonic()
-    groups = enumerate_groups(spec.n, spec.d)
     target = lower_bound(spec.d, spec.n)
-    best: tuple[int, tuple[int, ...], InvariantFactors] | None = None
-
-    if spec.effective_prune or spec.worker_count == 1:
-        stop_at = target if spec.effective_prune else None
-        for group in groups:
+    stop_at = target if spec.effective_prune else None
+    workers = 1 if spec.effective_prune else spec.worker_count
+    firsts = [None] if workers == 1 else range(1, spec.n)
+    shards = [(group, first) for group in enumerate_groups(spec.n, spec.d) for first in firsts]
+    wave = 1 if workers == 1 else 4 * workers
+    best: tuple[int, InvariantFactors, tuple[int, ...]] | None = None  # (k, group, gens)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        for start in range(0, len(shards), wave):
+            batch = shards[start : start + wave]
             hint = best[0] if best else None
-            k, gens, hit = _scan_group(
-                group, spec.d, spec.symmetry_level, hint, stop_at=stop_at
-            )
-            if k is not None and (
-                best is None
-                or k < best[0]
-                or (k == best[0] and (tuple(group), gens) < (tuple(best[2]), best[1]))
-            ):
-                best = (k, gens, group)
-            if hit:
+            tasks = [(g, spec.d, spec.symmetry_level, hint, f, stop_at) for g, f in batch]
+            for (group, _), (k, gens, hit) in zip(batch, run(_scan_task, tasks)):
+                if k is not None and (best is None or (k, group, gens) < best):
+                    best = (k, group, gens)
+            if hit:  # only a pruned search hits, and it runs one shard per wave
                 break
-    else:
-        jobs = [
-            (tuple(group), spec.d, spec.symmetry_level, first)
-            for group in groups
-            for first in range(1, spec.n)
-        ]
-        with ProcessPoolExecutor(max_workers=spec.worker_count) as pool:
-            wave = max(1, 4 * spec.worker_count)
-            while jobs:
-                batch, jobs = jobs[:wave], jobs[wave:]
-                hint = best[0] if best else None
-                args = [(m, d, s, hint, f) for (m, d, s, f) in batch]
-                for (m, _, _, _), (k, gens) in zip(batch, pool.map(_scan_task, args)):
-                    if k is None:
-                        continue
-                    if (
-                        best is None
-                        or k < best[0]
-                        or (k == best[0] and (m, gens) < (tuple(best[2]), best[1]))
-                    ):
-                        best = (k, gens, InvariantFactors(m))
 
     if best is None:
         raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")
-    k, gens, group = best
+    k, group, gens = best
     if k < target:
         if is_conjectural(spec.d):
             raise ConjectureRefutation(
@@ -443,17 +418,7 @@ def gap_table(
         raise ValueError("empty order range")
     rows = []
     for n in range(n_from, n_to + 1):
-        if spec_template is None:
-            spec = SearchSpec(d=d, n=n)
-        else:
-            spec = SearchSpec(
-                d=d,
-                n=n,
-                prune_with_lower_bound=spec_template.prune_with_lower_bound,
-                symmetry_level=spec_template.symmetry_level,
-                worker_count=spec_template.worker_count,
-                conjectural_prune=spec_template.conjectural_prune,
-            )
+        spec = replace(spec_template or SearchSpec(d=d, n=2), d=d, n=n)
         rec = kappa(spec, cache=cache)
         rows.append((n, rec.kappa - lower_bound(d, n)))
     return rows

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from cayleydense.cli import (
+    _render,
     build_parser,
     main,
     read_mdd_file,
-    render_gaps_csv,
     run,
     write_mdd_file,
 )
@@ -73,8 +73,6 @@ def test_formats_roundtrip():
 
 
 def _render_lines(result):
-    from cayleydense.cli import _render
-
     return _render(result, result.fmt).strip().splitlines()
 
 
@@ -167,10 +165,9 @@ def test_gaps_csv_and_svg(tmp_path):
     assert lines[0] == "n,gap"
     assert len(lines) == 11
     assert svg_path.read_text().startswith("<svg")
-
-
-def test_render_gaps_csv_empty():
-    assert render_gaps_csv([]) == "n,gap\r\n"
+    shown = run(["--format", "csv", "gaps", "-d", "2", "--from", "3", "--to", "12"])
+    with open(csv_path, newline="") as fh:
+        assert fh.read() == _render(shown, shown.fmt)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -220,6 +217,9 @@ VALUE_ERROR_PROBES = [
     ["bound", "-n", "5", "-k", "3", "-d", "2"],  # both -n and -k
     ["diameter", "not json"],
     ["diameter", '{"moduli":[3]}'],  # no generators
+    ["diameter", '{"moduli":[5.7],"gens":[[1.5]]}'],  # floats would be truncated
+    ["diameter", '{"moduli":[5],"gens":[[true]]}'],  # bools are not integers
+    ["diameter", '{"moduli":"5","gens":["1"]}'],  # strings are not integers
     ["mdd", "verify", "MISSING"],  # no such file
 ]
 
@@ -239,11 +239,17 @@ def test_value_and_os_errors_exit_2(argv, tmp_path, capsys):
 def test_diagram_file_usage_errors_exit_2(tmp_path, capsys):
     headerless = tmp_path / "headerless.mdd"
     headerless.write_text("0 0\n0 1\n")
+    float_header = tmp_path / "float-header.mdd"
+    float_header.write_text('# {"moduli":[5.7],"gens":[[1.5]]}\n0\n')
     four = tmp_path / "four.mdd"
     literal = '{"moduli":[1,1,1,5],"gens":[[0,0,0,1],[0,0,0,2],[0,0,0,3],[0,0,0,4]]}'
     assert main(["mdd", "build", literal, "-o", str(four)]) == 0
     capsys.readouterr()
-    for argv in (["mdd", "verify", str(headerless)], ["mdd", "render", str(four)]):
+    for argv in (
+        ["mdd", "verify", str(headerless)],
+        ["mdd", "verify", str(float_header)],
+        ["mdd", "render", str(four)],
+    ):
         assert main(["--format", "jsonl"] + argv) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert set(json.loads(line)) == {"error"}
@@ -306,13 +312,3 @@ def test_cache_env_var(tmp_path, monkeypatch, capsys):
     assert main(["kappa", "-d", "2", "-n", "12"]) == 0
     capsys.readouterr()
     assert cache.exists()
-
-
-def test_cache_function_wrappers(tmp_path):
-    from cayleydense.kappa_search import SearchSpec, cache_get, cache_put, kappa
-
-    rec = kappa(SearchSpec(d=2, n=9))
-    path = tmp_path / "wrap.jsonl"
-    cache_put(path, rec)
-    assert cache_get(path, 2, 9, rec.settings) == rec
-    assert cache_get(path, 2, 10, rec.settings) is None

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from cayleydense import kappa_search
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.density import lower_bound
@@ -72,11 +73,38 @@ def test_worker_count_independence():
     multi = kappa(SearchSpec(d=2, n=20, prune_with_lower_bound=False, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
-    for n in (16, 24):  # d = 3 never prunes by default, so workers take the pool path
-        base = kappa(SearchSpec(d=3, n=n, worker_count=1))
-        multi = kappa(SearchSpec(d=3, n=n, worker_count=2))
-        assert base.kappa == multi.kappa, n
-        assert base.witness == multi.witness, n
+    for d in (1, 2, 3):  # unpruned, so two workers shard by chain and least element
+        for n in range(4, 25):
+            base, multi = (
+                kappa(SearchSpec(d=d, n=n, prune_with_lower_bound=False, worker_count=w))
+                for w in (1, 2)
+            )
+            assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
+
+
+def test_process_pool_only_for_unpruned_parallel_search(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
+    pruned = kappa(SearchSpec(d=2, n=30, worker_count=4))
+    assert opened == []
+    assert pruned.kappa == kappa(SearchSpec(d=2, n=30)).kappa
+    rec = kappa(SearchSpec(d=3, n=16, worker_count=2))
+    assert opened == [2]
+    assert (rec.kappa, rec.witness) == (3, kappa(SearchSpec(d=3, n=16)).witness)
 
 
 def test_witness_upper_bounds():
