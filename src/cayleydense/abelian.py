@@ -21,10 +21,12 @@ class InvariantFactors(tuple):
     __slots__ = ()
 
     def __new__(cls, moduli: Iterable[int]) -> "InvariantFactors":
-        s = tuple(int(m) for m in moduli)
+        s = tuple(moduli)
         if not s:
             raise ValueError("modulus list must be nonempty")
         for m in s:
+            if type(m) is not int:  # no truncated floats, no bools
+                raise ValueError(f"modulus must be an integer, got {m!r}")
             if m <= 0:
                 raise ValueError(f"modulus must be positive, got {m}")
         for a, b in zip(s, s[1:]):

@@ -38,9 +38,12 @@ class CayleyDigraph:
 
         if not isinstance(self.group, InvariantFactors):
             object.__setattr__(self, "group", InvariantFactors(self.group))
-        object.__setattr__(
-            self, "gens", tuple(tuple(int(x) for x in t) for t in self.gens)
-        )
+        gens = tuple(tuple(t) for t in self.gens)
+        for t in gens:
+            for x in t:
+                if type(x) is not int:  # no truncated floats, no bools
+                    raise ValueError(f"generator entries must be integers, got {x!r}")
+        object.__setattr__(self, "gens", gens)
         d = self.group.rank
         if len(self.gens) != d:
             raise ValueError(
@@ -60,7 +63,7 @@ class CayleyDigraph:
         """Cay(Z_n, steps) carried over the padded chain (1, ..., 1, n)."""
         d = len(steps)
         group = InvariantFactors((1,) * (d - 1) + (n,))
-        gens = tuple((0,) * (d - 1) + (int(t),) for t in steps)
+        gens = tuple((0,) * (d - 1) + (t,) for t in steps)
         return cls(group, gens)
 
     @property

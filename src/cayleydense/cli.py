@@ -28,7 +28,7 @@ from .errors import ConjectureRefutation, InternalConsistencyError
 
 CACHE_ENV_VAR = "CAYLEYDENSE_CACHE"
 GAPS_DEFAULT_LIMIT = 60
-KAPPA_D3_LIMIT = 128
+KAPPA_D3_LIMIT = 256
 
 TABLE1_SEEDS = (
     CayleyDigraph(InvariantFactors((1, 72)), ((-1, 4), (-3, 11))),
@@ -58,7 +58,7 @@ def _parse_matrix(text: str):
     """A nonempty rectangular list of integer rows; anything else is a usage error."""
     try:
         m = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
         m = None
     if not (_int_rows(m) and m and all(r and len(r) == len(m[0]) for r in m)):
         raise ValueError(f"cannot parse matrix literal: {text!r}")
@@ -68,7 +68,7 @@ def _parse_matrix(text: str):
 def _parse_digraph(text: str) -> CayleyDigraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         obj = None
     if not (
         isinstance(obj, dict) and _int_rows([obj.get("moduli")]) and _int_rows(obj.get("gens"))
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; they shard an unpruned search by chain and least element, "
+        help="worker processes; they shard an unpruned lattice pass by HNF diagonal and b21, "
         "and a pruned search runs in one process",
     )
     search.add_argument("--symmetry", choices=kappa_search.SYMMETRY_LEVELS, default="units")

@@ -1,8 +1,37 @@
 """Exhaustive minimum-diameter search over all groups of a given order.
 
-kappa(d, n) ranges over every invariant-factor chain of order n and every
-d-subset of nonzero elements. Reductions are exact digraph symmetries
-only, so the minimum is never approximated:
+kappa(d, n) is the least diameter of Cay(G, S) over every Abelian group G
+of order n and every generating d-set S of nonzero elements. The search
+takes two passes, a lattice pass for the value and a scan for the witness.
+
+The lattice pass. Cay(G, {g_1..g_d}) is Cay(Z^d/L, {e_1..e_d}) with L the
+kernel of e_i -> g_i, a sublattice of index n. Each L has one lower
+triangular Hermite normal form (HNF): row i is (b_i1, ..., b_i,i-1, a_i)
+with a_1*...*a_d = n and 0 <= b_ij < a_j. One HNF stands for a whole
+Aut(G) orbit of generating tuples, on every chain at once, and every HNF
+generates, so the pass enumerates them all and skips only an HNF where some
+e_i is 0 in Z^d/L or two coincide. It judges each by its balls (below) and
+returns k, the least diameter, together with the least chain (in
+`enumerate_groups` order) that attains it. That chain is the Smith form of
+the HNF basis: s_1 is the gcd of the entries, s_1*s_2 the gcd of the 2x2
+minors. Ties therefore count: an HNF counts when its ball of radius best_k
+is the whole group, unless the best chain is already the cyclic one, which
+no chain precedes. The pass is exhaustive, with no pruning by any bound.
+
+The witness pass is one scan of that chain for the sets of diameter k (hint
+k + 1, stop at k). The scan runs in lexicographic order, so its first hit
+is the lexicographically least set of diameter k on the least chain that
+attains k: the witness a full scan of every chain would keep, under every
+symmetry level, whatever --jobs is.
+
+Two searches skip the lattice pass. A pruned search first runs the witness
+pass at k = the lower bound over the chains in order; a hit ends the search.
+An order with a single chain (n squarefree, or d = 1) is scanned alone,
+because its units cut (below) is a quotient the lattice pass lacks.
+
+The scan ranges over every d-subset of nonzero elements of one chain.
+Reductions are exact digraph symmetries only, so the minimum is never
+approximated:
 
   * units: on cyclic groups, generating sets are identified under
     multiplication by a unit. Skipping a set is sound exactly when another
@@ -11,34 +40,32 @@ only, so the minimum is never approximated:
   * full-listed: additionally quotient by coordinate permutations among
     equal moduli on non-cyclic groups.
 
-A candidate is judged by its balls, not by a BFS. A vertex set is an n-bit
-int (bit v is the element of mixed-radix index v), and translating it by an
-element is one masked rotation per nonzero coordinate. The ball B_L of a
-set S is the set of sums of at most L elements of S, so S generates with
-diameter k exactly when B_k is the first ball that is the whole group. The
-group is Abelian, so a word of length <= L in g_1..g_j either avoids g_j or
-is g_j plus a word of length <= L - 1, which gives the exact recursion
+A set counts only when its ball of radius best_k - 1 is the whole group,
+that is, when its diameter is strictly below the best found so far.
+
+Both passes judge a candidate by its balls, not by a BFS. A vertex set is an
+n-bit int (bit v is the element of index v), and translating it by an
+element is a union of masked rotations: each element's index moves by an
+offset mod n that is constant on each of a few periodic masks. The ball
+B_L of a set S is the set of sums of at most L elements of S, so S
+generates with diameter k exactly when B_k is the first ball that is the
+whole group. The group is Abelian, so a word of length <= L in g_1..g_j
+either avoids g_j or is g_j plus a word of length <= L - 1, which gives the
+exact recursion
 
     B_L(g_1..g_j) = B_L(g_1..g_j-1) | (B_L-1(g_1..g_j) + g_j).
 
-The balls of a prefix are built once and shared by every set that starts
-with it. Once a ball equals the one before it stays fixed, so if that
-happens before it is the whole group, the set generates a proper subgroup.
+The balls of a prefix are built once and shared by every candidate that
+starts with it. Once a ball equals the one before it stays fixed, so if
+that happens before it is the whole group, the set generates a proper
+subgroup.
 
-A candidate counts only when B_(best_k - 1) is the whole group, that is,
-when its diameter is strictly below the best found so far. A candidate whose
-diameter equals the running minimum is rejected too, so not every minimizer
-is fully evaluated. The reported witness is still the lexicographically
-least one regardless of worker count: each scan runs in lexicographic order,
-so a tie rejected this way comes after the minimizer already held, and the
-merge across groups and shards keeps the least of the scanned minimizers.
-
-One loop runs every search over shards (moduli, first), in chain order: a
-whole chain per shard on one worker, one per chain and least element on a
-pool of several. Shards run in waves (one shard, or 4 x workers), and each
-wave's hint is the least diameter found before it, so the merge of one
-(k, moduli, gens) comparison sees every tie inside a wave. A pruned search
-stops at its first hit on the bound, so it always runs on one worker.
+--jobs shards the lattice pass by (diagonal, b_21) on a process pool: each
+diagonal splits into one shard per worker, which takes every workers-th
+b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
+or 4 x workers), each with the best (k, chain) found before it as its hint,
+and merge by one (k, chain) comparison. A pruned search, and an order
+with one chain, run on one worker.
 """
 
 from __future__ import annotations
@@ -49,8 +76,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
-from math import gcd
+from itertools import combinations, permutations, zip_longest
+from math import gcd, prod
 from pathlib import Path
 
 from .abelian import InvariantFactors, enumerate_groups
@@ -173,12 +200,19 @@ class KappaCache:
             fh.write(record.to_json() + "\n")
 
 
-def _unit_values(n: int) -> list[bool]:
-    return [gcd(v, n) == 1 for v in range(n)]
-
-
 def _is_cyclic_chain(group: InvariantFactors) -> bool:
     return all(s == 1 for s in group[:-1])
+
+
+def _unit_cut_sets(n: int, d: int):
+    """The d-sets of nonzero elements of Z_n that the units cut keeps, in lexicographic order.
+
+    Those that contain 1 come first, then those without a unit. The units
+    of Z_n are known only when the second part starts, so a search that
+    stops in the first never computes them.
+    """
+    yield from ((1,) + rest for rest in combinations(range(2, n), d - 1))
+    yield from combinations([v for v in range(2, n) if gcd(v, n) > 1], d)
 
 
 def _coordinate_permutation_maps(group: InvariantFactors) -> list[list[int]]:
@@ -216,33 +250,69 @@ def _coordinate_permutation_maps(group: InvariantFactors) -> list[list[int]]:
     return maps
 
 
+def _digit_below(n: int, stride: int, modulus: int, t: int) -> int:
+    """The indices whose digit of this stride and modulus is below t, as a bitset.
+
+    They are the low t*stride bits of every modulus*stride-bit period: one
+    multiplication by the repunit full // (2**(modulus*stride) - 1), so no
+    mask is ever built bit by bit.
+    """
+    return ((1 << t * stride) - 1) * (((1 << n) - 1) // ((1 << modulus * stride) - 1))
+
+
+def _pieces(n: int, parts) -> tuple[tuple[int, int, int, int], ...]:
+    """Masked rotations of the map that moves each index of a mask by its offset.
+
+    `parts` are (mask, offset) pairs whose masks partition the n indices. An
+    index v of offset c goes to v + c mod n: up by c when v < n - c, down by
+    n - c otherwise. Each (lo, hi, up, down) pairs one upward shift with one
+    downward shift, so a rotation within one digit is a single entry, as is
+    a rotation of the whole set.
+    """
+    ups, downs = [], []
+    for mask, c in parts:
+        c %= n
+        lo = mask & ((1 << n - c) - 1)
+        if lo:
+            ups.append((lo, c))
+        if lo != mask:
+            downs.append((mask ^ lo, n - c))
+    return tuple(
+        (lo, hi, up, down)
+        for (lo, up), (hi, down) in zip_longest(ups, downs, fillvalue=(0, 0))
+    )
+
+
+def _translate(bits: int, rots) -> int:
+    """The vertex set `bits` shifted by the element whose masked rotations are `rots`."""
+    out = 0
+    for lo, hi, up, down in rots:
+        out |= ((bits & lo) << up) | ((bits & hi) >> down)
+    return out
+
+
 def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int, int], ...]:
-    """Masked rotations that translate a vertex bitset by `gen`.
+    """Masked rotations that translate a vertex bitset of `group` by `gen`.
 
     Bit v of a set stands for the element of mixed-radix index v (last
-    coordinate fastest, as in `successor_table`). Adding x to a coordinate of
-    modulus s and stride w moves v up by x*w when v's digit there is below
-    s - x, and down by (s - x)*w otherwise. `lo` marks the first kind: the low
-    (s - x)*w bits of every s*w-bit period, one multiplication by the repunit
-    full // (2**(s*w) - 1), so no mask is ever built bit by bit.
+    coordinate fastest, as in `successor_table`). Adding x to a digit of
+    modulus s and stride w moves v by x*w when the digit is below s - x and
+    by (x - s)*w otherwise, so each nonzero digit splits every mask in two.
     """
-    full = (1 << group.order) - 1
-    rots = []
-    w = group.order
+    n = group.order
+    parts = [((1 << n) - 1, 0)]
+    w = n
     for x, s in zip(gen, group):
         w //= s
         x %= s
         if x:
-            lo = ((1 << (s - x) * w) - 1) * (full // ((1 << s * w) - 1))
-            rots.append((lo, full ^ lo, x * w, (s - x) * w))
-    return tuple(rots)
-
-
-def _translate(bits: int, rots) -> int:
-    """The vertex set `bits` shifted by the element whose `_rotations` are `rots`."""
-    for lo, hi, up, down in rots:
-        bits = ((bits & lo) << up) | ((bits & hi) >> down)
-    return bits
+            below = _digit_below(n, w, s, s - x)
+            parts = [
+                part
+                for mask, c in parts
+                for part in ((mask & below, c + x * w), (mask & ~below, c + (x - s) * w))
+            ]
+    return _pieces(n, parts)
 
 
 def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
@@ -277,23 +347,18 @@ def _scan_group(
     d: int,
     symmetry: str,
     bound_hint: int | None,
-    first: int | None = None,
     stop_at: int | None = None,
 ):
-    """Scan candidate sets for one group; returns (best_k, best_gens, hit_stop).
-
-    `first` restricts to sets whose least element index is `first` (the
-    parallel work unit). `stop_at` makes the scan return as soon as a set
-    achieving that diameter is found (sequential pruned mode only).
+    """Scan one chain's d-sets in lexicographic order; returns (best_k, best_gens, hit_stop).
 
     A set counts only if its ball of radius best_k - 1 is the whole group.
-    The balls of each proper prefix of the current set are kept in `balls`
-    and shared by every set that starts with it; `combinations` yields those
-    sets one after another.
+    `stop_at` makes the scan return at the first counted set whose diameter
+    is at most `stop_at`. The balls of each proper prefix of the current set
+    are kept in `balls` and shared by every set that starts with it; the
+    sets that share a prefix come one after another.
     """
     n = group.order
     cyclic = _is_cyclic_chain(group)
-    units = _unit_values(n) if cyclic and symmetry in ("units", "full-listed") else None
     perm_maps = (
         _coordinate_permutation_maps(group)
         if (not cyclic and symmetry == "full-listed")
@@ -308,19 +373,15 @@ def _scan_group(
             rots = rotations[idx] = _rotations(group, group.element(idx))
         return rots
 
+    if cyclic and symmetry in ("units", "full-listed"):
+        pools = _unit_cut_sets(n, d)
+    else:
+        pools = combinations(range(1, n), d)
     balls = [[1]] * d  # balls[j]: the balls of the set's first j elements
     held = (0,) * (d - 1)  # the prefix they belong to; 0 is in no set, so all differ
     best_k = bound_hint
     best_gens: tuple[int, ...] | None = None
-    if first is None:
-        pools = combinations(range(1, n), d)
-    else:
-        pools = (
-            (first,) + rest for rest in combinations(range(first + 1, n), d - 1)
-        )
     for idxs in pools:
-        if units is not None and 1 not in idxs and any(units[i] for i in idxs):
-            continue  # the orbit member containing 1 is scanned instead
         if perm_maps and any(
             tuple(sorted(pm[i] for i in idxs)) < idxs for pm in perm_maps
         ):
@@ -345,8 +406,133 @@ def _scan_group(
     return best_k, best_gens, False
 
 
-def _scan_task(args):
-    return _scan_group(*args)  # (group, d, symmetry, bound_hint, first, stop_at)
+def _diagonals(n: int, d: int) -> list[tuple[int, ...]]:
+    """Every (a_1, ..., a_d) of positive integers with product n, in lex order."""
+    if d == 1:
+        return [(n,)]
+    return [
+        (a,) + rest
+        for a in range(1, n + 1)
+        if n % a == 0
+        for rest in _diagonals(n // a, d - 1)
+    ]
+
+
+def _hnfs(n: int, diag: tuple[int, ...], b21s):
+    """Every HNF of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`.
+
+    Yields (rows, rots), with rots[j] the masked rotations of e_(j+1) on
+    Z^d/L. An element is its reduced x (0 <= x_i < a_i), indexed with x_1
+    most significant, so x_i has stride w_i = a_(i+1)*...*a_d. e_1 adds w_1
+    to every index mod n. e_j adds w_j where x_j < a_j - 1; where x_j wraps
+    it subtracts row j instead, which moves the index by
+    (1 - a_j)*w_j - b_j1*w_1 - ... mod n. When e_3 wraps where x_2 < b_32,
+    x_2 borrows row 2 back, a further (1 + b_21)*w_1. The masks depend only
+    on the diagonal and b_32, so they are built once per diagonal; the
+    rotations of e_1 once per diagonal and those of e_2 once per b_21.
+    """
+    full = (1 << n) - 1
+    a1, a2 = diag[0], diag[1]
+    a3 = diag[2] if len(diag) == 3 else 1
+    w1, w2 = a2 * a3, a3
+    e1 = _pieces(n, [(full, w1)])
+    below2 = _digit_below(n, w2, a2, a2 - 1)
+    below3 = _digit_below(n, 1, a3, a3 - 1)
+    borrows = [(full ^ below3) & _digit_below(n, w2, a2, b32) for b32 in range(a2)]
+    for b21 in b21s:
+        e2 = _pieces(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
+        if len(diag) == 2:
+            yield ((a1, 0), (b21, a2)), (e1, e2)
+            continue
+        for b32, borrow in enumerate(borrows):
+            for b31 in range(a1):
+                c = 1 - a3 - b32 * a3 - b31 * w1
+                wraps = ((full ^ below3 ^ borrow, c), (borrow, c + (1 + b21) * w1))
+                e3 = _pieces(n, ((below3, 1),) + wraps)
+                yield ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3)), (e1, e2, e3)
+
+
+def _hnf_chain(rows) -> tuple[int, ...]:
+    """The invariant-factor chain of Z^d/L, from the HNF rows of L (d = 2 or 3).
+
+    It is the Smith form of the rows. Their determinantal divisors give it:
+    s_1 is the gcd of the entries, s_1*s_2 the gcd of the 2x2 minors, and
+    the product of the chain is n.
+    """
+    divisors = [gcd(*(x for row in rows for x in row))]
+    if len(rows) == 3:
+        minors = (
+            r[i] * s[j] - r[j] * s[i]
+            for r, s in combinations(rows, 2)
+            for i, j in combinations(range(3), 2)
+        )
+        divisors.append(gcd(*minors))
+    divisors.append(prod(row[i] for i, row in enumerate(rows)))
+    return tuple(b // a for a, b in zip([1] + divisors, divisors))
+
+
+def _lattice_task(args):
+    """The least (k, chain) of a shard's HNFs that beats the incoming `best`, or None.
+
+    An HNF counts when its ball of radius best_k is the whole group, so a
+    tie on a lesser chain wins; once the best chain is the cyclic one,
+    which no chain precedes, only radius best_k - 1 can win.
+    """
+    n, diag, b21s, best = args
+    d = len(diag)
+    full = (1 << n) - 1
+    cyclic = (1,) * (d - 1) + (n,)
+    balls = [[1]] * d  # balls[j]: the balls of e_1..e_j
+    held = [None] * (d - 1)  # the rotations they grew from; _hnfs shares them
+    found = None
+    check = 1 in diag  # else e_j is w_j in Z^d/L, so all are nonzero and distinct
+    for rows, rots in _hnfs(n, diag, b21s):
+        if check:
+            images = {_translate(1, r) for r in rots}
+            if len(images) < d or 1 in images:
+                continue  # some e_i is 0 in Z^d/L, or two of them coincide
+        limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
+        j = 0
+        while j < d - 1 and rots[j] is held[j]:
+            j += 1
+        for t in range(j, d - 1):  # best only falls, so held balls stay deep enough
+            balls[t + 1] = _grow_balls(balls[t], rots[t], limit, full)
+            held[t] = rots[t]
+        reach = _grow_balls(balls[-1], rots[-1], limit, full)
+        if reach[-1] == full:
+            candidate = (len(reach) - 1, _hnf_chain(rows))
+            if best is None or candidate < best:
+                best = found = candidate
+    return found
+
+
+def _lattice_pass(n: int, d: int, workers: int):
+    """The least diameter k over all HNFs of index n, with the least chain attaining it."""
+    shards = [
+        (diag, range(i, diag[0], workers))  # every workers-th b_21, for balance
+        for diag in _diagonals(n, d)
+        if diag[0] > 1  # else e_1 is in L
+        for i in range(min(workers, diag[0]))
+    ]
+    wave = 1 if workers == 1 else 4 * workers
+    best = None
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        for start in range(0, len(shards), wave):
+            tasks = [(n, diag, b21s, best) for diag, b21s in shards[start : start + wave]]
+            for found in run(_lattice_task, tasks):
+                if found is not None and (best is None or found < best):
+                    best = found
+    return best
+
+
+def _witness(spec: SearchSpec, chains, k: int):
+    """(k', chain, gens) for the first chain with a set of diameter k' <= k, and its least such set."""
+    for group in chains:
+        got, gens, hit = _scan_group(group, spec.d, spec.symmetry_level, k + 1, stop_at=k)
+        if hit:
+            return got, group, gens
+    return None
 
 
 def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
@@ -364,22 +550,22 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
     started = time.monotonic()
     target = lower_bound(spec.d, spec.n)
     stop_at = target if spec.effective_prune else None
-    workers = 1 if spec.effective_prune else spec.worker_count
-    firsts = [None] if workers == 1 else range(1, spec.n)
-    shards = [(group, first) for group in enumerate_groups(spec.n, spec.d) for first in firsts]
-    wave = 1 if workers == 1 else 4 * workers
-    best: tuple[int, InvariantFactors, tuple[int, ...]] | None = None  # (k, group, gens)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        for start in range(0, len(shards), wave):
-            batch = shards[start : start + wave]
-            hint = best[0] if best else None
-            tasks = [(g, spec.d, spec.symmetry_level, hint, f, stop_at) for g, f in batch]
-            for (group, _), (k, gens, hit) in zip(batch, run(_scan_task, tasks)):
-                if k is not None and (best is None or (k, group, gens) < best):
-                    best = (k, group, gens)
-            if hit:  # only a pruned search hits, and it runs one shard per wave
-                break
+    chains = enumerate_groups(spec.n, spec.d)
+    if len(chains) == 1:  # the units cut of its own scan beats the lattice pass
+        k, gens, _ = _scan_group(chains[0], spec.d, spec.symmetry_level, None, stop_at)
+        best = None if k is None else (k, chains[0], gens)
+    else:
+        best = None if stop_at is None else _witness(spec, chains, stop_at)
+        if best is None:
+            workers = 1 if spec.effective_prune else spec.worker_count
+            value = _lattice_pass(spec.n, spec.d, workers)
+            if value is not None:
+                best = _witness(spec, [InvariantFactors(value[1])], value[0])
+                if best is None or best[0] != value[0]:
+                    raise InternalConsistencyError(
+                        f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
+                        f"on {value[1]}, but the scan of that chain disagrees"
+                    )
 
     if best is None:
         raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, prod
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph
@@ -55,9 +55,7 @@ def bfs_distance_oracle(moduli, gens):
     return dist if len(dist) == n else None
 
 
-def scan_group_oracle(
-    moduli, d, symmetry, bound_hint, first=None, stop_at=None, memo=None
-):
+def scan_group_oracle(moduli, d, symmetry, bound_hint, stop_at=None, memo=None):
     """One group's kappa scan, by plain BFS on tuples: (best_k, best_gens, hit).
 
     Sets are index tuples (mixed_radix_index) in lexicographic order. The
@@ -66,9 +64,9 @@ def scan_group_oracle(
     a set that some coordinate permutation among equal moduli maps to a
     lexicographically smaller sorted set. A set counts only when it
     generates with diameter strictly below the best so far (a tie does not
-    count). `first` keeps the sets whose least index is `first`; `stop_at`
-    returns at the first counted set of diameter <= stop_at. `memo` (a dict)
-    keeps the scanned sets and their diameters across calls.
+    count). `stop_at` returns at the first counted set of diameter <=
+    stop_at. `memo` (a dict) keeps the scanned sets and their diameters
+    across calls.
     """
     if memo is None:
         memo = {}
@@ -77,8 +75,6 @@ def scan_group_oracle(
         memo[key] = _scanned_sets_oracle(moduli, d, symmetry, memo)
     best_k, best_gens = bound_hint, None
     for idxs, k in memo[key]:
-        if first is not None and idxs[0] != first:
-            continue
         if k is None or (best_k is not None and k >= best_k):
             continue
         best_k, best_gens = k, idxs
@@ -109,6 +105,7 @@ def _scanned_sets_oracle(moduli, d, symmetry, memo):
         [mixed_radix_index(moduli, tuple(e[c] for c in p)) for e in elems]
         for p in perms
     ]
+    tables = [successor_table_oracle(moduli, e) for e in elems]
     kept = []
     for idxs in combinations(range(1, n), d):
         if units is not None and 1 not in idxs and any(units[i] for i in idxs):
@@ -117,10 +114,105 @@ def _scanned_sets_oracle(moduli, d, symmetry, memo):
             continue
         diam_key = (tuple(moduli), idxs)
         if diam_key not in memo:
-            dist = bfs_distance_oracle(moduli, [elems[i] for i in idxs])
-            memo[diam_key] = None if dist is None else max(dist.values())
+            memo[diam_key] = _diameter_oracle([tables[i] for i in idxs])
         kept.append((idxs, memo[diam_key]))
     return kept
+
+
+def _diameter_oracle(tables):
+    """Diameter by plain BFS over element indices, or None when the gens do not generate.
+
+    `tables[j][v]` is the index of element v plus generator j.
+    """
+    n = len(tables[0])
+    dist = [0] + [-1] * (n - 1)
+    frontier = [0]
+    reached = 1
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for table in tables:
+                w = table[v]
+                if dist[w] < 0:
+                    dist[w] = level
+                    nxt.append(w)
+        reached += len(nxt)
+        frontier = nxt
+    return level - 1 if reached == n else None
+
+
+def kappa_oracle(d, n, symmetry, memo):
+    """(kappa, witness literal) of a full scan of every chain, by scan_group_oracle.
+
+    The least (k, moduli, gens) over the chains in lexicographic order: each
+    chain's scan keeps its first set of least diameter.
+    """
+    best = None
+    for moduli in sorted(chains_oracle(n, d)):
+        k, gens, _ = scan_group_oracle(moduli, d, symmetry, None, memo=memo)
+        if k is not None and (best is None or (k, moduli, gens) < best):
+            best = (k, moduli, gens)
+    k, moduli, gens = best
+    elems = list(product(*(range(m) for m in moduli)))
+    return k, {"moduli": list(moduli), "gens": [list(elems[i]) for i in gens]}
+
+
+def hnf_oracle(n, d):
+    """Every lower-triangular HNF of index n in Z^d, by brute force.
+
+    Row i is (b_i1, ..., b_i,i-1, a_i, 0, ..., 0) with a_1*...*a_d = n and
+    0 <= b_ij < a_j.
+    """
+    out = []
+    free = [(i, j) for i in range(d) for j in range(i)]
+    for diag in product(range(1, n + 1), repeat=d):
+        if prod(diag) != n:
+            continue
+        for bs in product(*(range(diag[j]) for _, j in free)):
+            rows = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
+            for (i, j), b in zip(free, bs):
+                rows[i][j] = b
+            out.append(tuple(tuple(row) for row in rows))
+    return out
+
+
+def lattice_reduce_oracle(rows, v):
+    """The representative x of v + L with 0 <= x_i < a_i, by plain integer reduction.
+
+    L is spanned by lower-triangular rows with diagonal a; subtracting
+    multiples of row d, then row d - 1, ..., fixes one coordinate at a time.
+    """
+    v = list(v)
+    for i in reversed(range(len(rows))):
+        q = v[i] // rows[i][i]
+        v = [x - q * r for x, r in zip(v, rows[i])]
+    return tuple(v)
+
+
+def quotient_chain_oracle(rows):
+    """Invariant factors of Z^d/L, from the sizes of its m-torsion subgroups.
+
+    For the chain s, |{x : m*x in L}| is the product of gcd(m, s_i), and
+    these counts over every m | n tell the chains of order n apart.
+    """
+    d = len(rows)
+    diag = [rows[i][i] for i in range(d)]
+    n = prod(diag)
+    elems = list(product(*(range(a) for a in diag)))
+    zero = (0,) * d
+    counts = {
+        m: sum(lattice_reduce_oracle(rows, [m * x for x in e]) == zero for e in elems)
+        for m in range(1, n + 1)
+        if n % m == 0
+    }
+    (chain,) = [
+        s
+        for s in chains_oracle(n, d)
+        if all(prod(gcd(m, x) for x in s) == c for m, c in counts.items())
+    ]
+    return chain
 
 
 def det_oracle(rows):

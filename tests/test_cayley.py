@@ -38,6 +38,17 @@ def test_construction_validation():
         CayleyDigraph(InvariantFactors((2, 6)), ((0, 1),))  # rank/degree mismatch
 
 
+@pytest.mark.parametrize("bad", [5.0, 5.7, True, "5"])
+def test_non_integer_entries_rejected(bad):
+    """Moduli and generator entries must be ints: no truncated floats, no bools."""
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        InvariantFactors((1, bad))
+    with pytest.raises(ValueError, match="generator entries must be integers"):
+        CayleyDigraph(InvariantFactors((1, 5)), ((0, 1), (1, bad)))
+    with pytest.raises(ValueError, match="generator entries must be integers"):
+        CayleyDigraph.from_cyclic(5, (1, bad))
+
+
 def test_diameter_examples():
     assert diameter(CayleyDigraph.from_cyclic(3, (2, 1))) == 1
     assert diameter(CayleyDigraph.from_cyclic(16, (1, 4, 5))) == 3

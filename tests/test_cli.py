@@ -189,6 +189,7 @@ BAD_MATRIX_LITERALS = [
     "[[2.0,0],[0,1]]",
     "[[true,0],[0,1]]",  # bools are not integers
     "not json",
+    "[" * 100000,  # nested past the recursion limit
 ]
 
 
@@ -213,7 +214,7 @@ VALUE_ERROR_PROBES = [
     # options reordered so that each probe's id (its first two words) is new
     ["gaps", "--from", "1", "--to", "5", "-d", "2"],
     ["gaps", "--to", "61", "--from", "3", "-d", "2"],  # needs --long-running
-    ["kappa", "-n", "129", "-d", "3"],  # needs --long-running
+    ["kappa", "-n", "257", "-d", "3"],  # needs --long-running
     ["bound", "-n", "5", "-k", "3", "-d", "2"],  # both -n and -k
     ["diameter", "not json"],
     ["diameter", '{"moduli":[3]}'],  # no generators
@@ -221,6 +222,7 @@ VALUE_ERROR_PROBES = [
     ["diameter", '{"moduli":[5],"gens":[[true]]}'],  # bools are not integers
     ["diameter", '{"moduli":"5","gens":["1"]}'],  # strings are not integers
     ["mdd", "verify", "MISSING"],  # no such file
+    ["tight", "value", "[" * 100000],  # nested past the recursion limit
 ]
 
 

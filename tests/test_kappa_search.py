@@ -9,10 +9,14 @@ from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.density import lower_bound
 from cayleydense.errors import InternalConsistencyError
 from cayleydense.kappa_search import (
+    SYMMETRY_LEVELS,
     KappaCache,
     KappaRecord,
     SearchSpec,
+    _diagonals,
     _grow_balls,
+    _hnf_chain,
+    _hnfs,
     _rotations,
     _scan_group,
     _translate,
@@ -22,7 +26,11 @@ from cayleydense.kappa_search import (
 from conftest import (
     bfs_distance_oracle,
     chains_oracle,
+    hnf_oracle,
+    kappa_oracle,
+    lattice_reduce_oracle,
     mixed_radix_index,
+    quotient_chain_oracle,
     scan_group_oracle,
     successor_table_oracle,
 )
@@ -210,25 +218,79 @@ def test_scan_abort_rule():
                     assert balls == [_ball_bits(moduli, oracle, r) for r in range(len(balls))]
 
 
-@pytest.mark.parametrize("d,max_n,total", [(1, 40, 8244), (2, 40, 12312), (3, 30, 12672)])
+@pytest.mark.parametrize("d,max_n,total", [(1, 40, 1404), (2, 40, 2052), (3, 30, 1620)])
 def test_scan_group_matches_oracle(d, max_n, total):
-    """Every chain, symmetry level, hint, stop_at, and every first for n <= 20."""
+    """Every chain, symmetry level, hint and stop_at."""
     cases = 0
     for n in range(2, max_n + 1):
         for moduli in sorted(chains_oracle(n, d)):
             group = InvariantFactors(moduli)
             memo = {}
-            firsts = [None] + (list(range(1, n)) if n <= 20 else [])
             for symmetry in ("none", "units", "full-listed"):
                 for hint in (None, 2, 3, 4, 5, 8):
                     for stop_at in (None, 3):
-                        for first in firsts:
-                            got = _scan_group(
-                                group, d, symmetry, hint, first=first, stop_at=stop_at
-                            )
-                            want = scan_group_oracle(
-                                moduli, d, symmetry, hint, first, stop_at, memo
-                            )
-                            assert got == want, (moduli, symmetry, hint, first, stop_at)
-                            cases += 1
+                        got = _scan_group(group, d, symmetry, hint, stop_at=stop_at)
+                        want = scan_group_oracle(moduli, d, symmetry, hint, stop_at, memo)
+                        assert got == want, (moduli, symmetry, hint, stop_at)
+                        cases += 1
     assert cases == total
+
+
+def _hnfs_of_order(n, d):
+    return [hnf for diag in _diagonals(n, d) for hnf in _hnfs(n, diag, range(diag[0]))]
+
+
+def test_hnf_rotations_match_lattice_oracle():
+    """Each e_j's masked rotations move every element of Z^d/L to its sum with e_j."""
+    hnfs = 0
+    for d in (2, 3):
+        for n in range(1, 25):
+            listed = _hnfs_of_order(n, d)
+            assert sorted(rows for rows, _ in listed) == sorted(hnf_oracle(n, d)), (d, n)
+            for rows, rots in listed:
+                diag = [rows[i][i] for i in range(d)]
+                elems = list(product(*(range(a) for a in diag)))
+                for j in range(d):
+                    for x in elems:
+                        y = lattice_reduce_oracle(rows, [v + (i == j) for i, v in enumerate(x)])
+                        got = _translate(1 << mixed_radix_index(diag, x), rots[j])
+                        assert got == 1 << mixed_radix_index(diag, y), (rows, j, x)
+                if n <= 16:
+                    assert _hnf_chain(rows) == quotient_chain_oracle(rows), rows
+                hnfs += 1
+    assert hnfs == 10375
+
+
+def _sigma(m):
+    return sum(k for k in range(1, m + 1) if m % k == 0)
+
+
+def test_hnf_count_matches_sublattice_formula():
+    """Gruber's counts: sigma(n) sublattices of index n in Z^2, sum m*sigma(m) over m | n in Z^3."""
+    for n in list(range(1, 41)) + [128]:
+        assert len(_hnfs_of_order(n, 2)) == _sigma(n), n
+        want = sum(m * _sigma(m) for m in range(1, n + 1) if n % m == 0)
+        assert len(_hnfs_of_order(n, 3)) == want, n
+    assert sum(m * _sigma(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)) == 43435
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kappa_matches_full_scan_oracle(d):
+    """Value and witness against scan_group_oracle on every chain: every n <= 48,
+    every symmetry level, pruned and unpruned, on 1 and 2 workers."""
+    for n in range(d + 1, 49):
+        memo = {}
+        for symmetry in SYMMETRY_LEVELS:
+            want = kappa_oracle(d, n, symmetry, memo)
+            for prune in (False, True):
+                for workers in (1, 2):
+                    spec = SearchSpec(
+                        d=d,
+                        n=n,
+                        symmetry_level=symmetry,
+                        prune_with_lower_bound=prune,
+                        conjectural_prune=prune,
+                        worker_count=workers,
+                    )
+                    rec = kappa(spec)
+                    assert (rec.kappa, rec.witness) == want, (d, n, symmetry, prune, workers)
