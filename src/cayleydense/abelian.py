@@ -53,7 +53,10 @@ class InvariantFactors(tuple):
             raise ValueError(
                 f"element has {len(coords)} coordinates, group has rank {len(self)}"
             )
-        return tuple(int(c) % m for c, m in zip(coords, self))
+        for c in coords:
+            if type(c) is not int:  # no truncated floats, no bools
+                raise ValueError(f"coordinates must be integers, got {c!r}")
+        return tuple(c % m for c, m in zip(coords, self))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> GroupElement:
         if len(a) != len(self) or len(b) != len(self):
@@ -107,10 +110,12 @@ def canonical_invariant_factors(moduli: Sequence[int]) -> InvariantFactors:
     """
     from . import zmatrix  # deferred: zmatrix depends on this module's types
 
-    ms = [int(m) for m in moduli]
+    ms = list(moduli)
     if not ms:
         raise ValueError("modulus list must be nonempty")
     for m in ms:
+        if type(m) is not int:  # no truncated floats, no bools
+            raise ValueError(f"modulus must be an integer, got {m!r}")
         if m <= 0:
             raise ValueError(f"modulus must be positive, got {m}")
     diag = [[ms[i] if i == j else 0 for j in range(len(ms))] for i in range(len(ms))]

@@ -70,9 +70,12 @@ with one chain, run on one worker.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
+import os
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -81,7 +84,7 @@ from math import gcd, prod
 from pathlib import Path
 
 from .abelian import InvariantFactors, enumerate_groups
-from .cayley import CayleyDigraph
+from .cayley import CayleyDigraph, diameter
 from .density import is_conjectural, lower_bound
 from .errors import ConjectureRefutation, InternalConsistencyError
 
@@ -158,46 +161,120 @@ def _settings_key(d: int, n: int, settings: dict) -> str:
     return json.dumps([d, n, settings], sort_keys=True, separators=(",", ":"))
 
 
+def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class KappaCache:
-    """Append-only line-delimited record store keyed by (d, n, settings)."""
+    """Append-only line-delimited record store keyed by (d, n, settings).
+
+    The first record of a key wins. The cache indexes its file once, mapping
+    each key to the line of its first record (the line, not the parsed
+    record), and before each lookup compares the file's (dev, inode, size,
+    mtime_ns) with what it indexed: the same means the index holds; a larger
+    file is read on from the end of the last newline-terminated line, once
+    the CRC-32 of the bytes before it shows them unchanged; anything else
+    (shorter, another inode, the same size with another mtime, other bytes)
+    is indexed again from scratch, and a missing file is empty. This relies
+    on the file being append-only: a rewrite that keeps the size within one
+    mtime tick is not seen. A last line without a newline is looked up as
+    any other, but read again once the file grows. A corrupt line is skipped
+    with one warning each time it is read.
+
+    A hit is re-checked before it is returned: its witness literal must have
+    order n, degree d and diameter kappa, or the lookup raises
+    InternalConsistencyError naming the file and line (CLI exit 3). `put`
+    holds an exclusive `fcntl.flock` on the file while it reads any new tail,
+    checks for a conflicting record and appends, so records that other
+    processes appended meanwhile are checked too.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._reset()
 
-    def _iter_records(self):
-        if not self.path.exists():
+    def _reset(self) -> None:
+        self._sig: tuple[int, int, int, int] | None = None  # of the indexed file
+        self._index: dict[str, tuple[int, str]] = {}  # key -> (line number, line)
+        self._offset = 0  # bytes read up to the last newline
+        self._lineno = 0  # lines read up to the last newline
+        self._crc = 0  # CRC-32 of the bytes before _offset
+        self._tail: dict[str, tuple[int, str]] = {}  # the line after _offset, if unterminated
+
+    def _refresh(self) -> None:
+        try:
+            if _signature(os.stat(self.path)) == self._sig:
+                return
+            fh = self.path.open("rb")
+        except FileNotFoundError:
+            self._reset()
             return
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield KappaRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    logger.warning(
-                        "skipping corrupt cache line %d in %s", lineno, self.path
-                    )
+        with fh:
+            st = os.fstat(fh.fileno())
+            old = self._sig
+            if not (
+                old is not None
+                and st.st_size > old[2]
+                and zlib.crc32(fh.read(self._offset)) == self._crc
+            ):
+                self._reset()
+            self._sig = _signature(st)
+            self._tail = {}
+            fh.seek(self._offset)
+            for raw in fh:
+                if raw.endswith(b"\n"):
+                    self._offset += len(raw)
+                    self._lineno += 1
+                    self._crc = zlib.crc32(raw, self._crc)
+                    self._index_line(self._index, self._lineno, raw)
+                else:
+                    self._index_line(self._tail, self._lineno + 1, raw)
+
+    def _index_line(self, into: dict, lineno: int, raw: bytes) -> None:
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                return
+            rec = KappaRecord.from_json(line)
+            key = _settings_key(rec.d, rec.n, rec.settings)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            logger.warning("skipping corrupt cache line %d in %s", lineno, self.path)
+            return
+        into.setdefault(key, (lineno, line))
+
+    def _checked(self, lineno: int, line: str) -> KappaRecord:
+        rec = KappaRecord.from_json(line)
+        try:
+            g = CayleyDigraph.from_literal(rec.witness)
+            ok = g.order == rec.n and g.degree == rec.d and diameter(g) == rec.kappa
+        except (ValueError, KeyError, TypeError, RecursionError):
+            ok = False
+        if not ok:
+            raise InternalConsistencyError(
+                f"cache line {lineno} of {self.path}: the witness of kappa({rec.d},{rec.n}) "
+                f"= {rec.kappa} does not have order {rec.n}, degree {rec.d} and that diameter"
+            )
+        return rec
 
     def get(self, d: int, n: int, settings: dict) -> KappaRecord | None:
         key = _settings_key(d, n, settings)
-        for rec in self._iter_records():
-            if _settings_key(rec.d, rec.n, rec.settings) == key:
-                return rec
-        return None
+        self._refresh()
+        found = self._index.get(key) or self._tail.get(key)
+        return None if found is None else self._checked(*found)
 
     def put(self, record: KappaRecord) -> None:
-        existing = self.get(record.d, record.n, record.settings)
-        if existing is not None:
-            if existing.kappa != record.kappa:
-                raise InternalConsistencyError(
-                    f"cache already holds kappa={existing.kappa} for "
-                    f"(d={record.d}, n={record.n}), refusing kappa={record.kappa}"
-                )
-            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(record.to_json() + "\n")
+        with self.path.open("ab") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+            existing = self.get(record.d, record.n, record.settings)
+            if existing is not None:
+                if existing.kappa != record.kappa:
+                    raise InternalConsistencyError(
+                        f"cache already holds kappa={existing.kappa} for "
+                        f"(d={record.d}, n={record.n}), refusing kappa={record.kappa}"
+                    )
+                return
+            fh.write(record.to_json().encode("utf-8") + b"\n")
 
 
 def _is_cyclic_chain(group: InvariantFactors) -> bool:

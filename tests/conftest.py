@@ -7,6 +7,7 @@ divisor products only.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations, product
 from math import gcd, prod
@@ -157,6 +158,36 @@ def kappa_oracle(d, n, symmetry, memo):
     k, moduli, gens = best
     elems = list(product(*(range(m) for m in moduli)))
     return k, {"moduli": list(moduli), "gens": [list(elems[i]) for i in gens]}
+
+
+CACHE_FIELDS = ("d", "n", "kappa", "witness", "settings", "millis")
+
+
+def cache_scan_oracle(path, d, n, settings):
+    """The first well-formed record of (d, n, settings) in a cache file, as a dict, or None.
+
+    A plain first-match scan of the whole file on every call. A line counts
+    when it is a JSON object with all of CACHE_FIELDS; its key is the
+    compact, key-sorted JSON of [d, n, settings].
+    """
+
+    def key(d, n, settings):
+        return json.dumps([d, n, settings], sort_keys=True, separators=(",", ":"))
+
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    with fh:
+        for line in fh:
+            try:
+                obj = json.loads(line)
+                rec = {f: obj[f] for f in CACHE_FIELDS}
+            except (ValueError, KeyError, TypeError):
+                continue
+            if key(rec["d"], rec["n"], rec["settings"]) == key(d, n, settings):
+                return rec
+    return None
 
 
 def hnf_oracle(n, d):

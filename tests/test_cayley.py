@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from cayleydense.abelian import InvariantFactors
+from cayleydense.abelian import InvariantFactors, canonical_invariant_factors
 from cayleydense.cayley import (
     CayleyDigraph,
     bfs_distances,
@@ -40,13 +40,17 @@ def test_construction_validation():
 
 @pytest.mark.parametrize("bad", [5.0, 5.7, True, "5"])
 def test_non_integer_entries_rejected(bad):
-    """Moduli and generator entries must be ints: no truncated floats, no bools."""
+    """Moduli, generator entries and coordinates must be ints: no truncated floats, no bools."""
     with pytest.raises(ValueError, match="modulus must be an integer"):
         InvariantFactors((1, bad))
     with pytest.raises(ValueError, match="generator entries must be integers"):
         CayleyDigraph(InvariantFactors((1, 5)), ((0, 1), (1, bad)))
     with pytest.raises(ValueError, match="generator entries must be integers"):
         CayleyDigraph.from_cyclic(5, (1, bad))
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        canonical_invariant_factors((2, bad))
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        InvariantFactors((1, 5)).reduce((0, bad))
 
 
 def test_diameter_examples():

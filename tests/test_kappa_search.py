@@ -1,4 +1,10 @@
+import fcntl
+import multiprocessing
+import os
 import random
+import re
+import threading
+from dataclasses import asdict, replace
 from itertools import combinations, product
 
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from cayleydense import kappa_search
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, diameter
+from cayleydense.cli import main as cli_main
 from cayleydense.density import lower_bound
 from cayleydense.errors import InternalConsistencyError
 from cayleydense.kappa_search import (
@@ -25,6 +32,7 @@ from cayleydense.kappa_search import (
 )
 from conftest import (
     bfs_distance_oracle,
+    cache_scan_oracle,
     chains_oracle,
     hnf_oracle,
     kappa_oracle,
@@ -166,6 +174,238 @@ def test_cache_missing_and_corrupt_lines(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         assert cache.get(2, 5, SearchSpec(d=2, n=5).settings()) == rec
     assert any("corrupt" in message for message in caplog.messages)
+
+
+def _d1_record(n):
+    return KappaRecord(
+        d=1,
+        n=n,
+        kappa=n - 1,
+        witness={"moduli": [n], "gens": [[1]]},
+        settings=SearchSpec(d=1, n=n).settings(),
+        millis=0,
+    )
+
+
+@pytest.fixture(scope="module")
+def cache_pool():
+    """Valid records of 20 keys: d = 1 and 2, a few orders, pruned and unpruned."""
+    pool = []
+    for d, orders in ((1, range(2, 7)), (2, range(3, 8))):
+        for n in orders:
+            for prune in (True, False):
+                pool.append(kappa(SearchSpec(d=d, n=n, prune_with_lower_bound=prune)))
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
+    """get, put and outside edits of the file, every lookup against a plain rescan.
+
+    Records come in same-length variants (millis 0-9), some with kappa off by
+    one, which a hit must refuse. Outside edits: appends (duplicates included),
+    corrupt lines, a last line without a newline, truncation, a same-size
+    rewrite (lines shuffled, millis redrawn), a replacement by another file,
+    deletion.
+    """
+    rng = random.Random(seed)
+    path = tmp_path / "kappa.jsonl"
+    cache = KappaCache(path)
+
+    def variant():
+        rec = rng.choice(cache_pool)
+        bad = rng.random() < 0.15
+        return rec, replace(rec, kappa=rec.kappa + bad, millis=rng.randrange(10))
+
+    def append(text):
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def expect(rec):
+        """The oracle's record for rec's key, and whether a hit on it must be refused."""
+        want = cache_scan_oracle(path, rec.d, rec.n, rec.settings)
+        return want, want is not None and want["kappa"] != rec.kappa
+
+    def lines():
+        return path.read_text(encoding="utf-8").splitlines(keepends=True) if path.exists() else []
+
+    for _ in range(200):
+        step = rng.choice(
+            ["get", "get", "put", "put", "append", "corrupt", "partial", "newline",
+             "truncate", "rewrite", "replace", "delete"]
+        )
+        if step == "get":
+            for rec in cache_pool:
+                want, refused = expect(rec)
+                if refused:
+                    with pytest.raises(InternalConsistencyError, match="cache line"):
+                        cache.get(rec.d, rec.n, rec.settings)
+                else:
+                    got = cache.get(rec.d, rec.n, rec.settings)
+                    assert (got and asdict(got)) == want
+        elif step == "put":
+            rec, put = variant()
+            want, refused = expect(rec)
+            before = path.read_bytes() if path.exists() else None
+            if refused or (want is not None and want["kappa"] != put.kappa):
+                with pytest.raises(InternalConsistencyError):
+                    cache.put(put)
+                assert (path.read_bytes() if path.exists() else None) == before
+            else:
+                cache.put(put)
+                after = path.read_bytes()
+                assert after == before if want is not None else after.endswith(put.to_json().encode() + b"\n")
+        elif step == "append":
+            append("".join(variant()[1].to_json() + "\n" for _ in range(rng.randint(1, 3))))
+        elif step == "corrupt":
+            append(rng.choice(["{not json}", '{"d": 1}', "[1, 2]", '"text"', ""]) + "\n")
+        elif step == "partial":
+            text = variant()[1].to_json()
+            append(text[: rng.choice([len(text), rng.randrange(1, len(text))])])
+        elif step == "newline":
+            append("\n")
+        elif step == "truncate" and path.exists():
+            with path.open("r+b") as fh:
+                fh.truncate(rng.randint(0, path.stat().st_size))
+        elif step == "rewrite" and path.exists():
+            old = path.stat().st_mtime_ns
+            shuffled = lines()
+            rng.shuffle(shuffled)
+            text = re.sub(r'"millis":\d', lambda m: f'"millis":{rng.randrange(10)}', "".join(shuffled))
+            if rng.random() < 0.5:
+                with path.open("r+", encoding="utf-8") as fh:  # in place: same inode
+                    fh.write(text)
+                if path.stat().st_mtime_ns == old:
+                    # A rewrite inside one timestamp tick keeps mtime_ns, which the
+                    # cache cannot see (it assumes appends only); a later tick moves it.
+                    os.utime(path, ns=(old, old + 1))
+            else:  # another inode with the old mtime, as `cp -p` leaves it
+                fresh = tmp_path / "fresh.jsonl"
+                fresh.write_text(text, encoding="utf-8")
+                os.utime(fresh, ns=(old, old))
+                os.replace(fresh, path)
+        elif step == "replace":  # by another file: some lines dropped, or the first edited and one added
+            text = "".join(line for line in lines() if rng.random() < 0.7)
+            if rng.random() < 0.5:
+                text = re.sub(r'"millis":\d', lambda m: f'"millis":{rng.randrange(10)}', "".join(lines()), count=1)
+                text += variant()[1].to_json() + "\n"
+            fresh = tmp_path / "fresh.jsonl"
+            fresh.write_text(text, encoding="utf-8")
+            os.replace(fresh, path)
+        elif step == "delete":
+            path.unlink(missing_ok=True)
+
+
+def test_cache_corrupt_line_warns_once_per_indexing(tmp_path, caplog):
+    path = tmp_path / "kappa.jsonl"
+    rec = kappa(SearchSpec(d=2, n=5))
+    path.write_text("{not json}\n" + rec.to_json() + "\n", encoding="utf-8")
+    cache = KappaCache(path)
+
+    def warned():
+        return sum("corrupt cache line 1 " in message for message in caplog.messages)
+
+    with caplog.at_level("WARNING"):
+        for _ in range(5):
+            assert cache.get(2, 5, rec.settings) == rec
+        assert warned() == 1
+        more = kappa(SearchSpec(d=2, n=6), cache=cache)  # the append is read from the tail
+        for _ in range(5):
+            assert cache.get(2, 6, more.settings) == more
+        assert warned() == 1
+        with path.open("r+b") as fh:  # shrinking the file makes the cache index it again
+            fh.truncate(path.stat().st_size - 1)
+        for _ in range(5):
+            assert cache.get(2, 5, rec.settings) == rec
+        assert warned() == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec, other: replace(rec, kappa=rec.kappa + 1),
+        lambda rec, other: replace(rec, kappa=rec.kappa - 1),
+        lambda rec, other: replace(rec, witness=other.witness),  # order 13, not 12
+        lambda rec, other: replace(rec, witness={"moduli": [12]}),  # not a literal
+    ],
+    ids=["kappa+1", "kappa-1", "order", "literal"],
+)
+def test_cache_rechecks_witness_on_hit(tmp_path, edit):
+    path = tmp_path / "kappa.jsonl"
+    rec = kappa(SearchSpec(d=2, n=12))
+    other = kappa(SearchSpec(d=2, n=13))
+    path.write_text(other.to_json() + "\n" + edit(rec, other).to_json() + "\n", encoding="utf-8")
+    cache = KappaCache(path)
+    assert cache.get(2, 13, other.settings) == other  # only a hit is checked
+    with pytest.raises(InternalConsistencyError, match=f"cache line 2 of {re.escape(str(path))}"):
+        cache.get(2, 12, rec.settings)
+    assert cli_main(["kappa", "-d", "2", "-n", "12", "--cache", str(path)]) == 3
+
+
+def test_cache_put_checks_what_another_instance_appended(tmp_path):
+    path = tmp_path / "kappa.jsonl"
+    first, second = KappaCache(path), KappaCache(path)
+    rec = kappa(SearchSpec(d=2, n=12))
+    assert second.get(2, 12, rec.settings) is None
+    first.put(rec)
+    with pytest.raises(InternalConsistencyError, match="refusing"):
+        second.put(replace(rec, kappa=rec.kappa + 1))
+    before = path.read_bytes()
+    second.put(replace(rec, millis=rec.millis + 1))
+    assert path.read_bytes() == before
+
+
+def test_cache_put_waits_for_the_lock_then_checks_the_new_tail(tmp_path):
+    """A put blocks while another writer holds the lock, then sees what that writer appended."""
+    path = tmp_path / "kappa.jsonl"
+    rec = _d1_record(7)
+    cache = KappaCache(path)
+    assert cache.get(1, 7, rec.settings) is None
+    raised = []
+
+    def put_clash():
+        try:
+            cache.put(replace(rec, kappa=rec.kappa + 1))
+        except InternalConsistencyError as exc:
+            raised.append(exc)
+
+    with path.open("ab") as other:
+        fcntl.flock(other, fcntl.LOCK_EX)
+        worker = threading.Thread(target=put_clash)
+        worker.start()
+        worker.join(timeout=0.5)
+        assert worker.is_alive()
+        other.write(rec.to_json().encode() + b"\n")
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and "refusing" in str(raised[0])
+    assert path.read_text(encoding="utf-8") == rec.to_json() + "\n"
+
+
+def _put_d1_records(path, orders, barrier):
+    cache = KappaCache(path)
+    barrier.wait(timeout=60)
+    for n in orders:
+        cache.put(_d1_record(n))
+
+
+def test_cache_concurrent_puts_append_each_record_once(tmp_path):
+    """Processes putting the same records in the same order at once: each record lands once.
+
+    Without the lock, two processes can both miss a record and both append it.
+    """
+    path = tmp_path / "kappa.jsonl"
+    orders = range(2, 202)
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(3)
+    procs = [ctx.Process(target=_put_d1_records, args=(path, orders, barrier)) for _ in range(3)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert [p.exitcode for p in procs] == [0, 0, 0]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert sorted(lines) == sorted(_d1_record(n).to_json() for n in orders)
 
 
 def test_kappa_never_beats_the_bound():
