@@ -9,9 +9,13 @@ kernel of e_i -> g_i, a sublattice of index n. Each L has one lower
 triangular Hermite normal form (HNF): row i is (b_i1, ..., b_i,i-1, a_i)
 with a_1*...*a_d = n and 0 <= b_ij < a_j. One HNF stands for a whole
 Aut(G) orbit of generating tuples, on every chain at once, and every HNF
-generates, so the pass enumerates them all and skips only an HNF where some
-e_i is 0 in Z^d/L or two coincide. It judges each by its balls (below) and
-returns k, the least diameter, together with the least chain (in
+generates. Permuting the coordinates of Z^d gives the same digraph, so the
+pass lists one HNF of each permutation orbit at least: those where a_1, the
+order of e_1, is the least order of an e_i (`_hnfs` has the closed forms).
+It skips the diagonals with a_1 = 1, where e_1 is 0, and a listed HNF
+where two e_i coincide; no other e_i is 0, since each has order
+>= a_1 >= 2. It judges each by its balls (below) and returns k, the least
+diameter, together with the least chain (in
 `enumerate_groups` order) that attains it. That chain is the Smith form of
 the HNF basis: s_1 is the gcd of the entries, s_1*s_2 the gcd of the 2x2
 minors. Ties therefore count: an HNF counts when its ball of radius best_k
@@ -66,6 +70,11 @@ b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
 or 4 x workers), each with the best (k, chain) found before it as its hint,
 and merge by one (k, chain) comparison. A pruned search, and an order
 with one chain, run on one worker.
+
+Each search logs one DEBUG line on this module's logger: the seconds of the
+lattice pass, the witness scans and any single-chain scan, and the HNFs the
+lattice pass listed, cut by order, found degenerate and evaluated (grew up
+to the whole group within the limit).
 """
 
 from __future__ import annotations
@@ -76,6 +85,7 @@ import logging
 import os
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -186,7 +196,8 @@ class KappaCache:
     InternalConsistencyError naming the file and line (CLI exit 3). `put`
     holds an exclusive `fcntl.flock` on the file while it reads any new tail,
     checks for a conflicting record and appends, so records that other
-    processes appended meanwhile are checked too.
+    processes appended meanwhile are checked too. When the last line has no
+    newline, `put` ends it before appending, so neither record is lost.
     """
 
     def __init__(self, path: str | Path):
@@ -264,7 +275,7 @@ class KappaCache:
 
     def put(self, record: KappaRecord) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("ab") as fh:
+        with self.path.open("a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
             existing = self.get(record.d, record.n, record.settings)
             if existing is not None:
@@ -274,7 +285,13 @@ class KappaCache:
                         f"(d={record.d}, n={record.n}), refusing kappa={record.kappa}"
                     )
                 return
-            fh.write(record.to_json().encode("utf-8") + b"\n")
+            line = record.to_json().encode("utf-8") + b"\n"
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line  # end the last line first, or the record joins it
+            fh.write(line)
 
 
 def _is_cyclic_chain(group: InvariantFactors) -> bool:
@@ -495,8 +512,8 @@ def _diagonals(n: int, d: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _hnfs(n: int, diag: tuple[int, ...], b21s):
-    """Every HNF of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`.
+def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
+    """The HNFs of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`.
 
     Yields (rows, rots), with rots[j] the masked rotations of e_(j+1) on
     Z^d/L. An element is its reduced x (0 <= x_i < a_i), indexed with x_1
@@ -507,6 +524,18 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
     x_2 borrows row 2 back, a further (1 + b_21)*w_1. The masks depend only
     on the diagonal and b_32, so they are built once per diagonal; the
     rotations of e_1 once per diagonal and those of e_2 once per b_21.
+
+    The orbit cut (on unless `orbit_cut` is false, which lists every HNF)
+    keeps one HNF of each coordinate-permutation orbit at least. Permuting
+    the coordinates maps L to a lattice with the same quotient and the same
+    generators, so the same (k, chain), and a_1 is the order of e_1 in
+    Z^d/L, so some member of each orbit has a_1 = the least order of an
+    e_i. The cut skips an HNF where e_2 or e_3 has order below a_1, before
+    its rotations are built. The orders are exact:
+    ord(e_2) = a_2*a_1/gcd(a_1, b_21), below a_1 exactly when
+    a_2 < gcd(a_1, b_21), and, with g = gcd(a_2, b_32), u = a_2/g and
+    v = b_32/g, ord(e_3) = a_3*u*a_1/gcd(a_1, u*b_31 - v*b_21), below a_1
+    exactly when a_3*u < gcd(a_1, u*b_31 - v*b_21).
     """
     full = (1 << n) - 1
     a1, a2 = diag[0], diag[1]
@@ -517,12 +546,19 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
     below3 = _digit_below(n, 1, a3, a3 - 1)
     borrows = [(full ^ below3) & _digit_below(n, w2, a2, b32) for b32 in range(a2)]
     for b21 in b21s:
+        if orbit_cut and a2 < gcd(a1, b21):
+            continue  # ord(e_2) < a_1
         e2 = _pieces(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
         if len(diag) == 2:
             yield ((a1, 0), (b21, a2)), (e1, e2)
             continue
         for b32, borrow in enumerate(borrows):
+            g = gcd(a2, b32)
+            u, v = a2 // g, b32 // g
+            cut = orbit_cut and a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
             for b31 in range(a1):
+                if cut and a3 * u < gcd(a1, u * b31 - v * b21):
+                    continue  # ord(e_3) < a_1
                 c = 1 - a3 - b32 * a3 - b31 * w1
                 wraps = ((full ^ below3 ^ borrow, c), (borrow, c + (1 + b21) * w1))
                 e3 = _pieces(n, ((below3, 1),) + wraps)
@@ -549,11 +585,14 @@ def _hnf_chain(rows) -> tuple[int, ...]:
 
 
 def _lattice_task(args):
-    """The least (k, chain) of a shard's HNFs that beats the incoming `best`, or None.
+    """(found, counts) for one shard of HNFs.
 
-    An HNF counts when its ball of radius best_k is the whole group, so a
-    tie on a lesser chain wins; once the best chain is the cyclic one,
-    which no chain precedes, only radius best_k - 1 can win.
+    `found` is the least (k, chain) of the shard that beats the incoming
+    `best`, or None. `counts` says how many HNFs it listed, cut by order,
+    found degenerate and evaluated (grew balls up to the whole group within
+    the limit). An HNF counts when its ball of radius best_k is the whole
+    group, so a tie on a lesser chain wins; once the best chain is the
+    cyclic one, which no chain precedes, only radius best_k - 1 can win.
     """
     n, diag, b21s, best = args
     d = len(diag)
@@ -562,12 +601,16 @@ def _lattice_task(args):
     balls = [[1]] * d  # balls[j]: the balls of e_1..e_j
     held = [None] * (d - 1)  # the rotations they grew from; _hnfs shares them
     found = None
-    check = 1 in diag  # else e_j is w_j in Z^d/L, so all are nonzero and distinct
+    listed = len(b21s) * (diag[0] * diag[1] if d == 3 else 1)
+    kept = degenerate = evaluated = 0
+    # Every kept e_i has order >= a_1 >= 2, so none is 0; two can coincide only
+    # when some a_i is 1, else e_j is w_j in Z^d/L.
+    check = 1 in diag
     for rows, rots in _hnfs(n, diag, b21s):
-        if check:
-            images = {_translate(1, r) for r in rots}
-            if len(images) < d or 1 in images:
-                continue  # some e_i is 0 in Z^d/L, or two of them coincide
+        kept += 1
+        if check and len({_translate(1, r) for r in rots}) < d:
+            degenerate += 1
+            continue
         limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
         j = 0
         while j < d - 1 and rots[j] is held[j]:
@@ -577,14 +620,21 @@ def _lattice_task(args):
             held[t] = rots[t]
         reach = _grow_balls(balls[-1], rots[-1], limit, full)
         if reach[-1] == full:
+            evaluated += 1
             candidate = (len(reach) - 1, _hnf_chain(rows))
             if best is None or candidate < best:
                 best = found = candidate
-    return found
+    return found, {
+        "listed": listed,
+        "cut": listed - kept,
+        "degenerate": degenerate,
+        "evaluated": evaluated,
+    }
 
 
 def _lattice_pass(n: int, d: int, workers: int):
-    """The least diameter k over all HNFs of index n, with the least chain attaining it."""
+    """The least diameter k over all HNFs of index n with the least chain attaining it,
+    as (k, chain) or None, and the shards' HNF counts summed."""
     shards = [
         (diag, range(i, diag[0], workers))  # every workers-th b_21, for balance
         for diag in _diagonals(n, d)
@@ -593,14 +643,16 @@ def _lattice_pass(n: int, d: int, workers: int):
     ]
     wave = 1 if workers == 1 else 4 * workers
     best = None
+    totals = Counter()
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         run = map if pool is None else pool.map
         for start in range(0, len(shards), wave):
             tasks = [(n, diag, b21s, best) for diag, b21s in shards[start : start + wave]]
-            for found in run(_lattice_task, tasks):
+            for found, counts in run(_lattice_task, tasks):
+                totals.update(counts)
                 if found is not None and (best is None or found < best):
                     best = found
-    return best
+    return best, dict(totals)
 
 
 def _witness(spec: SearchSpec, chains, k: int):
@@ -628,21 +680,36 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
     target = lower_bound(spec.d, spec.n)
     stop_at = target if spec.effective_prune else None
     chains = enumerate_groups(spec.n, spec.d)
+    stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
+    clock = time.monotonic()
     if len(chains) == 1:  # the units cut of its own scan beats the lattice pass
         k, gens, _ = _scan_group(chains[0], spec.d, spec.symmetry_level, None, stop_at)
         best = None if k is None else (k, chains[0], gens)
+        stats["scan_s"] = time.monotonic() - clock
     else:
         best = None if stop_at is None else _witness(spec, chains, stop_at)
+        stats["witness_s"] = time.monotonic() - clock
         if best is None:
             workers = 1 if spec.effective_prune else spec.worker_count
-            value = _lattice_pass(spec.n, spec.d, workers)
+            clock = time.monotonic()
+            value, counts = _lattice_pass(spec.n, spec.d, workers)
+            stats["lattice_s"] = time.monotonic() - clock
+            stats.update(counts)
             if value is not None:
+                clock = time.monotonic()
                 best = _witness(spec, [InvariantFactors(value[1])], value[0])
+                stats["witness_s"] += time.monotonic() - clock
                 if best is None or best[0] != value[0]:
                     raise InternalConsistencyError(
                         f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
                         f"on {value[1]}, but the scan of that chain disagrees"
                     )
+    logger.debug(
+        "kappa(%d,%d) search: %s",
+        spec.d,
+        spec.n,
+        " ".join(f"{key}={round(val, 3)}" for key, val in stats.items()),
+    )
 
     if best is None:
         raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")

@@ -5,7 +5,8 @@ import random
 import re
 import threading
 from dataclasses import asdict, replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import gcd, prod
 
 import pytest
 
@@ -255,6 +256,13 @@ def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
                 cache.put(put)
                 after = path.read_bytes()
                 assert after == before if want is not None else after.endswith(put.to_json().encode() + b"\n")
+                won = want if want is not None else asdict(put)
+                fresh = KappaCache(path)  # reads the file back from scratch
+                if won["kappa"] != rec.kappa:
+                    with pytest.raises(InternalConsistencyError, match="cache line"):
+                        fresh.get(put.d, put.n, put.settings)
+                else:
+                    assert asdict(fresh.get(put.d, put.n, put.settings)) == won
         elif step == "append":
             append("".join(variant()[1].to_json() + "\n" for _ in range(rng.randint(1, 3))))
         elif step == "corrupt":
@@ -476,8 +484,8 @@ def test_scan_group_matches_oracle(d, max_n, total):
     assert cases == total
 
 
-def _hnfs_of_order(n, d):
-    return [hnf for diag in _diagonals(n, d) for hnf in _hnfs(n, diag, range(diag[0]))]
+def _hnfs_of_order(n, d, orbit_cut=False):
+    return [hnf for diag in _diagonals(n, d) for hnf in _hnfs(n, diag, range(diag[0]), orbit_cut)]
 
 
 def test_hnf_rotations_match_lattice_oracle():
@@ -512,6 +520,90 @@ def test_hnf_count_matches_sublattice_formula():
         want = sum(m * _sigma(m) for m in range(1, n + 1) if n % m == 0)
         assert len(_hnfs_of_order(n, 3)) == want, n
     assert sum(m * _sigma(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)) == 43435
+    # the orbit cut keeps these of the 255 and 43,435 HNFs of index 128
+    assert len(_hnfs_of_order(128, 2, orbit_cut=True)) == 170
+    assert len(_hnfs_of_order(128, 3, orbit_cut=True)) == 20736
+
+
+def _order_oracle(rows, j):
+    """The order of e_j in Z^d/L, by adding e_j until the sum reduces to 0."""
+    x = (0,) * len(rows)
+    for m in range(1, prod(row[i] for i, row in enumerate(rows)) + 1):
+        x = lattice_reduce_oracle(rows, [v + (i == j) for i, v in enumerate(x)])
+        if not any(x):
+            return m
+
+
+def test_orbit_cut_orders_match_lattice_oracle():
+    """The closed-form orders of e_2 and e_3, and the HNFs the cut keeps: those
+    where no e_i has order below a_1, every HNF with d = 2 and 3, n <= 24."""
+    for d in (2, 3):
+        for n in range(1, 25):
+            kept = {rows for rows, _ in _hnfs_of_order(n, d, orbit_cut=True)}
+            for rows in hnf_oracle(n, d):
+                orders = [_order_oracle(rows, j) for j in range(d)]
+                a1, a2 = rows[0][0], rows[1][1]
+                b21 = rows[1][0]
+                assert orders[0] == a1, rows
+                assert orders[1] == a2 * a1 // gcd(a1, b21), rows
+                if d == 3:
+                    (b31, b32, a3) = rows[2]
+                    g = gcd(a2, b32)
+                    u, v = a2 // g, b32 // g
+                    assert orders[2] == a3 * u * a1 // gcd(a1, u * b31 - v * b21), rows
+                assert (rows in kept) == (min(orders) == a1), rows
+
+
+def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
+    """d = 3, n <= 12: the HNF of sigma(L), for each sigma in S_3, is the one whose
+    rows all lie in sigma(L); some kept HNF lies in every such orbit."""
+    zero = (0, 0, 0)
+    for n in range(1, 13):
+        hnfs = hnf_oracle(n, 3)
+        kept = {rows for rows, _ in _hnfs_of_order(n, 3, orbit_cut=True)}
+        seen = set()
+        for rows in hnfs:
+            if rows in seen:
+                continue
+            orbit = {
+                other
+                for other in hnfs
+                for sigma in permutations(range(3))
+                if all(
+                    lattice_reduce_oracle(rows, [r[sigma[i]] for i in range(3)]) == zero
+                    for r in other
+                )
+            }
+            assert rows in orbit and len(orbit) <= 6, rows
+            assert orbit & kept, sorted(orbit)
+            seen |= orbit
+
+
+def test_kappa_logs_its_pass_once(caplog):
+    """One DEBUG line per search: seconds per pass and the lattice pass's HNF counts,
+    which are the same on 1 and 2 workers."""
+    every = [rows for rows, _ in _hnfs_of_order(48, 3) if rows[0][0] > 1]
+    kept = [rows for rows, _ in _hnfs_of_order(48, 3, orbit_cut=True) if rows[0][0] > 1]
+    lines = []
+    for workers in (1, 2):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+            kappa(SearchSpec(d=3, n=48, worker_count=workers))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
+        assert line.startswith("kappa(3,48) search: ")
+        assert {"witness_s", "lattice_s"} <= fields.keys(), line
+        assert int(fields["listed"]) == len(every)
+        assert int(fields["cut"]) == len(every) - len(kept)
+        judged = len(kept) - int(fields["degenerate"])
+        assert 0 < int(fields["evaluated"]) <= judged < len(kept)
+        lines.append([fields[key] for key in ("listed", "cut", "degenerate")])
+    assert lines[0] == lines[1]  # evaluated depends on the hint each wave starts from
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+        kappa(SearchSpec(d=2, n=7))  # one chain: the scan alone
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+    assert line.startswith("kappa(2,7) search: scan_s=") and "listed" not in line
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
