@@ -337,7 +337,6 @@ def _search_spec(args, n: int) -> kappa_search.SearchSpec:
         d=args.d,
         n=n,
         prune_with_lower_bound=not args.no_prune,
-        symmetry_level=args.symmetry,
         worker_count=args.jobs,
         conjectural_prune=args.prune_conjectural,
     )
@@ -365,8 +364,6 @@ def _cmd_kappa(args) -> CommandResult:
 
 
 def _cmd_gaps(args) -> CommandResult:
-    if args.n_from < 2:
-        raise ValueError("gaps: the order range must start at n >= 2")
     if args.n_to > GAPS_DEFAULT_LIMIT and not args.long_running:
         raise ValueError(
             f"gap ranges beyond n = {GAPS_DEFAULT_LIMIT} are not desk-scale defaults; "
@@ -540,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; they shard an unpruned lattice pass by HNF diagonal and b21, "
         "and a pruned search runs in one process",
     )
-    search.add_argument("--symmetry", choices=kappa_search.SYMMETRY_LEVELS, default="units")
     search.add_argument("--no-prune", action="store_true", help="disable the lower-bound early exit")
     search.add_argument(
         "--prune-conjectural",

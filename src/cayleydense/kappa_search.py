@@ -25,24 +25,22 @@ no chain precedes. The pass is exhaustive, with no pruning by any bound.
 The witness pass is one scan of that chain for the sets of diameter k (hint
 k + 1, stop at k). The scan runs in lexicographic order, so its first hit
 is the lexicographically least set of diameter k on the least chain that
-attains k: the witness a full scan of every chain would keep, under every
-symmetry level, whatever --jobs is.
+attains k: the witness a full scan of every chain would keep, whatever
+--jobs is.
 
 Two searches skip the lattice pass. A pruned search first runs the witness
 pass at k = the lower bound over the chains in order; a hit ends the search.
 An order with a single chain (n squarefree, or d = 1) is scanned alone,
 because its units cut (below) is a quotient the lattice pass lacks.
 
-The scan ranges over every d-subset of nonzero elements of one chain.
-Reductions are exact digraph symmetries only, so the minimum is never
-approximated:
-
-  * units: on cyclic groups, generating sets are identified under
-    multiplication by a unit. Skipping a set is sound exactly when another
-    member of its orbit is still scanned, so the rule keeps every set that
-    contains 1 and every set without unit elements.
-  * full-listed: additionally quotient by coordinate permutations among
-    equal moduli on non-cyclic groups.
+The scan ranges over every d-subset of nonzero elements of one chain. On a
+cyclic chain it applies the units cut, an exact digraph symmetry, so the
+minimum is never approximated: multiplying a set by a unit gives an
+isomorphic digraph, and skipping a set is sound exactly when another member
+of its orbit is still scanned, so the cut keeps every set that contains 1
+and every set without unit elements. Its first hit is the one a scan of
+every set would give, since every set it skips is greater than the member
+of its orbit that contains 1. Other chains are scanned whole.
 
 A set counts only when its ball of radius best_k - 1 is the whole group,
 that is, when its diameter is strictly below the best found so far.
@@ -89,7 +87,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations, zip_longest
+from itertools import combinations, zip_longest
 from math import gcd, prod
 from pathlib import Path
 
@@ -100,23 +98,26 @@ from .errors import ConjectureRefutation, InternalConsistencyError
 
 logger = logging.getLogger(__name__)
 
-SYMMETRY_LEVELS = ("none", "units", "full-listed")
-
 
 @dataclass(frozen=True)
 class SearchSpec:
     d: int
     n: int
     prune_with_lower_bound: bool = True
-    symmetry_level: str = "units"
     worker_count: int = 1
     conjectural_prune: bool = False  # opt-in: lets d=3 prune against the conjectural bound
 
     def __post_init__(self):
-        if self.n < 2 or self.d < 1:
-            raise ValueError("need n >= 2 and d >= 1")
-        if self.symmetry_level not in SYMMETRY_LEVELS:
-            raise ValueError(f"unknown symmetry level {self.symmetry_level!r}")
+        for name in ("d", "n", "worker_count"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
+        if self.d < 1:
+            raise ValueError("need d >= 1")
+        if self.n <= self.d:
+            raise ValueError(
+                f"need n > d: {self.d} distinct nonzero generators need a group of "
+                f"order at least {self.d + 1}, not {self.n}"
+            )
         if self.worker_count < 1:
             raise ValueError("worker count must be positive")
 
@@ -128,10 +129,7 @@ class SearchSpec:
         return not is_conjectural(self.d) or self.conjectural_prune
 
     def settings(self) -> dict:
-        return {
-            "symmetry": self.symmetry_level,
-            "prune": self.effective_prune,
-        }
+        return {"prune": self.effective_prune}
 
 
 @dataclass(frozen=True)
@@ -168,26 +166,30 @@ class KappaRecord:
 
 
 def _settings_key(d: int, n: int, settings: dict) -> str:
-    return json.dumps([d, n, settings], sort_keys=True, separators=(",", ":"))
+    """The cache key (d, n, prune). Any other setting, such as the symmetry level
+    that older records carry, changes no result and so is not part of it."""
+    return json.dumps([d, n, settings["prune"]])
 
 
-def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
-    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+def _signature(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 class KappaCache:
-    """Append-only line-delimited record store keyed by (d, n, settings).
+    """Append-only line-delimited record store keyed by (d, n, prune).
 
     The first record of a key wins. The cache indexes its file once, mapping
     each key to the line of its first record (the line, not the parsed
     record), and before each lookup compares the file's (dev, inode, size,
-    mtime_ns) with what it indexed: the same means the index holds; a larger
-    file is read on from the end of the last newline-terminated line, once
-    the CRC-32 of the bytes before it shows them unchanged; anything else
-    (shorter, another inode, the same size with another mtime, other bytes)
-    is indexed again from scratch, and a missing file is empty. This relies
-    on the file being append-only: a rewrite that keeps the size within one
-    mtime tick is not seen. A last line without a newline is looked up as
+    mtime_ns, ctime_ns) with what it indexed: the same means the index holds;
+    a larger file is read on from the end of the last newline-terminated
+    line, once the CRC-32 of the bytes before it shows them unchanged;
+    anything else (shorter, another inode, the same size with another mtime
+    or ctime, other bytes) is indexed again from scratch, and a missing file
+    is empty. The ctime catches a replacement that carries the old mtime, as
+    `cp -p` leaves it, onto a recycled inode number. This relies on the file
+    being append-only: a rewrite that keeps the size within one timestamp
+    tick is not seen. A last line without a newline is looked up as
     any other, but read again once the file grows. A corrupt line is skipped
     with one warning each time it is read.
 
@@ -205,7 +207,7 @@ class KappaCache:
         self._reset()
 
     def _reset(self) -> None:
-        self._sig: tuple[int, int, int, int] | None = None  # of the indexed file
+        self._sig: tuple[int, int, int, int, int] | None = None  # of the indexed file
         self._index: dict[str, tuple[int, str]] = {}  # key -> (line number, line)
         self._offset = 0  # bytes read up to the last newline
         self._lineno = 0  # lines read up to the last newline
@@ -309,41 +311,6 @@ def _unit_cut_sets(n: int, d: int):
     yield from combinations([v for v in range(2, n) if gcd(v, n) > 1], d)
 
 
-def _coordinate_permutation_maps(group: InvariantFactors) -> list[list[int]]:
-    """Index permutations induced by permuting coordinates with equal moduli."""
-    d = group.rank
-    blocks: dict[int, list[int]] = {}
-    for i, s in enumerate(group):
-        if s > 1:
-            blocks.setdefault(s, []).append(i)
-    swappable = [idxs for idxs in blocks.values() if len(idxs) > 1]
-    if not swappable:
-        return []
-    maps = []
-    base = list(range(d))
-    perm_sets = [list(permutations(idxs)) for idxs in swappable]
-
-    def build(level: int, assignment: list[int]) -> None:
-        if level == len(perm_sets):
-            if assignment == base:
-                return
-            table = [0] * group.order
-            for idx in range(group.order):
-                e = group.element(idx)
-                table[idx] = group.index(tuple(e[assignment[i]] for i in range(d)))
-            maps.append(table)
-            return
-        idxs = swappable[level]
-        for perm in perm_sets[level]:
-            nxt = assignment[:]
-            for src, dst in zip(idxs, perm):
-                nxt[src] = dst
-            build(level + 1, nxt)
-
-    build(0, base)
-    return maps
-
-
 def _digit_below(n: int, stride: int, modulus: int, t: int) -> int:
     """The indices whose digit of this stride and modulus is below t, as a bitset.
 
@@ -439,7 +406,6 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
 def _scan_group(
     group: InvariantFactors,
     d: int,
-    symmetry: str,
     bound_hint: int | None,
     stop_at: int | None = None,
 ):
@@ -452,12 +418,6 @@ def _scan_group(
     sets that share a prefix come one after another.
     """
     n = group.order
-    cyclic = _is_cyclic_chain(group)
-    perm_maps = (
-        _coordinate_permutation_maps(group)
-        if (not cyclic and symmetry == "full-listed")
-        else []
-    )
     full = (1 << n) - 1
     rotations: list = [None] * n  # per element index, built on first use
 
@@ -467,7 +427,7 @@ def _scan_group(
             rots = rotations[idx] = _rotations(group, group.element(idx))
         return rots
 
-    if cyclic and symmetry in ("units", "full-listed"):
+    if _is_cyclic_chain(group):
         pools = _unit_cut_sets(n, d)
     else:
         pools = combinations(range(1, n), d)
@@ -476,10 +436,6 @@ def _scan_group(
     best_k = bound_hint
     best_gens: tuple[int, ...] | None = None
     for idxs in pools:
-        if perm_maps and any(
-            tuple(sorted(pm[i] for i in idxs)) < idxs for pm in perm_maps
-        ):
-            continue
         limit = n - 1 if best_k is None else best_k - 1
         prefix = idxs[:-1]
         if prefix != held:
@@ -655,10 +611,10 @@ def _lattice_pass(n: int, d: int, workers: int):
     return best, dict(totals)
 
 
-def _witness(spec: SearchSpec, chains, k: int):
+def _witness(d: int, chains, k: int):
     """(k', chain, gens) for the first chain with a set of diameter k' <= k, and its least such set."""
     for group in chains:
-        got, gens, hit = _scan_group(group, spec.d, spec.symmetry_level, k + 1, stop_at=k)
+        got, gens, hit = _scan_group(group, d, k + 1, stop_at=k)
         if hit:
             return got, group, gens
     return None
@@ -683,11 +639,11 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
     if len(chains) == 1:  # the units cut of its own scan beats the lattice pass
-        k, gens, _ = _scan_group(chains[0], spec.d, spec.symmetry_level, None, stop_at)
+        k, gens, _ = _scan_group(chains[0], spec.d, None, stop_at)
         best = None if k is None else (k, chains[0], gens)
         stats["scan_s"] = time.monotonic() - clock
     else:
-        best = None if stop_at is None else _witness(spec, chains, stop_at)
+        best = None if stop_at is None else _witness(spec.d, chains, stop_at)
         stats["witness_s"] = time.monotonic() - clock
         if best is None:
             workers = 1 if spec.effective_prune else spec.worker_count
@@ -697,7 +653,7 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
             stats.update(counts)
             if value is not None:
                 clock = time.monotonic()
-                best = _witness(spec, [InvariantFactors(value[1])], value[0])
+                best = _witness(spec.d, [InvariantFactors(value[1])], value[0])
                 stats["witness_s"] += time.monotonic() - clock
                 if best is None or best[0] != value[0]:
                     raise InternalConsistencyError(
@@ -748,7 +704,7 @@ def gap_table(
         raise ValueError("empty order range")
     rows = []
     for n in range(n_from, n_to + 1):
-        spec = replace(spec_template or SearchSpec(d=d, n=2), d=d, n=n)
+        spec = replace(spec_template or SearchSpec(d=d, n=d + 1), d=d, n=n)
         rec = kappa(spec, cache=cache)
         rows.append((n, rec.kappa - lower_bound(d, n)))
     return rows

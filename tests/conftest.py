@@ -56,24 +56,20 @@ def bfs_distance_oracle(moduli, gens):
     return dist if len(dist) == n else None
 
 
-def scan_group_oracle(moduli, d, symmetry, bound_hint, stop_at=None, memo=None):
-    """One group's kappa scan, by plain BFS on tuples: (best_k, best_gens, hit).
+def scan_group_oracle(moduli, d, bound_hint, stop_at=None, memo=None):
+    """One group's kappa scan over every d-set, by plain BFS on tuples: (best_k, best_gens, hit).
 
-    Sets are index tuples (mixed_radix_index) in lexicographic order. The
-    symmetry rules: on cyclic chains under "units" or "full-listed", skip a
-    set that has a unit but not 1; on other chains under "full-listed", skip
-    a set that some coordinate permutation among equal moduli maps to a
-    lexicographically smaller sorted set. A set counts only when it
-    generates with diameter strictly below the best so far (a tie does not
-    count). `stop_at` returns at the first counted set of diameter <=
-    stop_at. `memo` (a dict) keeps the scanned sets and their diameters
-    across calls.
+    Sets are index tuples (mixed_radix_index) in lexicographic order, none
+    skipped. A set counts only when it generates with diameter strictly
+    below the best so far (a tie does not count). `stop_at` returns at the
+    first counted set of diameter <= stop_at. `memo` (a dict) keeps the
+    sets and their diameters across calls.
     """
     if memo is None:
         memo = {}
-    key = (tuple(moduli), d, symmetry)
+    key = (tuple(moduli), d)
     if key not in memo:
-        memo[key] = _scanned_sets_oracle(moduli, d, symmetry, memo)
+        memo[key] = _scanned_sets_oracle(moduli, d)
     best_k, best_gens = bound_hint, None
     for idxs, k in memo[key]:
         if k is None or (best_k is not None and k >= best_k):
@@ -86,38 +82,14 @@ def scan_group_oracle(moduli, d, symmetry, bound_hint, stop_at=None, memo=None):
     return best_k, best_gens, False
 
 
-def _scanned_sets_oracle(moduli, d, symmetry, memo):
-    """The d-sets a scan keeps under `symmetry`, each with its diameter or None."""
+def _scanned_sets_oracle(moduli, d):
+    """Every d-set of nonzero elements, each with its diameter or None."""
     elems = list(product(*(range(m) for m in moduli)))
-    n = len(elems)
-    cyclic = all(m == 1 for m in moduli[:-1])
-    units = None
-    if cyclic and symmetry in ("units", "full-listed"):
-        units = [gcd(v, n) == 1 for v in range(n)]
-    perms = []
-    if not cyclic and symmetry == "full-listed":
-        r = len(moduli)
-        perms = [
-            p
-            for p in permutations(range(r))
-            if all(moduli[p[i]] == moduli[i] for i in range(r))
-        ]
-    moved = [
-        [mixed_radix_index(moduli, tuple(e[c] for c in p)) for e in elems]
-        for p in perms
-    ]
     tables = [successor_table_oracle(moduli, e) for e in elems]
-    kept = []
-    for idxs in combinations(range(1, n), d):
-        if units is not None and 1 not in idxs and any(units[i] for i in idxs):
-            continue
-        if any(tuple(sorted(m[i] for i in idxs)) < idxs for m in moved):
-            continue
-        diam_key = (tuple(moduli), idxs)
-        if diam_key not in memo:
-            memo[diam_key] = _diameter_oracle([tables[i] for i in idxs])
-        kept.append((idxs, memo[diam_key]))
-    return kept
+    return [
+        (idxs, _diameter_oracle([tables[i] for i in idxs]))
+        for idxs in combinations(range(1, len(elems)), d)
+    ]
 
 
 def _diameter_oracle(tables):
@@ -144,7 +116,7 @@ def _diameter_oracle(tables):
     return level - 1 if reached == n else None
 
 
-def kappa_oracle(d, n, symmetry, memo):
+def kappa_oracle(d, n):
     """(kappa, witness literal) of a full scan of every chain, by scan_group_oracle.
 
     The least (k, moduli, gens) over the chains in lexicographic order: each
@@ -152,7 +124,7 @@ def kappa_oracle(d, n, symmetry, memo):
     """
     best = None
     for moduli in sorted(chains_oracle(n, d)):
-        k, gens, _ = scan_group_oracle(moduli, d, symmetry, None, memo=memo)
+        k, gens, _ = scan_group_oracle(moduli, d, None)
         if k is not None and (best is None or (k, moduli, gens) < best):
             best = (k, moduli, gens)
     k, moduli, gens = best
@@ -164,16 +136,12 @@ CACHE_FIELDS = ("d", "n", "kappa", "witness", "settings", "millis")
 
 
 def cache_scan_oracle(path, d, n, settings):
-    """The first well-formed record of (d, n, settings) in a cache file, as a dict, or None.
+    """The first well-formed record of (d, n, settings["prune"]) in a cache file, as a dict, or None.
 
     A plain first-match scan of the whole file on every call. A line counts
-    when it is a JSON object with all of CACHE_FIELDS; its key is the
-    compact, key-sorted JSON of [d, n, settings].
+    when it is a JSON object with all of CACHE_FIELDS whose settings are an
+    object with a "prune" entry; any other setting is not compared.
     """
-
-    def key(d, n, settings):
-        return json.dumps([d, n, settings], sort_keys=True, separators=(",", ":"))
-
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
@@ -183,9 +151,10 @@ def cache_scan_oracle(path, d, n, settings):
             try:
                 obj = json.loads(line)
                 rec = {f: obj[f] for f in CACHE_FIELDS}
+                prune = rec["settings"]["prune"]
             except (ValueError, KeyError, TypeError):
                 continue
-            if key(rec["d"], rec["n"], rec["settings"]) == key(d, n, settings):
+            if json.dumps([rec["d"], rec["n"], prune]) == json.dumps([d, n, settings["prune"]]):
                 return rec
     return None
 

@@ -308,15 +308,3 @@ def test_invariant_planar_cyclic_lshapes_to_60():
                 assert solid_diameter(h) - 2 == max(
                     bfs_distances(g.group, g.normalized_gens)
                 )
-
-
-def test_invariant_units_symmetry_sound_to_40():
-    for d in (1, 2, 3):
-        for n in range(4, 41, 4):
-            full = kappa(
-                SearchSpec(d=d, n=n, symmetry_level="none", prune_with_lower_bound=False)
-            ).kappa
-            reduced = kappa(
-                SearchSpec(d=d, n=n, symmetry_level="units", prune_with_lower_bound=False)
-            ).kappa
-            assert full == reduced, (d, n, full, reduced)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from cayleydense.mdd import build_mdd
 from cayleydense.cayley import upsilon
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _human(argv):
@@ -176,6 +178,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["nonsense"])
     assert exc.value.code == 2
+    # the scan always applies the units cut; there is no symmetry level to choose
+    assert main(["kappa", "-d", "2", "-n", "12", "--symmetry", "units"]) == 2
+    assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
 
 
 BAD_MATRIX_LITERALS = [
@@ -215,6 +220,9 @@ VALUE_ERROR_PROBES = [
     ["gaps", "--from", "1", "--to", "5", "-d", "2"],
     ["gaps", "--to", "61", "--from", "3", "-d", "2"],  # needs --long-running
     ["kappa", "-n", "257", "-d", "3"],  # needs --long-running
+    ["kappa", "--jobs", "1", "-d", "3", "-n", "3"],  # n <= d: too few nonzero elements
+    ["kappa", "--long-running", "-d", "2", "-n", "2"],
+    ["gaps", "--jobs", "1", "-d", "2", "--from", "2", "--to", "4"],
     ["bound", "-n", "5", "-k", "3", "-d", "2"],  # both -n and -k
     ["diameter", "not json"],
     ["diameter", '{"moduli":[3]}'],  # no generators
@@ -270,6 +278,17 @@ def test_bad_matrix_literal_exit_2_under_optimize():
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Every line of README's CLI block, in order (mdd verify reads what mdd build wrote)."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(lines) == 17 and all(argv[0] == "cayleydense" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        result = run(argv[1:])
+        assert result.exit_code == 0, (argv, result.human)
 
 
 def test_kappa_cli_with_cache(tmp_path, capsys):

@@ -17,7 +17,6 @@ from cayleydense.cli import main as cli_main
 from cayleydense.density import lower_bound
 from cayleydense.errors import InternalConsistencyError
 from cayleydense.kappa_search import (
-    SYMMETRY_LEVELS,
     KappaCache,
     KappaRecord,
     SearchSpec,
@@ -62,20 +61,22 @@ def test_kappa_effective_prune_rules():
     assert not SearchSpec(d=2, n=10, prune_with_lower_bound=False).effective_prune
 
 
-def test_symmetry_levels_agree():
-    for d in (1, 2, 3):
-        for n in (6, 10, 12, 16, 18, 20, 24, 27, 32):
-            results = {
-                level: kappa(
-                    SearchSpec(
-                        d=d, n=n, symmetry_level=level, prune_with_lower_bound=False
-                    )
-                )
-                for level in ("none", "units", "full-listed")
-            }
-            assert len({rec.kappa for rec in results.values()}) == 1, (d, n, results)
-            witnesses = [rec.witness for rec in results.values()]
-            assert all(w == witnesses[0] for w in witnesses), (d, n, results)
+def test_search_spec_refuses_bad_values():
+    for fields in (
+        {"d": 2, "n": 2},  # n <= d: fewer than d nonzero elements
+        {"d": 3, "n": 3},
+        {"d": 3, "n": 1},
+        {"d": 0, "n": 5},
+        {"d": 2.0, "n": 12},  # floats and bools are not integers here
+        {"d": 2, "n": 12.0},
+        {"d": True, "n": 12},
+        {"d": 2, "n": 12, "worker_count": True},
+        {"d": 2, "n": 12, "worker_count": 2.0},
+        {"d": 2, "n": 12, "worker_count": 0},
+    ):
+        with pytest.raises(ValueError):
+            SearchSpec(**fields)
+    assert SearchSpec(d=2, n=3).n == 3
 
 
 def test_prune_does_not_change_kappa():
@@ -164,6 +165,37 @@ def test_cache_rejects_conflicting_kappa(tmp_path):
     )
     with pytest.raises(InternalConsistencyError):
         cache.put(clash)
+
+
+# A record as earlier versions wrote it: the symmetry level was part of the key.
+OLD_FORMAT_LINE = (
+    '{{"d":2,"kappa":4,"millis":{millis},"n":12,"settings":{{"prune":true,"symmetry":"{level}"}},'
+    '"witness":{{"gens":[[0,1],[1,2]],"moduli":[2,6]}}}}\n'
+)
+
+
+def test_cache_reads_records_that_carry_a_symmetry_level(tmp_path):
+    """The key is (d, n, prune): of the old lines for every level the first wins,
+    the conflict check spans them all, and the other prune value misses."""
+    path = tmp_path / "kappa.jsonl"
+    text = "".join(
+        OLD_FORMAT_LINE.format(millis=i, level=level)
+        for i, level in enumerate(("none", "units", "full-listed"))
+    )
+    path.write_text(text, encoding="utf-8")
+    cache = KappaCache(path)
+    spec = SearchSpec(d=2, n=12)
+    first = cache.get(2, 12, spec.settings())
+    assert (first.millis, first.settings) == (0, {"prune": True, "symmetry": "none"})
+    assert kappa(spec, cache=cache) == first
+    with pytest.raises(InternalConsistencyError, match="refusing"):
+        cache.put(replace(first, kappa=first.kappa + 1, settings=spec.settings()))
+    assert path.read_text(encoding="utf-8") == text
+    unpruned = SearchSpec(d=2, n=12, prune_with_lower_bound=False)
+    assert cache.get(2, 12, unpruned.settings()) is None
+    rec = kappa(unpruned, cache=cache)
+    assert path.read_text(encoding="utf-8") == text + rec.to_json() + "\n"
+    assert rec.settings == {"prune": False}
 
 
 def test_cache_missing_and_corrupt_lines(tmp_path, caplog):
@@ -466,21 +498,21 @@ def test_scan_abort_rule():
                     assert balls == [_ball_bits(moduli, oracle, r) for r in range(len(balls))]
 
 
-@pytest.mark.parametrize("d,max_n,total", [(1, 40, 1404), (2, 40, 2052), (3, 30, 1620)])
+@pytest.mark.parametrize("d,max_n,total", [(1, 40, 468), (2, 40, 684), (3, 30, 540)])
 def test_scan_group_matches_oracle(d, max_n, total):
-    """Every chain, symmetry level, hint and stop_at."""
+    """Every chain, hint and stop_at: the scan, with the units cut on cyclic
+    chains, against a scan of every set."""
     cases = 0
     for n in range(2, max_n + 1):
         for moduli in sorted(chains_oracle(n, d)):
             group = InvariantFactors(moduli)
             memo = {}
-            for symmetry in ("none", "units", "full-listed"):
-                for hint in (None, 2, 3, 4, 5, 8):
-                    for stop_at in (None, 3):
-                        got = _scan_group(group, d, symmetry, hint, stop_at=stop_at)
-                        want = scan_group_oracle(moduli, d, symmetry, hint, stop_at, memo)
-                        assert got == want, (moduli, symmetry, hint, stop_at)
-                        cases += 1
+            for hint in (None, 2, 3, 4, 5, 8):
+                for stop_at in (None, 3):
+                    got = _scan_group(group, d, hint, stop_at=stop_at)
+                    want = scan_group_oracle(moduli, d, hint, stop_at, memo)
+                    assert got == want, (moduli, hint, stop_at)
+                    cases += 1
     assert cases == total
 
 
@@ -608,21 +640,18 @@ def test_kappa_logs_its_pass_once(caplog):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kappa_matches_full_scan_oracle(d):
-    """Value and witness against scan_group_oracle on every chain: every n <= 48,
-    every symmetry level, pruned and unpruned, on 1 and 2 workers."""
+    """Value and witness against a scan of every set on every chain: every n <= 48,
+    pruned and unpruned, on 1 and 2 workers."""
     for n in range(d + 1, 49):
-        memo = {}
-        for symmetry in SYMMETRY_LEVELS:
-            want = kappa_oracle(d, n, symmetry, memo)
-            for prune in (False, True):
-                for workers in (1, 2):
-                    spec = SearchSpec(
-                        d=d,
-                        n=n,
-                        symmetry_level=symmetry,
-                        prune_with_lower_bound=prune,
-                        conjectural_prune=prune,
-                        worker_count=workers,
-                    )
-                    rec = kappa(spec)
-                    assert (rec.kappa, rec.witness) == want, (d, n, symmetry, prune, workers)
+        want = kappa_oracle(d, n)
+        for prune in (False, True):
+            for workers in (1, 2):
+                spec = SearchSpec(
+                    d=d,
+                    n=n,
+                    prune_with_lower_bound=prune,
+                    conjectural_prune=prune,
+                    worker_count=workers,
+                )
+                rec = kappa(spec)
+                assert (rec.kappa, rec.witness) == want, (d, n, prune, workers)
