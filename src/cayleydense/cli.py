@@ -534,10 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; they shard an unpruned lattice pass by HNF diagonal and b21, "
-        "and a pruned search runs in one process",
+        help="worker processes; they shard the lattice pass of an unpruned multi-chain order "
+        "by HNF diagonal and b21, and a pruned search or a single-chain order runs in one process",
     )
-    search.add_argument("--no-prune", action="store_true", help="disable the lower-bound early exit")
+    search.add_argument(
+        "--no-prune",
+        action="store_true",
+        help="do not stop a single-chain scan (d=1, or d=3 at squarefree n) at the lower bound; "
+        "other searches take the exhaustive lattice pass either way, on --jobs workers only "
+        "when unpruned",
+    )
     search.add_argument(
         "--prune-conjectural",
         action="store_true",

@@ -28,10 +28,15 @@ is the lexicographically least set of diameter k on the least chain that
 attains k: the witness a full scan of every chain would keep, whatever
 --jobs is.
 
-Two searches skip the lattice pass. A pruned search first runs the witness
-pass at k = the lower bound over the chains in order; a hit ends the search.
-An order with a single chain (n squarefree, or d = 1) is scanned alone,
-because its units cut (below) is a quotient the lattice pass lacks.
+Only an order with a single chain and d != 2 skips the lattice pass: d = 1,
+or d = 3 at squarefree n. Its one chain is scanned alone, with the units cut
+(below), a quotient the lattice pass lacks: the pass lists HNFs for d = 2
+and 3 only, and at d = 3 the scan measured cheaper on such orders. That scan
+is the only place the lower bound still cuts a pruned search: it stops at
+the first set that meets the bound. Every other search, pruned or not,
+takes the lattice pass and then the witness pass, so pruning changes none
+of its records, and a conjectural bound (d = 3 with conjectural_prune) that
+fails there is reported with the true minimum as a ConjectureRefutation.
 
 The scan ranges over every d-subset of nonzero elements of one chain. On a
 cyclic chain it applies the units cut, an exact digraph symmetry, so the
@@ -67,12 +72,12 @@ diagonal splits into one shard per worker, which takes every workers-th
 b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
 or 4 x workers), each with the best (k, chain) found before it as its hint,
 and merge by one (k, chain) comparison. A pruned search, and an order
-with one chain, run on one worker.
+with one chain, run on one worker, whichever route they take.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
-lattice pass, the witness scans and any single-chain scan, and the HNFs the
-lattice pass listed, cut by order, found degenerate and evaluated (grew up
-to the whole group within the limit).
+lattice pass and the witness scan, or of the single-chain scan, and the HNFs
+the lattice pass listed, cut by order, found degenerate and evaluated (grew
+up to the whole group within the limit).
 """
 
 from __future__ import annotations
@@ -611,13 +616,10 @@ def _lattice_pass(n: int, d: int, workers: int):
     return best, dict(totals)
 
 
-def _witness(d: int, chains, k: int):
-    """(k', chain, gens) for the first chain with a set of diameter k' <= k, and its least such set."""
-    for group in chains:
-        got, gens, hit = _scan_group(group, d, k + 1, stop_at=k)
-        if hit:
-            return got, group, gens
-    return None
+def _witness(d: int, group: InvariantFactors, k: int):
+    """(k', group, gens) for the least set of diameter k' <= k on this chain, or None."""
+    got, gens, hit = _scan_group(group, d, k + 1, stop_at=k)
+    return (got, group, gens) if hit else None
 
 
 def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
@@ -634,32 +636,29 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
             return hit
     started = time.monotonic()
     target = lower_bound(spec.d, spec.n)
-    stop_at = target if spec.effective_prune else None
     chains = enumerate_groups(spec.n, spec.d)
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
-    if len(chains) == 1:  # the units cut of its own scan beats the lattice pass
+    if len(chains) == 1 and spec.d != 2:  # d = 1, or d = 3 at squarefree n
+        stop_at = target if spec.effective_prune else None
         k, gens, _ = _scan_group(chains[0], spec.d, None, stop_at)
         best = None if k is None else (k, chains[0], gens)
         stats["scan_s"] = time.monotonic() - clock
     else:
-        best = None if stop_at is None else _witness(spec.d, chains, stop_at)
-        stats["witness_s"] = time.monotonic() - clock
-        if best is None:
-            workers = 1 if spec.effective_prune else spec.worker_count
+        workers = 1 if spec.effective_prune or len(chains) == 1 else spec.worker_count
+        value, counts = _lattice_pass(spec.n, spec.d, workers)
+        stats["lattice_s"] = time.monotonic() - clock
+        stats.update(counts)
+        best = None
+        if value is not None:
             clock = time.monotonic()
-            value, counts = _lattice_pass(spec.n, spec.d, workers)
-            stats["lattice_s"] = time.monotonic() - clock
-            stats.update(counts)
-            if value is not None:
-                clock = time.monotonic()
-                best = _witness(spec.d, [InvariantFactors(value[1])], value[0])
-                stats["witness_s"] += time.monotonic() - clock
-                if best is None or best[0] != value[0]:
-                    raise InternalConsistencyError(
-                        f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
-                        f"on {value[1]}, but the scan of that chain disagrees"
-                    )
+            best = _witness(spec.d, InvariantFactors(value[1]), value[0])
+            stats["witness_s"] = time.monotonic() - clock
+            if best is None or best[0] != value[0]:
+                raise InternalConsistencyError(
+                    f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
+                    f"on {value[1]}, but the scan of that chain disagrees"
+                )
     logger.debug(
         "kappa(%d,%d) search: %s",
         spec.d,

@@ -1,4 +1,5 @@
 import fcntl
+import json
 import multiprocessing
 import os
 import random
@@ -7,15 +8,16 @@ import threading
 from dataclasses import asdict, replace
 from itertools import combinations, permutations, product
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
 from cayleydense import kappa_search
-from cayleydense.abelian import InvariantFactors
+from cayleydense.abelian import InvariantFactors, enumerate_groups
 from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.cli import main as cli_main
 from cayleydense.density import lower_bound
-from cayleydense.errors import InternalConsistencyError
+from cayleydense.errors import ConjectureRefutation, InternalConsistencyError
 from cayleydense.kappa_search import (
     KappaCache,
     KappaRecord,
@@ -454,6 +456,22 @@ def test_kappa_never_beats_the_bound():
         assert rec.kappa >= lower_bound(2, n)
 
 
+def test_a_false_bound_is_reported_not_stored(monkeypatch):
+    """A bound above kappa never stops a lattice-pass search early. With every bound
+    raised by one, kappa(3, 16), pruned against it or not, raises a
+    ConjectureRefutation whose witness has the true diameter, and the pruned
+    kappa(2, 12) (two chains) and kappa(2, 7) (one chain) raise an
+    InternalConsistencyError, since the degree-2 bound is proven."""
+    monkeypatch.setattr(kappa_search, "lower_bound", lambda d, n: lower_bound(d, n) + 1)
+    for prune in (True, False):
+        with pytest.raises(ConjectureRefutation) as caught:
+            kappa(SearchSpec(d=3, n=16, prune_with_lower_bound=prune, conjectural_prune=True))
+        assert diameter(CayleyDigraph.from_literal(caught.value.witness)) == 3
+    for n in (12, 7):
+        with pytest.raises(InternalConsistencyError, match="below the proven bound"):
+            kappa(SearchSpec(d=2, n=n))
+
+
 def test_translate_matches_successor_oracle():
     rng = random.Random(4111)
     chains = 0
@@ -633,9 +651,19 @@ def test_kappa_logs_its_pass_once(caplog):
     assert lines[0] == lines[1]  # evaluated depends on the hint each wave starts from
     caplog.clear()
     with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-        kappa(SearchSpec(d=2, n=7))  # one chain: the scan alone
+        kappa(SearchSpec(d=3, n=7))  # one chain and d = 3: the scan alone
     (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-    assert line.startswith("kappa(2,7) search: scan_s=") and "listed" not in line
+    assert line.startswith("kappa(3,7) search: scan_s=") and "listed" not in line
+    for prune in (True, False):  # d = 2 takes the lattice pass even on one chain
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+            kappa(SearchSpec(d=2, n=7, prune_with_lower_bound=prune))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
+        assert line.startswith("kappa(2,7) search: lattice_s="), line
+        assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
+        every = [rows for rows, _ in _hnfs_of_order(7, 2) if rows[0][0] > 1]
+        assert int(fields["listed"]) == len(every) == 7
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -655,3 +683,26 @@ def test_kappa_matches_full_scan_oracle(d):
                 )
                 rec = kappa(spec)
                 assert (rec.kappa, rec.witness) == want, (d, n, prune, workers)
+
+
+def test_kappa_matches_the_records_of_the_retired_routes():
+    """Every d = 2 order (n = 3..300, pruned and unpruned) and every multi-chain
+    d = 3 order n <= 72 under --prune-conjectural gives the (kappa, witness) the
+    search stored before it took the lattice pass first: then a pruned search
+    scanned each chain at the bound first, and a d = 2 order with one chain was
+    scanned alone. The multi-chain d = 2 orders n <= 60 are checked on 2 workers too."""
+    golden = Path(__file__).parent / "golden" / "kappa_routes.jsonl"
+    rows = [json.loads(line) for line in golden.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 2 * 298 + 27
+    for row in rows:
+        d, n, prune = row["d"], row["n"], row["prune"]
+        workers = [1]
+        if d == 2 and n <= 60 and len(enumerate_groups(n, d)) > 1:
+            workers.append(2)
+        for w in workers:
+            spec = SearchSpec(
+                d=d, n=n, prune_with_lower_bound=prune, conjectural_prune=prune, worker_count=w
+            )
+            rec = kappa(spec)
+            assert rec.settings["prune"] == prune
+            assert (rec.kappa, rec.witness) == (row["kappa"], row["witness"]), (d, n, prune, w)
