@@ -72,7 +72,8 @@ diagonal splits into one shard per worker, which takes every workers-th
 b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
 or 4 x workers), each with the best (k, chain) found before it as its hint,
 and merge by one (k, chain) comparison. A pruned search, and an order
-with one chain, run on one worker, whichever route they take.
+with one chain, run on one worker, whichever route they take. A `gaps`
+sweep holds one pool for all its orders.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and the witness scan, or of the single-chain scan, and the HNFs
@@ -593,9 +594,12 @@ def _lattice_task(args):
     }
 
 
-def _lattice_pass(n: int, d: int, workers: int):
+def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
     """The least diameter k over all HNFs of index n with the least chain attaining it,
-    as (k, chain) or None, and the shards' HNF counts summed."""
+    as (k, chain) or None, and the shards' HNF counts summed.
+
+    More than one worker runs the shards on `pool`, or on a pool of its own
+    opened and closed here when `pool` is None."""
     shards = [
         (diag, range(i, diag[0], workers))  # every workers-th b_21, for balance
         for diag in _diagonals(n, d)
@@ -605,8 +609,9 @@ def _lattice_pass(n: int, d: int, workers: int):
     wave = 1 if workers == 1 else 4 * workers
     best = None
     totals = Counter()
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
+    own = workers > 1 and pool is None
+    with (ProcessPoolExecutor(max_workers=workers) if own else nullcontext(pool)) as pool:
+        run = pool.map if workers > 1 else map
         for start in range(0, len(shards), wave):
             tasks = [(n, diag, b21s, best) for diag, b21s in shards[start : start + wave]]
             for found, counts in run(_lattice_task, tasks):
@@ -627,8 +632,17 @@ def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
     return g.to_literal()
 
 
-def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
-    """Exact minimum diameter over all groups and generating sets of (d, n)."""
+def kappa(
+    spec: SearchSpec,
+    cache: KappaCache | None = None,
+    pool: ProcessPoolExecutor | None = None,
+) -> KappaRecord:
+    """Exact minimum diameter over all groups and generating sets of (d, n).
+
+    `pool`, a process pool of `spec.worker_count` workers, serves the lattice
+    pass when it runs on more than one worker; without it the pass opens its
+    own. A sweep passes one so that it starts its workers once.
+    """
     settings = spec.settings()
     if cache is not None:
         hit = cache.get(spec.d, spec.n, settings)
@@ -646,7 +660,7 @@ def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
         stats["scan_s"] = time.monotonic() - clock
     else:
         workers = 1 if spec.effective_prune or len(chains) == 1 else spec.worker_count
-        value, counts = _lattice_pass(spec.n, spec.d, workers)
+        value, counts = _lattice_pass(spec.n, spec.d, workers, pool)
         stats["lattice_s"] = time.monotonic() - clock
         stats.update(counts)
         best = None
@@ -698,12 +712,18 @@ def gap_table(
     spec_template: SearchSpec | None = None,
     cache: KappaCache | None = None,
 ) -> list[tuple[int, int]]:
-    """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range."""
+    """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range.
+
+    With more than one worker, every search of the sweep shares one process
+    pool, closed when the sweep ends or raises.
+    """
     if n_to < n_from:
         raise ValueError("empty order range")
+    template = spec_template or SearchSpec(d=d, n=d + 1)
+    workers = template.worker_count
     rows = []
-    for n in range(n_from, n_to + 1):
-        spec = replace(spec_template or SearchSpec(d=d, n=d + 1), d=d, n=n)
-        rec = kappa(spec, cache=cache)
-        rows.append((n, rec.kappa - lower_bound(d, n)))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        for n in range(n_from, n_to + 1):
+            rec = kappa(replace(template, d=d, n=n), cache=cache, pool=pool)
+            rows.append((n, rec.kappa - lower_bound(d, n)))
     return rows

@@ -100,12 +100,13 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
     translation: if rep(x)_i > 0, then rep(x) - e_i reaches x - g_i with norm
     dist(x) - 1, and a lex smaller word there plus e_i would beat rep(x), so
     rep(x) - e_i = rep(x - g_i). Hence rep(x) is among the offered
-    candidates, and every point's lower neighbours are in the set.
+    candidates, and every point's lower neighbours are in the set. The BFS
+    and the pass read the same memoized successor tables.
     """
     group = g.group
     n = group.order
     tables = [successor_table(group, t) for t in g.normalized_gens]
-    dist = bfs_distances(group, g.normalized_gens, tables)
+    dist = bfs_distances(group, g.normalized_gens)
     if dist is None:
         raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
     rep: list[tuple[int, ...] | None] = [None] * n
@@ -125,11 +126,12 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
 
 
 def verify_mdd(h: Mdd) -> bool:
-    """Check all three diagram conditions with one set of successor tables.
+    """Check all three diagram conditions against a fresh BFS of the source.
 
-    The tables drive a fresh BFS for the distances and also map the points
-    to the group. After the count, rank and sign checks, the points are
-    walked in norm order, which gives each point's group index without phi:
+    The successor tables of the source's generators, shared with that BFS
+    through the `successor_table` memo, also map the points to the group.
+    After the count, rank and sign checks, the points are walked in norm
+    order, which gives each point's group index without phi:
     idx(0) = 0 and idx(a) = tables[i][idx(a - e_i)] for any i with a_i > 0.
     Every lower neighbour a - e_i has norm one less, so it is in the set
     exactly when it was already walked; looking it up checks downward
@@ -145,7 +147,7 @@ def verify_mdd(h: Mdd) -> bool:
     if any(len(a) != d or min(a) < 0 for a in pts):
         return False
     tables = [successor_table(group, t) for t in g.normalized_gens]
-    dist = bfs_distances(group, None, tables)
+    dist = bfs_distances(group, g.normalized_gens)
     if dist is None:
         raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
     index: dict[tuple[int, ...], int] = {}

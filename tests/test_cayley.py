@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from cayleydense import cayley
 from cayleydense.abelian import InvariantFactors, canonical_invariant_factors
 from cayleydense.cayley import (
     CayleyDigraph,
@@ -152,11 +155,98 @@ def test_successor_table_matches_oracle():
                 chains += 1
                 for gen in product(*(range(m) for m in moduli)):
                     want = successor_table_oracle(moduli, gen)
-                    assert successor_table(group, gen) == want, (moduli, gen)
+                    assert list(successor_table(group, gen)) == want, (moduli, gen)
                     lift = tuple(x + m * rng.randint(-3, 3) for x, m in zip(gen, moduli))
-                    assert successor_table(group, group.reduce(lift)) == want
-                    assert successor_table(group, lift) == want, (moduli, lift)
+                    assert list(successor_table(group, group.reduce(lift))) == want
+                    assert list(successor_table(group, lift)) == want, (moduli, lift)
     assert chains == 196
+
+
+def test_successor_table_memo_keeps_the_checks():
+    group = InvariantFactors((2, 6))
+    assert list(successor_table(group, (1, 1))) == successor_table_oracle((2, 6), (1, 1))
+    for _ in range(2):  # the memo now holds a table of this group
+        for gen in ((1,), (1, 1, 1), ()):
+            with pytest.raises(ValueError, match="rank 2"):
+                successor_table(group, gen)
+        for gen in ((1.0, 1), (1, 1.5), [0, 1.0]):
+            with pytest.raises(TypeError):
+                successor_table(group, gen)
+
+
+def test_successor_table_memo_shares_one_table_per_key():
+    group = InvariantFactors((3, 9))
+    want = tuple(successor_table_oracle((3, 9), (2, 5)))
+    tbl = successor_table(group, (2, 5))
+    assert type(tbl) is tuple and tbl == want
+    assert successor_table(group, [2, 5]) is tbl  # a list is the same key
+    assert successor_table(group, group.reduce((-4, 23))) is tbl
+    assert successor_table(group, (-4, 23)) == want  # an unreduced lift
+    assert successor_table(group, [5, -13]) == want
+
+
+def test_successor_table_memo_stays_within_its_budget():
+    group = InvariantFactors((2000,))
+    for x in range(-30, 61):
+        tbl = successor_table(group, (x,))
+        assert tbl == tuple((v + x) % 2000 for v in range(2000))
+        kept = sum(map(len, cayley._tables.values()))
+        assert kept == cayley._kept <= cayley.TABLE_BUDGET
+        assert (group, (x,)) in cayley._tables  # the newest table fits, so it is kept
+    successor_table(group, (59,))  # a hit: now the most recently used, so it stays
+    successor_table(group, (61,))
+    assert (group, (59,)) in cayley._tables and (group, (60,)) not in cayley._tables
+    big = InvariantFactors((cayley.TABLE_BUDGET + 1,))
+    assert successor_table(big, (1,))[-1] == 0
+    assert (big, (1,)) not in cayley._tables
+    assert sum(map(len, cayley._tables.values())) == cayley._kept <= cayley.TABLE_BUDGET
+
+
+def test_successor_table_memo_under_threads():
+    group = InvariantFactors((1400,))
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(2000):
+                x = rng.randrange(3)  # two tables fit the budget: hits and evictions interleave
+                tbl = successor_table(group, (x,))
+                if len(tbl) != 1400 or tbl[0] != x or tbl[-1] != (x - 1) % 1400:
+                    wrong.append(x)
+        except Exception as exc:  # a lost update can surface as any error
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert sum(map(len, cayley._tables.values())) == cayley._kept <= cayley.TABLE_BUDGET
+
+
+def test_bfs_distances_matches_oracle_from_the_memo():
+    for moduli in ((12,), (2, 6), (1, 3, 9), (2, 2, 4), (4, 8)):
+        group = InvariantFactors(moduli)
+        elems = list(product(*(range(m) for m in moduli)))[1:]
+        for run in range(2):  # the second run reads every table from the memo
+            if run:
+                assert all((group, e) in cayley._tables for e in elems)
+            for gens in combinations(elems, 2):
+                oracle = bfs_distance_oracle(moduli, gens)
+                dist = bfs_distances(group, gens)
+                if oracle is None:
+                    assert dist is None, (moduli, gens, run)
+                    continue
+                by_index = sorted(oracle, key=lambda e: mixed_radix_index(moduli, e))
+                assert dist == [oracle[e] for e in by_index], (moduli, gens, run)
 
 
 def test_bfs_distances_matches_oracle():

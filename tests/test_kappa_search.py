@@ -127,6 +127,42 @@ def test_process_pool_only_for_unpruned_parallel_search(monkeypatch):
     assert (rec.kappa, rec.witness) == (3, kappa(SearchSpec(d=3, n=16)).witness)
 
 
+def test_gap_sweep_holds_one_pool(monkeypatch):
+    opened, closed = [], []
+
+    class CountingPool(kappa_search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            closed.append(self)
+            super().shutdown(*args, **kwargs)
+
+    spec = SearchSpec(d=2, n=3, prune_with_lower_bound=False)
+    want = gap_table(2, 3, 40, spec)
+    monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", CountingPool)
+    assert gap_table(2, 3, 40, spec) == want
+    assert opened == []
+    assert gap_table(2, 3, 40, replace(spec, worker_count=2)) == want
+    assert len(opened) == 1 and closed == opened
+    assert opened[0]._max_workers == 2
+    search = kappa_search.kappa
+
+    def failing(spec, cache=None, pool=None):
+        if spec.n == 30:
+            raise InternalConsistencyError("planted")
+        return search(spec, cache=cache, pool=pool)
+
+    monkeypatch.setattr(kappa_search, "kappa", failing)
+    with pytest.raises(InternalConsistencyError, match="planted"):
+        gap_table(2, 3, 40, replace(spec, worker_count=2))
+    assert len(opened) == 2 and closed == opened
+    monkeypatch.setattr(kappa_search, "kappa", search)
+    kappa(replace(spec, n=36, worker_count=2))  # a search on its own opens its own
+    assert len(opened) == 3 and closed == opened
+
+
 def test_witness_upper_bounds():
     g = CayleyDigraph.from_cyclic(16, (1, 4, 5))
     assert kappa(SearchSpec(d=3, n=16)).kappa <= diameter(g)
