@@ -332,23 +332,14 @@ def _cache_from(args) -> kappa_search.KappaCache | None:
     return kappa_search.KappaCache(path) if path else None
 
 
-def _search_spec(args, n: int) -> kappa_search.SearchSpec:
-    return kappa_search.SearchSpec(
-        d=args.d,
-        n=n,
-        prune_with_lower_bound=not args.no_prune,
-        worker_count=args.jobs,
-        conjectural_prune=args.prune_conjectural,
-    )
-
-
 def _cmd_kappa(args) -> CommandResult:
     if args.d == 3 and args.n > KAPPA_D3_LIMIT and not args.long_running:
         raise ValueError(
             f"kappa(3, n > {KAPPA_D3_LIMIT}) is not a desk-scale default; "
             "rerun with --long-running"
         )
-    rec = kappa_search.kappa(_search_spec(args, args.n), cache=_cache_from(args))
+    spec = kappa_search.SearchSpec(d=args.d, n=args.n, worker_count=args.jobs)
+    rec = kappa_search.kappa(spec, cache=_cache_from(args))
     row = {
         "d": rec.d,
         "n": rec.n,
@@ -369,8 +360,7 @@ def _cmd_gaps(args) -> CommandResult:
             f"gap ranges beyond n = {GAPS_DEFAULT_LIMIT} are not desk-scale defaults; "
             "rerun with --long-running"
         )
-    spec = _search_spec(args, args.n_from)
-    rows = kappa_search.gap_table(args.d, args.n_from, args.n_to, spec, _cache_from(args))
+    rows = kappa_search.gap_table(args.d, args.n_from, args.n_to, args.jobs, _cache_from(args))
     label = _bound_label(args.d, "l")
     payload = [{"n": n, "gap": gap} for n, gap in rows]
     human = _render_table(
@@ -534,20 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; they shard the lattice pass of an unpruned multi-chain order "
-        "by HNF diagonal and b21, and a pruned search or a single-chain order runs in one process",
-    )
-    search.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="do not stop a single-chain scan (d=1, or d=3 at squarefree n) at the lower bound; "
-        "other searches take the exhaustive lattice pass either way, on --jobs workers only "
-        "when unpruned",
-    )
-    search.add_argument(
-        "--prune-conjectural",
-        action="store_true",
-        help="let d=3 prune against the conjectural bound (off by default)",
+        help="worker processes; they shard the lattice pass of a d=3 order with more than one "
+        "chain by HNF diagonal and b21, and every other search runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -31,12 +31,10 @@ attains k: the witness a full scan of every chain would keep, whatever
 Only an order with a single chain and d != 2 skips the lattice pass: d = 1,
 or d = 3 at squarefree n. Its one chain is scanned alone, with the units cut
 (below), a quotient the lattice pass lacks: the pass lists HNFs for d = 2
-and 3 only, and at d = 3 the scan measured cheaper on such orders. That scan
-is the only place the lower bound still cuts a pruned search: it stops at
-the first set that meets the bound. Every other search, pruned or not,
-takes the lattice pass and then the witness pass, so pruning changes none
-of its records, and a conjectural bound (d = 3 with conjectural_prune) that
-fails there is reported with the true minimum as a ConjectureRefutation.
+and 3 only, and at d = 3 the scan measured cheaper on such orders. Where the
+lower bound is proven (d = 1), that scan stops at the first set that meets
+it, which no set can beat. A conjectural bound (d = 3) never cuts a search,
+so where it fails the true minimum is reported as a ConjectureRefutation.
 
 The scan ranges over every d-subset of nonzero elements of one chain. On a
 cyclic chain it applies the units cut, an exact digraph symmetry, so the
@@ -71,9 +69,9 @@ subgroup.
 diagonal splits into one shard per worker, which takes every workers-th
 b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
 or 4 x workers), each with the best (k, chain) found before it as its hint,
-and merge by one (k, chain) comparison. A pruned search, and an order
-with one chain, run on one worker, whichever route they take. A `gaps`
-sweep holds one pool for all its orders.
+and merge by one (k, chain) comparison. Only a d = 3 pass runs on
+workers; a d = 2 pass, and an order with one chain, run in one process. A
+`gaps` sweep holds one pool for all its orders.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and the witness scan, or of the single-chain scan, and the HNFs
@@ -92,7 +90,7 @@ import zlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from math import gcd, prod
 from pathlib import Path
@@ -109,9 +107,7 @@ logger = logging.getLogger(__name__)
 class SearchSpec:
     d: int
     n: int
-    prune_with_lower_bound: bool = True
     worker_count: int = 1
-    conjectural_prune: bool = False  # opt-in: lets d=3 prune against the conjectural bound
 
     def __post_init__(self):
         for name in ("d", "n", "worker_count"):
@@ -127,16 +123,6 @@ class SearchSpec:
         if self.worker_count < 1:
             raise ValueError("worker count must be positive")
 
-    @property
-    def effective_prune(self) -> bool:
-        """The bound may cut the search only when it is proven (or opted into)."""
-        if not self.prune_with_lower_bound:
-            return False
-        return not is_conjectural(self.d) or self.conjectural_prune
-
-    def settings(self) -> dict:
-        return {"prune": self.effective_prune}
-
 
 @dataclass(frozen=True)
 class KappaRecord:
@@ -144,7 +130,6 @@ class KappaRecord:
     n: int
     kappa: int
     witness: dict
-    settings: dict
     millis: int
 
     def to_json(self) -> str:
@@ -153,28 +138,26 @@ class KappaRecord:
             "n": self.n,
             "kappa": self.kappa,
             "witness": self.witness,
-            "settings": self.settings,
             "millis": self.millis,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "KappaRecord":
+        """The record of a line; the `settings` that older lines carry are ignored."""
         obj = json.loads(line)
         return cls(
             d=obj["d"],
             n=obj["n"],
             kappa=obj["kappa"],
             witness=obj["witness"],
-            settings=obj["settings"],
             millis=obj["millis"],
         )
 
 
-def _settings_key(d: int, n: int, settings: dict) -> str:
-    """The cache key (d, n, prune). Any other setting, such as the symmetry level
-    that older records carry, changes no result and so is not part of it."""
-    return json.dumps([d, n, settings["prune"]])
+def _key(d: int, n: int) -> str:
+    """The cache key (d, n), as JSON so that 1, 1.0 and true stay apart."""
+    return json.dumps([d, n])
 
 
 def _signature(st: os.stat_result) -> tuple[int, int, int, int, int]:
@@ -182,12 +165,13 @@ def _signature(st: os.stat_result) -> tuple[int, int, int, int, int]:
 
 
 class KappaCache:
-    """Append-only line-delimited record store keyed by (d, n, prune).
+    """Append-only line-delimited record store keyed by (d, n).
 
-    The first record of a key wins. The cache indexes its file once, mapping
-    each key to the line of its first record (the line, not the parsed
-    record), and before each lookup compares the file's (dev, inode, size,
-    mtime_ns, ctime_ns) with what it indexed: the same means the index holds;
+    The first record of a key wins, whatever settings older lines carry.
+    The cache indexes its file once, mapping each key to the line of its
+    first record (the line, not the parsed record), and before each lookup
+    compares the file's (dev, inode, size, mtime_ns, ctime_ns) with what it
+    indexed: the same means the index holds;
     a larger file is read on from the end of the last newline-terminated
     line, once the CRC-32 of the bytes before it shows them unchanged;
     anything else (shorter, another inode, the same size with another mtime
@@ -255,7 +239,7 @@ class KappaCache:
             if not line:
                 return
             rec = KappaRecord.from_json(line)
-            key = _settings_key(rec.d, rec.n, rec.settings)
+            key = _key(rec.d, rec.n)
         except (ValueError, KeyError, TypeError, RecursionError):
             logger.warning("skipping corrupt cache line %d in %s", lineno, self.path)
             return
@@ -275,8 +259,8 @@ class KappaCache:
             )
         return rec
 
-    def get(self, d: int, n: int, settings: dict) -> KappaRecord | None:
-        key = _settings_key(d, n, settings)
+    def get(self, d: int, n: int) -> KappaRecord | None:
+        key = _key(d, n)
         self._refresh()
         found = self._index.get(key) or self._tail.get(key)
         return None if found is None else self._checked(*found)
@@ -285,7 +269,7 @@ class KappaCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
-            existing = self.get(record.d, record.n, record.settings)
+            existing = self.get(record.d, record.n)
             if existing is not None:
                 if existing.kappa != record.kappa:
                     raise InternalConsistencyError(
@@ -643,9 +627,8 @@ def kappa(
     pass when it runs on more than one worker; without it the pass opens its
     own. A sweep passes one so that it starts its workers once.
     """
-    settings = spec.settings()
     if cache is not None:
-        hit = cache.get(spec.d, spec.n, settings)
+        hit = cache.get(spec.d, spec.n)
         if hit is not None:
             return hit
     started = time.monotonic()
@@ -654,12 +637,14 @@ def kappa(
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
     if len(chains) == 1 and spec.d != 2:  # d = 1, or d = 3 at squarefree n
-        stop_at = target if spec.effective_prune else None
+        stop_at = None if is_conjectural(spec.d) else target  # a proven bound cannot be beaten
         k, gens, _ = _scan_group(chains[0], spec.d, None, stop_at)
         best = None if k is None else (k, chains[0], gens)
         stats["scan_s"] = time.monotonic() - clock
     else:
-        workers = 1 if spec.effective_prune or len(chains) == 1 else spec.worker_count
+        # Only a d = 3 pass (an order with several chains here) runs on workers:
+        # a d = 2 pass measured faster in one process.
+        workers = spec.worker_count if spec.d == 3 else 1
         value, counts = _lattice_pass(spec.n, spec.d, workers, pool)
         stats["lattice_s"] = time.monotonic() - clock
         stats.update(counts)
@@ -697,7 +682,6 @@ def kappa(
         n=spec.n,
         kappa=k,
         witness=_witness_record(group, gens),
-        settings=settings,
         millis=int((time.monotonic() - started) * 1000),
     )
     if cache is not None:
@@ -709,21 +693,22 @@ def gap_table(
     d: int,
     n_from: int,
     n_to: int,
-    spec_template: SearchSpec | None = None,
+    worker_count: int = 1,
     cache: KappaCache | None = None,
 ) -> list[tuple[int, int]]:
     """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range.
 
-    With more than one worker, every search of the sweep shares one process
-    pool, closed when the sweep ends or raises.
+    With more than one worker and d = 3, the only degree whose lattice pass
+    runs on workers, every search of the sweep shares one process pool,
+    closed when the sweep ends or raises.
     """
     if n_to < n_from:
         raise ValueError("empty order range")
-    template = spec_template or SearchSpec(d=d, n=d + 1)
-    workers = template.worker_count
+    specs = [SearchSpec(d=d, n=n, worker_count=worker_count) for n in range(n_from, n_to + 1)]
+    pooled = d == 3 and worker_count > 1
     rows = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        for n in range(n_from, n_to + 1):
-            rec = kappa(replace(template, d=d, n=n), cache=cache, pool=pool)
-            rows.append((n, rec.kappa - lower_bound(d, n)))
+    with (ProcessPoolExecutor(max_workers=worker_count) if pooled else nullcontext()) as pool:
+        for spec in specs:
+            rec = kappa(spec, cache=cache, pool=pool)
+            rows.append((spec.n, rec.kappa - lower_bound(d, spec.n)))
     return rows

@@ -132,15 +132,15 @@ def kappa_oracle(d, n):
     return k, {"moduli": list(moduli), "gens": [list(elems[i]) for i in gens]}
 
 
-CACHE_FIELDS = ("d", "n", "kappa", "witness", "settings", "millis")
+CACHE_FIELDS = ("d", "n", "kappa", "witness", "millis")
 
 
-def cache_scan_oracle(path, d, n, settings):
-    """The first well-formed record of (d, n, settings["prune"]) in a cache file, as a dict, or None.
+def cache_scan_oracle(path, d, n):
+    """The first well-formed record of (d, n) in a cache file, as a dict, or None.
 
     A plain first-match scan of the whole file on every call. A line counts
-    when it is a JSON object with all of CACHE_FIELDS whose settings are an
-    object with a "prune" entry; any other setting is not compared.
+    when it is a JSON object with all of CACHE_FIELDS; the "settings" that
+    older lines carry, whatever they hold, are not compared.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -151,10 +151,9 @@ def cache_scan_oracle(path, d, n, settings):
             try:
                 obj = json.loads(line)
                 rec = {f: obj[f] for f in CACHE_FIELDS}
-                prune = rec["settings"]["prune"]
             except (ValueError, KeyError, TypeError):
                 continue
-            if json.dumps([rec["d"], rec["n"], prune]) == json.dumps([d, n, settings["prune"]]):
+            if json.dumps([rec["d"], rec["n"]]) == json.dumps([d, n]):
                 return rec
     return None
 

@@ -181,6 +181,11 @@ def test_usage_errors_exit_2(capsys):
     # the scan always applies the units cut; there is no symmetry level to choose
     assert main(["kappa", "-d", "2", "-n", "12", "--symmetry", "units"]) == 2
     assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
+    # whether a search stops at the bound follows from whether the bound is proven
+    assert main(["kappa", "-d", "2", "-n", "12", "--no-prune"]) == 2
+    assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
+    assert main(["gaps", "-d", "3", "--from", "4", "--to", "8", "--prune-conjectural"]) == 2
+    assert "unrecognized arguments: --prune-conjectural" in capsys.readouterr().err
 
 
 BAD_MATRIX_LITERALS = [

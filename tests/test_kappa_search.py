@@ -5,7 +5,8 @@ import os
 import random
 import re
 import threading
-from dataclasses import asdict, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields, replace
 from itertools import combinations, permutations, product
 from math import gcd, prod
 from pathlib import Path
@@ -56,11 +57,12 @@ def test_kappa_fixtures():
     assert diameter(witness) == 3
 
 
-def test_kappa_effective_prune_rules():
-    assert SearchSpec(d=2, n=10).effective_prune
-    assert not SearchSpec(d=3, n=10).effective_prune
-    assert SearchSpec(d=3, n=10, conjectural_prune=True).effective_prune
-    assert not SearchSpec(d=2, n=10, prune_with_lower_bound=False).effective_prune
+def test_search_spec_and_record_carry_no_prune_setting():
+    """Whether a search may stop at the bound follows from d, so no setting says it."""
+    assert [f.name for f in fields(SearchSpec)] == ["d", "n", "worker_count"]
+    assert [f.name for f in fields(KappaRecord)] == ["d", "n", "kappa", "witness", "millis"]
+    rec = kappa(SearchSpec(d=2, n=12))
+    assert sorted(json.loads(rec.to_json())) == ["d", "kappa", "millis", "n", "witness"]
 
 
 def test_search_spec_refuses_bad_values():
@@ -81,28 +83,18 @@ def test_search_spec_refuses_bad_values():
     assert SearchSpec(d=2, n=3).n == 3
 
 
-def test_prune_does_not_change_kappa():
-    for n in range(3, 31):
-        a = kappa(SearchSpec(d=2, n=n, prune_with_lower_bound=True)).kappa
-        b = kappa(SearchSpec(d=2, n=n, prune_with_lower_bound=False)).kappa
-        assert a == b
-
-
 def test_worker_count_independence():
-    base = kappa(SearchSpec(d=2, n=20, prune_with_lower_bound=False, worker_count=1))
-    multi = kappa(SearchSpec(d=2, n=20, prune_with_lower_bound=False, worker_count=3))
+    base = kappa(SearchSpec(d=3, n=24, worker_count=1))
+    multi = kappa(SearchSpec(d=3, n=24, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
-    for d in (1, 2, 3):  # unpruned, so two workers shard by chain and least element
+    for d in (1, 2, 3):  # two workers shard the lattice pass of a multi-chain d = 3 order
         for n in range(4, 25):
-            base, multi = (
-                kappa(SearchSpec(d=d, n=n, prune_with_lower_bound=False, worker_count=w))
-                for w in (1, 2)
-            )
+            base, multi = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (1, 2))
             assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
 
 
-def test_process_pool_only_for_unpruned_parallel_search(monkeypatch):
+def test_process_pool_only_for_multi_chain_degree_3_search(monkeypatch):
     opened = []
 
     class RecordingPool:
@@ -119,9 +111,12 @@ def test_process_pool_only_for_unpruned_parallel_search(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
-    pruned = kappa(SearchSpec(d=2, n=30, worker_count=4))
-    assert opened == []
-    assert pruned.kappa == kappa(SearchSpec(d=2, n=30)).kappa
+    # d = 2 (two chains at n = 30, one at n = 7) and single-chain orders
+    # (d = 1; d = 3 at squarefree n = 30) run in one process
+    for d, n in ((2, 30), (2, 7), (1, 30), (3, 30)):
+        rec, alone = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (2, 1))
+        assert opened == [], (d, n)
+        assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), (d, n)
     rec = kappa(SearchSpec(d=3, n=16, worker_count=2))
     assert opened == [2]
     assert (rec.kappa, rec.witness) == (3, kappa(SearchSpec(d=3, n=16)).witness)
@@ -139,12 +134,12 @@ def test_gap_sweep_holds_one_pool(monkeypatch):
             closed.append(self)
             super().shutdown(*args, **kwargs)
 
-    spec = SearchSpec(d=2, n=3, prune_with_lower_bound=False)
-    want = gap_table(2, 3, 40, spec)
+    want = gap_table(3, 4, 40)
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", CountingPool)
-    assert gap_table(2, 3, 40, spec) == want
+    assert gap_table(3, 4, 40) == want
+    assert gap_table(2, 3, 40, worker_count=2) == gap_table(2, 3, 40)  # d = 2: one process
     assert opened == []
-    assert gap_table(2, 3, 40, replace(spec, worker_count=2)) == want
+    assert gap_table(3, 4, 40, worker_count=2) == want
     assert len(opened) == 1 and closed == opened
     assert opened[0]._max_workers == 2
     search = kappa_search.kappa
@@ -156,10 +151,10 @@ def test_gap_sweep_holds_one_pool(monkeypatch):
 
     monkeypatch.setattr(kappa_search, "kappa", failing)
     with pytest.raises(InternalConsistencyError, match="planted"):
-        gap_table(2, 3, 40, replace(spec, worker_count=2))
+        gap_table(3, 4, 40, worker_count=2)
     assert len(opened) == 2 and closed == opened
     monkeypatch.setattr(kappa_search, "kappa", search)
-    kappa(replace(spec, n=36, worker_count=2))  # a search on its own opens its own
+    kappa(SearchSpec(d=3, n=36, worker_count=2))  # a search on its own opens its own
     assert len(opened) == 3 and closed == opened
 
 
@@ -182,7 +177,7 @@ def test_cache_roundtrip(tmp_path):
     cache = KappaCache(path)
     spec = SearchSpec(d=3, n=16)
     rec = kappa(spec, cache=cache)
-    again = cache.get(3, 16, spec.settings())
+    again = cache.get(3, 16)
     assert again == rec
     assert KappaRecord.from_json(rec.to_json()) == rec
     # a second search hits the cache and returns the identical record
@@ -198,52 +193,48 @@ def test_cache_rejects_conflicting_kappa(tmp_path):
         n=rec.n,
         kappa=rec.kappa + 1,
         witness=rec.witness,
-        settings=rec.settings,
         millis=0,
     )
     with pytest.raises(InternalConsistencyError):
         cache.put(clash)
 
 
-# A record as earlier versions wrote it: the symmetry level was part of the key.
-OLD_FORMAT_LINE = (
-    '{{"d":2,"kappa":4,"millis":{millis},"n":12,"settings":{{"prune":true,"symmetry":"{level}"}},'
-    '"witness":{{"gens":[[0,1],[1,2]],"moduli":[2,6]}}}}\n'
-)
+# Records of (2, 12) as successive versions wrote them: with a symmetry level
+# and whether the search pruned, with the latter alone, and with no settings.
+OLD_FORMAT_LINES = [
+    '{"d":2,"kappa":4,"millis":0,"n":12,"settings":{"prune":true,"symmetry":"none"},'
+    '"witness":{"gens":[[0,1],[1,2]],"moduli":[2,6]}}\n',
+    '{"d":2,"kappa":4,"millis":1,"n":12,"settings":{"prune":false},'
+    '"witness":{"gens":[[0,1],[1,2]],"moduli":[2,6]}}\n',
+    '{"d":2,"kappa":4,"millis":2,"n":12,"witness":{"gens":[[0,1],[1,2]],"moduli":[2,6]}}\n',
+]
 
 
 def test_cache_reads_records_that_carry_a_symmetry_level(tmp_path):
-    """The key is (d, n, prune): of the old lines for every level the first wins,
-    the conflict check spans them all, and the other prune value misses."""
+    """The key is (d, n): of the lines with any settings or none the first wins,
+    the conflict check spans them all, and a search appends nothing."""
     path = tmp_path / "kappa.jsonl"
-    text = "".join(
-        OLD_FORMAT_LINE.format(millis=i, level=level)
-        for i, level in enumerate(("none", "units", "full-listed"))
-    )
+    text = "".join(OLD_FORMAT_LINES)
     path.write_text(text, encoding="utf-8")
     cache = KappaCache(path)
-    spec = SearchSpec(d=2, n=12)
-    first = cache.get(2, 12, spec.settings())
-    assert (first.millis, first.settings) == (0, {"prune": True, "symmetry": "none"})
-    assert kappa(spec, cache=cache) == first
+    first = cache.get(2, 12)
+    assert first == KappaRecord.from_json(OLD_FORMAT_LINES[0])
+    assert first.millis == 0
     with pytest.raises(InternalConsistencyError, match="refusing"):
-        cache.put(replace(first, kappa=first.kappa + 1, settings=spec.settings()))
+        cache.put(replace(first, kappa=first.kappa + 1, millis=3))
     assert path.read_text(encoding="utf-8") == text
-    unpruned = SearchSpec(d=2, n=12, prune_with_lower_bound=False)
-    assert cache.get(2, 12, unpruned.settings()) is None
-    rec = kappa(unpruned, cache=cache)
-    assert path.read_text(encoding="utf-8") == text + rec.to_json() + "\n"
-    assert rec.settings == {"prune": False}
+    assert kappa(SearchSpec(d=2, n=12), cache=cache) == first
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_cache_missing_and_corrupt_lines(tmp_path, caplog):
     path = tmp_path / "kappa.jsonl"
     cache = KappaCache(path)
-    assert cache.get(2, 5, SearchSpec(d=2, n=5).settings()) is None
+    assert cache.get(2, 5) is None
     path.write_text("{not json}\n", encoding="utf-8")
     rec = kappa(SearchSpec(d=2, n=5), cache=cache)
     with caplog.at_level("WARNING"):
-        assert cache.get(2, 5, SearchSpec(d=2, n=5).settings()) == rec
+        assert cache.get(2, 5) == rec
     assert any("corrupt" in message for message in caplog.messages)
 
 
@@ -253,20 +244,21 @@ def _d1_record(n):
         n=n,
         kappa=n - 1,
         witness={"moduli": [n], "gens": [[1]]},
-        settings=SearchSpec(d=1, n=n).settings(),
         millis=0,
     )
 
 
 @pytest.fixture(scope="module")
 def cache_pool():
-    """Valid records of 20 keys: d = 1 and 2, a few orders, pruned and unpruned."""
-    pool = []
-    for d, orders in ((1, range(2, 7)), (2, range(3, 8))):
-        for n in orders:
-            for prune in (True, False):
-                pool.append(kappa(SearchSpec(d=d, n=n, prune_with_lower_bound=prune)))
-    return pool
+    """Valid records of 20 keys: d = 1 and 2, ten orders each."""
+    return [kappa(SearchSpec(d=d, n=n)) for d, orders in ((1, range(2, 12)), (2, range(3, 13))) for n in orders]
+
+
+def _with_settings(line, rng):
+    """The line as an older version might have written it: with settings, or as it is."""
+    obj = json.loads(line)
+    obj["settings"] = rng.choice([{"prune": True}, {"prune": False, "symmetry": "units"}])
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) if rng.random() < 0.5 else line
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -274,7 +266,8 @@ def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
     """get, put and outside edits of the file, every lookup against a plain rescan.
 
     Records come in same-length variants (millis 0-9), some with kappa off by
-    one, which a hit must refuse. Outside edits: appends (duplicates included),
+    one, which a hit must refuse. Outside edits: appends (duplicates, and lines
+    with the settings older versions wrote, included),
     corrupt lines, a last line without a newline, truncation, a same-size
     rewrite (lines shuffled, millis redrawn), a replacement by another file,
     deletion.
@@ -294,7 +287,7 @@ def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
 
     def expect(rec):
         """The oracle's record for rec's key, and whether a hit on it must be refused."""
-        want = cache_scan_oracle(path, rec.d, rec.n, rec.settings)
+        want = cache_scan_oracle(path, rec.d, rec.n)
         return want, want is not None and want["kappa"] != rec.kappa
 
     def lines():
@@ -310,9 +303,9 @@ def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
                 want, refused = expect(rec)
                 if refused:
                     with pytest.raises(InternalConsistencyError, match="cache line"):
-                        cache.get(rec.d, rec.n, rec.settings)
+                        cache.get(rec.d, rec.n)
                 else:
-                    got = cache.get(rec.d, rec.n, rec.settings)
+                    got = cache.get(rec.d, rec.n)
                     assert (got and asdict(got)) == want
         elif step == "put":
             rec, put = variant()
@@ -330,11 +323,11 @@ def test_cache_index_matches_scan_oracle(tmp_path, cache_pool, seed):
                 fresh = KappaCache(path)  # reads the file back from scratch
                 if won["kappa"] != rec.kappa:
                     with pytest.raises(InternalConsistencyError, match="cache line"):
-                        fresh.get(put.d, put.n, put.settings)
+                        fresh.get(put.d, put.n)
                 else:
-                    assert asdict(fresh.get(put.d, put.n, put.settings)) == won
+                    assert asdict(fresh.get(put.d, put.n)) == won
         elif step == "append":
-            append("".join(variant()[1].to_json() + "\n" for _ in range(rng.randint(1, 3))))
+            append("".join(_with_settings(variant()[1].to_json(), rng) + "\n" for _ in range(rng.randint(1, 3))))
         elif step == "corrupt":
             append(rng.choice(["{not json}", '{"d": 1}', "[1, 2]", '"text"', ""]) + "\n")
         elif step == "partial":
@@ -385,16 +378,16 @@ def test_cache_corrupt_line_warns_once_per_indexing(tmp_path, caplog):
 
     with caplog.at_level("WARNING"):
         for _ in range(5):
-            assert cache.get(2, 5, rec.settings) == rec
+            assert cache.get(2, 5) == rec
         assert warned() == 1
         more = kappa(SearchSpec(d=2, n=6), cache=cache)  # the append is read from the tail
         for _ in range(5):
-            assert cache.get(2, 6, more.settings) == more
+            assert cache.get(2, 6) == more
         assert warned() == 1
         with path.open("r+b") as fh:  # shrinking the file makes the cache index it again
             fh.truncate(path.stat().st_size - 1)
         for _ in range(5):
-            assert cache.get(2, 5, rec.settings) == rec
+            assert cache.get(2, 5) == rec
         assert warned() == 2
 
 
@@ -414,9 +407,9 @@ def test_cache_rechecks_witness_on_hit(tmp_path, edit):
     other = kappa(SearchSpec(d=2, n=13))
     path.write_text(other.to_json() + "\n" + edit(rec, other).to_json() + "\n", encoding="utf-8")
     cache = KappaCache(path)
-    assert cache.get(2, 13, other.settings) == other  # only a hit is checked
+    assert cache.get(2, 13) == other  # only a hit is checked
     with pytest.raises(InternalConsistencyError, match=f"cache line 2 of {re.escape(str(path))}"):
-        cache.get(2, 12, rec.settings)
+        cache.get(2, 12)
     assert cli_main(["kappa", "-d", "2", "-n", "12", "--cache", str(path)]) == 3
 
 
@@ -424,7 +417,7 @@ def test_cache_put_checks_what_another_instance_appended(tmp_path):
     path = tmp_path / "kappa.jsonl"
     first, second = KappaCache(path), KappaCache(path)
     rec = kappa(SearchSpec(d=2, n=12))
-    assert second.get(2, 12, rec.settings) is None
+    assert second.get(2, 12) is None
     first.put(rec)
     with pytest.raises(InternalConsistencyError, match="refusing"):
         second.put(replace(rec, kappa=rec.kappa + 1))
@@ -438,7 +431,7 @@ def test_cache_put_waits_for_the_lock_then_checks_the_new_tail(tmp_path):
     path = tmp_path / "kappa.jsonl"
     rec = _d1_record(7)
     cache = KappaCache(path)
-    assert cache.get(1, 7, rec.settings) is None
+    assert cache.get(1, 7) is None
     raised = []
 
     def put_clash():
@@ -493,16 +486,16 @@ def test_kappa_never_beats_the_bound():
 
 
 def test_a_false_bound_is_reported_not_stored(monkeypatch):
-    """A bound above kappa never stops a lattice-pass search early. With every bound
-    raised by one, kappa(3, 16), pruned against it or not, raises a
-    ConjectureRefutation whose witness has the true diameter, and the pruned
-    kappa(2, 12) (two chains) and kappa(2, 7) (one chain) raise an
-    InternalConsistencyError, since the degree-2 bound is proven."""
+    """A conjectural bound above kappa never stops a search early. With every
+    bound raised by one, kappa(3, 16) (lattice pass) and kappa(3, 30) (one
+    chain, scanned alone) raise a ConjectureRefutation whose witness has the
+    true diameter, and kappa(2, 12) (two chains) and kappa(2, 7) (one chain)
+    raise an InternalConsistencyError, since the degree-2 bound is proven."""
     monkeypatch.setattr(kappa_search, "lower_bound", lambda d, n: lower_bound(d, n) + 1)
-    for prune in (True, False):
+    for n, k in ((16, 3), (30, 5)):
         with pytest.raises(ConjectureRefutation) as caught:
-            kappa(SearchSpec(d=3, n=16, prune_with_lower_bound=prune, conjectural_prune=True))
-        assert diameter(CayleyDigraph.from_literal(caught.value.witness)) == 3
+            kappa(SearchSpec(d=3, n=n))
+        assert diameter(CayleyDigraph.from_literal(caught.value.witness)) == k, n
     for n in (12, 7):
         with pytest.raises(InternalConsistencyError, match="below the proven bound"):
             kappa(SearchSpec(d=2, n=n))
@@ -690,55 +683,45 @@ def test_kappa_logs_its_pass_once(caplog):
         kappa(SearchSpec(d=3, n=7))  # one chain and d = 3: the scan alone
     (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
     assert line.startswith("kappa(3,7) search: scan_s=") and "listed" not in line
-    for prune in (True, False):  # d = 2 takes the lattice pass even on one chain
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-            kappa(SearchSpec(d=2, n=7, prune_with_lower_bound=prune))
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
-        assert line.startswith("kappa(2,7) search: lattice_s="), line
-        assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
-        every = [rows for rows, _ in _hnfs_of_order(7, 2) if rows[0][0] > 1]
-        assert int(fields["listed"]) == len(every) == 7
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+        kappa(SearchSpec(d=2, n=7))  # d = 2 takes the lattice pass even on one chain
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+    fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
+    assert line.startswith("kappa(2,7) search: lattice_s="), line
+    assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
+    every = [rows for rows, _ in _hnfs_of_order(7, 2) if rows[0][0] > 1]
+    assert int(fields["listed"]) == len(every) == 7
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kappa_matches_full_scan_oracle(d):
     """Value and witness against a scan of every set on every chain: every n <= 48,
-    pruned and unpruned, on 1 and 2 workers."""
+    on 1 and 2 workers."""
     for n in range(d + 1, 49):
         want = kappa_oracle(d, n)
-        for prune in (False, True):
-            for workers in (1, 2):
-                spec = SearchSpec(
-                    d=d,
-                    n=n,
-                    prune_with_lower_bound=prune,
-                    conjectural_prune=prune,
-                    worker_count=workers,
-                )
-                rec = kappa(spec)
-                assert (rec.kappa, rec.witness) == want, (d, n, prune, workers)
+        for workers in (1, 2):
+            rec = kappa(SearchSpec(d=d, n=n, worker_count=workers))
+            assert (rec.kappa, rec.witness) == want, (d, n, workers)
 
 
 def test_kappa_matches_the_records_of_the_retired_routes():
-    """Every d = 2 order (n = 3..300, pruned and unpruned) and every multi-chain
-    d = 3 order n <= 72 under --prune-conjectural gives the (kappa, witness) the
-    search stored before it took the lattice pass first: then a pruned search
-    scanned each chain at the bound first, and a d = 2 order with one chain was
-    scanned alone. The multi-chain d = 2 orders n <= 60 are checked on 2 workers too."""
+    """Every d = 2 order (n = 3..300) and every multi-chain d = 3 order n <= 72
+    gives, on 1 and 2 workers, the (kappa, witness) the search stored before it
+    took the lattice pass first: then a pruned search scanned each chain at the
+    bound first, and a d = 2 order with one chain was scanned alone. The file
+    holds each d = 2 order pruned and unpruned, and the two rows agree, so one
+    record serves both: the cache key is (d, n)."""
     golden = Path(__file__).parent / "golden" / "kappa_routes.jsonl"
     rows = [json.loads(line) for line in golden.read_text().splitlines() if not line.startswith("#")]
     assert len(rows) == 2 * 298 + 27
+    by_order = {}
     for row in rows:
-        d, n, prune = row["d"], row["n"], row["prune"]
-        workers = [1]
-        if d == 2 and n <= 60 and len(enumerate_groups(n, d)) > 1:
-            workers.append(2)
-        for w in workers:
-            spec = SearchSpec(
-                d=d, n=n, prune_with_lower_bound=prune, conjectural_prune=prune, worker_count=w
-            )
-            rec = kappa(spec)
-            assert rec.settings["prune"] == prune
-            assert (rec.kappa, rec.witness) == (row["kappa"], row["witness"]), (d, n, prune, w)
+        by_order.setdefault((row["d"], row["n"]), []).append(row)
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for (d, n), same in by_order.items():
+            assert sorted(row["prune"] for row in same) == ([False, True] if d == 2 else [True])
+            (want,) = {json.dumps([row["kappa"], row["witness"]], sort_keys=True) for row in same}
+            for w in (1, 2):
+                rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
+                assert [rec.kappa, rec.witness] == json.loads(want), (d, n, w)
