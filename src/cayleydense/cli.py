@@ -74,6 +74,9 @@ def _parse_digraph(text: str) -> CayleyDigraph:
         isinstance(obj, dict) and _int_rows([obj.get("moduli")]) and _int_rows(obj.get("gens"))
     ):
         raise ValueError(f"cannot parse digraph literal: {text!r}")
+    extra = sorted(obj.keys() - {"moduli", "gens"})
+    if extra:
+        raise ValueError(f"digraph literal takes the keys moduli and gens only, not {extra}")
     return CayleyDigraph.from_literal(obj)
 
 
@@ -206,6 +209,8 @@ def _cmd_snf(args) -> CommandResult:
 def _cmd_proper(args) -> CommandResult:
     m = _parse_matrix(args.matrix)
     group, gens = zmatrix.proper_generating_set(m)
+    if group.order == 1:
+        raise ValueError("an index-1 lattice gives the trivial group, which has no nonzero generators")
     g = CayleyDigraph(group, gens)
     row = {"digraph": g.to_literal()}
     return CommandResult(0, [row], f"{g}\n")

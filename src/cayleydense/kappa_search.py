@@ -22,31 +22,25 @@ minors. Ties therefore count: an HNF counts when its ball of radius best_k
 is the whole group, unless the best chain is already the cyclic one, which
 no chain precedes. The pass is exhaustive, with no pruning by any bound.
 
-The witness pass is one scan of that chain for the sets of diameter k (hint
-k + 1, stop at k). The scan runs in lexicographic order, so its first hit
-is the lexicographically least set of diameter k on the least chain that
-attains k: the witness a full scan of every chain would keep, whatever
---jobs is.
+The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
+Cay(Z_n, {1}), of diameter n - 1.
 
-Only an order with a single chain and d != 2 skips the lattice pass: d = 1,
-or d = 3 at squarefree n. Its one chain is scanned alone, with the units cut
-(below), a quotient the lattice pass lacks: the pass lists HNFs for d = 2
-and 3 only, and at d = 3 the scan measured cheaper on such orders. Where the
-lower bound is proven (d = 1), that scan stops at the first set that meets
-it, which no set can beat. A conjectural bound (d = 3) never cuts a search,
-so where it fails the true minimum is reported as a ConjectureRefutation.
-
-The scan ranges over every d-subset of nonzero elements of one chain. On a
-cyclic chain it applies the units cut, an exact digraph symmetry, so the
-minimum is never approximated: multiplying a set by a unit gives an
-isomorphic digraph, and skipping a set is sound exactly when another member
-of its orbit is still scanned, so the cut keeps every set that contains 1
-and every set without unit elements. Its first hit is the one a scan of
-every set would give, since every set it skips is greater than the member
-of its orbit that contains 1. Other chains are scanned whole.
-
-A set counts only when its ball of radius best_k - 1 is the whole group,
-that is, when its diameter is strictly below the best found so far.
+The witness pass is one scan of that chain for the lexicographically first
+d-set whose ball of radius k is the whole group. Every order takes both
+passes, on one route. The scan ranges over every d-subset of nonzero
+elements of the chain in lexicographic order, so its first hit is the
+lexicographically least set of diameter k on the least chain that attains
+k: the witness a full scan of every chain would keep, whatever --jobs is.
+On a cyclic chain it applies the units cut, an exact digraph symmetry:
+multiplying a set by a unit gives an isomorphic digraph, and skipping a set
+is sound exactly when another member of its orbit is still scanned, so the
+cut keeps every set that contains 1 and every set without unit elements.
+Its first hit is the one a scan of every set would give, since every set it
+skips is greater than the member of its orbit that contains 1. Other chains
+are scanned whole. The scan's diameter must equal k, and k must not beat the
+lower bound: below a proven bound (d <= 2) that is an
+InternalConsistencyError, below the conjectural one (d = 3) a
+ConjectureRefutation that carries the witness. No bound ever cuts a search.
 
 Both passes judge a candidate by its balls, not by a BFS. A vertex set is an
 n-bit int (bit v is the element of index v), and translating it by an
@@ -69,14 +63,14 @@ subgroup.
 diagonal splits into one shard per worker, which takes every workers-th
 b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
 or 4 x workers), each with the best (k, chain) found before it as its hint,
-and merge by one (k, chain) comparison. Only a d = 3 pass runs on
-workers; a d = 2 pass, and an order with one chain, run in one process. A
-`gaps` sweep holds one pool for all its orders.
+and merge by one (k, chain) comparison. Every d = 3 pass runs on workers;
+a d = 1 or d = 2 search runs in one process. A d = 3 `gaps` sweep holds one
+pool for all its orders.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
-lattice pass and the witness scan, or of the single-chain scan, and the HNFs
-the lattice pass listed, cut by order, found degenerate and evaluated (grew
-up to the whole group within the limit).
+lattice pass and of the witness scan, and the HNFs the lattice pass listed,
+cut by order, found degenerate and evaluated (grew up to the whole group
+within the limit).
 """
 
 from __future__ import annotations
@@ -95,7 +89,7 @@ from itertools import combinations, zip_longest
 from math import gcd, prod
 from pathlib import Path
 
-from .abelian import InvariantFactors, enumerate_groups
+from .abelian import InvariantFactors
 from .cayley import CayleyDigraph, diameter
 from .density import is_conjectural, lower_bound
 from .errors import ConjectureRefutation, InternalConsistencyError
@@ -393,59 +387,6 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     return balls
 
 
-def _scan_group(
-    group: InvariantFactors,
-    d: int,
-    bound_hint: int | None,
-    stop_at: int | None = None,
-):
-    """Scan one chain's d-sets in lexicographic order; returns (best_k, best_gens, hit_stop).
-
-    A set counts only if its ball of radius best_k - 1 is the whole group.
-    `stop_at` makes the scan return at the first counted set whose diameter
-    is at most `stop_at`. The balls of each proper prefix of the current set
-    are kept in `balls` and shared by every set that starts with it; the
-    sets that share a prefix come one after another.
-    """
-    n = group.order
-    full = (1 << n) - 1
-    rotations: list = [None] * n  # per element index, built on first use
-
-    def rots_of(idx: int):
-        rots = rotations[idx]
-        if rots is None:
-            rots = rotations[idx] = _rotations(group, group.element(idx))
-        return rots
-
-    if _is_cyclic_chain(group):
-        pools = _unit_cut_sets(n, d)
-    else:
-        pools = combinations(range(1, n), d)
-    balls = [[1]] * d  # balls[j]: the balls of the set's first j elements
-    held = (0,) * (d - 1)  # the prefix they belong to; 0 is in no set, so all differ
-    best_k = bound_hint
-    best_gens: tuple[int, ...] | None = None
-    for idxs in pools:
-        limit = n - 1 if best_k is None else best_k - 1
-        prefix = idxs[:-1]
-        if prefix != held:
-            j = 0
-            while prefix[j] == held[j]:
-                j += 1
-            for t in range(j, d - 1):  # best_k only falls, so these stay deep enough
-                balls[t + 1] = _grow_balls(balls[t], rots_of(idxs[t]), limit, full)
-            held = prefix
-        reach = _grow_balls(balls[d - 1], rots_of(idxs[-1]), limit, full)
-        if reach[-1] != full:
-            continue  # does not generate, or no better than best_k
-        best_k, best_gens = len(reach) - 1, idxs
-        if stop_at is not None and best_k <= stop_at:
-            return best_k, best_gens, True
-    if best_gens is None:
-        return None, None, False  # nothing beat the incoming hint here
-    return best_k, best_gens, False
-
-
 def _diagonals(n: int, d: int) -> list[tuple[int, ...]]:
     """Every (a_1, ..., a_d) of positive integers with product n, in lex order."""
     if d == 1:
@@ -583,7 +524,10 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     as (k, chain) or None, and the shards' HNF counts summed.
 
     More than one worker runs the shards on `pool`, or on a pool of its own
-    opened and closed here when `pool` is None."""
+    opened and closed here when `pool` is None. At d = 1 the one HNF is (n), the
+    n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass returns in closed form."""
+    if d == 1:
+        return (n - 1, (n,)), {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
     shards = [
         (diag, range(i, diag[0], workers))  # every workers-th b_21, for balance
         for diag in _diagonals(n, d)
@@ -605,10 +549,44 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     return best, dict(totals)
 
 
-def _witness(d: int, group: InvariantFactors, k: int):
-    """(k', group, gens) for the least set of diameter k' <= k on this chain, or None."""
-    got, gens, hit = _scan_group(group, d, k + 1, stop_at=k)
-    return (got, group, gens) if hit else None
+def _witness(group: InvariantFactors, d: int, k: int):
+    """(k', gens): the lexicographically first d-set of this chain whose ball of
+    radius k is the whole group, with its diameter k' <= k, or None.
+
+    Sets come in lexicographic order, with the units cut on a cyclic chain.
+    The balls of each proper prefix of the current set are kept in `balls`
+    and shared by every set that starts with it; the sets that share a
+    prefix come one after another.
+    """
+    n = group.order
+    full = (1 << n) - 1
+    rotations: list = [None] * n  # per element index, built on first use
+
+    def rots_of(idx: int):
+        rots = rotations[idx]
+        if rots is None:
+            rots = rotations[idx] = _rotations(group, group.element(idx))
+        return rots
+
+    if _is_cyclic_chain(group):
+        pools = _unit_cut_sets(n, d)
+    else:
+        pools = combinations(range(1, n), d)
+    balls = [[1]] * d  # balls[j]: the balls of the set's first j elements
+    held = (0,) * (d - 1)  # the prefix they belong to; 0 is in no set, so all differ
+    for idxs in pools:
+        prefix = idxs[:-1]
+        if prefix != held:
+            j = 0
+            while prefix[j] == held[j]:
+                j += 1
+            for t in range(j, d - 1):
+                balls[t + 1] = _grow_balls(balls[t], rots_of(idxs[t]), k, full)
+            held = prefix
+        reach = _grow_balls(balls[d - 1], rots_of(idxs[-1]), k, full)
+        if reach[-1] == full:
+            return len(reach) - 1, idxs
+    return None
 
 
 def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
@@ -633,31 +611,19 @@ def kappa(
             return hit
     started = time.monotonic()
     target = lower_bound(spec.d, spec.n)
-    chains = enumerate_groups(spec.n, spec.d)
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
-    if len(chains) == 1 and spec.d != 2:  # d = 1, or d = 3 at squarefree n
-        stop_at = None if is_conjectural(spec.d) else target  # a proven bound cannot be beaten
-        k, gens, _ = _scan_group(chains[0], spec.d, None, stop_at)
-        best = None if k is None else (k, chains[0], gens)
-        stats["scan_s"] = time.monotonic() - clock
-    else:
-        # Only a d = 3 pass (an order with several chains here) runs on workers:
-        # a d = 2 pass measured faster in one process.
-        workers = spec.worker_count if spec.d == 3 else 1
-        value, counts = _lattice_pass(spec.n, spec.d, workers, pool)
-        stats["lattice_s"] = time.monotonic() - clock
-        stats.update(counts)
-        best = None
-        if value is not None:
-            clock = time.monotonic()
-            best = _witness(spec.d, InvariantFactors(value[1]), value[0])
-            stats["witness_s"] = time.monotonic() - clock
-            if best is None or best[0] != value[0]:
-                raise InternalConsistencyError(
-                    f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
-                    f"on {value[1]}, but the scan of that chain disagrees"
-                )
+    # Only a d = 3 pass runs on workers: a d = 2 pass measured faster in one process.
+    workers = spec.worker_count if spec.d == 3 else 1
+    value, counts = _lattice_pass(spec.n, spec.d, workers, pool)
+    stats["lattice_s"] = time.monotonic() - clock
+    stats.update(counts)
+    if value is None:
+        raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")
+    clock = time.monotonic()
+    group = InvariantFactors(value[1])
+    found = _witness(group, spec.d, value[0])
+    stats["witness_s"] = time.monotonic() - clock
     logger.debug(
         "kappa(%d,%d) search: %s",
         spec.d,
@@ -665,9 +631,12 @@ def kappa(
         " ".join(f"{key}={round(val, 3)}" for key, val in stats.items()),
     )
 
-    if best is None:
-        raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")
-    k, group, gens = best
+    if found is None or found[0] != value[0]:
+        raise InternalConsistencyError(
+            f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
+            f"on {value[1]}, but the scan of that chain disagrees"
+        )
+    k, gens = found
     if k < target:
         if is_conjectural(spec.d):
             raise ConjectureRefutation(

@@ -251,6 +251,32 @@ def test_value_and_os_errors_exit_2(argv, tmp_path, capsys):
     assert [json.loads(line) for line in out.splitlines()] == result.rows
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["diameter", '{"moduli":[5],"gens":[[1]],"bogus":1}'],
+            "digraph literal takes the keys moduli and gens only, not ['bogus']",
+        ),
+        (
+            ["density", '{"gens":[[1]],"moduli":[5],"Moduli":[7],"name":"c5"}'],
+            "digraph literal takes the keys moduli and gens only, not ['Moduli', 'name']",
+        ),
+        (["proper", "[[1]]"], "an index-1 lattice gives the trivial group, which has no nonzero generators"),
+        (["proper", "[[0,1],[1,0]]"], "an index-1 lattice gives the trivial group, which has no nonzero generators"),
+    ],
+    ids=["unknown-key", "unknown-keys", "index-1", "index-1-swap"],
+)
+def test_unknown_literal_keys_and_index_1_lattices_exit_2(argv, message, capsys):
+    """A digraph literal with a key other than moduli and gens is refused, not
+    read without it, and an index-1 lattice is named as the trivial group."""
+    result = run(argv)
+    assert (result.exit_code, result.rows) == (2, [{"error": message}])
+    assert result.human == f"error: {message}\n"
+    assert main(["--format", "jsonl"] + argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
 def test_diagram_file_usage_errors_exit_2(tmp_path, capsys):
     headerless = tmp_path / "headerless.mdd"
     headerless.write_text("0 0\n0 1\n")

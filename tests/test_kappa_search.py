@@ -28,8 +28,8 @@ from cayleydense.kappa_search import (
     _hnf_chain,
     _hnfs,
     _rotations,
-    _scan_group,
     _translate,
+    _witness,
     gap_table,
     kappa,
 )
@@ -88,13 +88,16 @@ def test_worker_count_independence():
     multi = kappa(SearchSpec(d=3, n=24, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
-    for d in (1, 2, 3):  # two workers shard the lattice pass of a multi-chain d = 3 order
+    for d in (1, 2, 3):  # two workers shard the lattice pass of every d = 3 order
         for n in range(4, 25):
             base, multi = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (1, 2))
             assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
 
 
-def test_process_pool_only_for_multi_chain_degree_3_search(monkeypatch):
+def test_process_pool_for_every_degree_3_search(monkeypatch):
+    """Every d = 3 search on more than one worker opens the pool, on one chain
+    (squarefree n = 30, 7) or several (n = 16); d = 1 and d = 2 never do. Two
+    workers give the 1-worker record."""
     opened = []
 
     class RecordingPool:
@@ -111,15 +114,17 @@ def test_process_pool_only_for_multi_chain_degree_3_search(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
-    # d = 2 (two chains at n = 30, one at n = 7) and single-chain orders
-    # (d = 1; d = 3 at squarefree n = 30) run in one process
-    for d, n in ((2, 30), (2, 7), (1, 30), (3, 30)):
+    for d, n in ((2, 30), (2, 7), (1, 30), (1, 7)):  # d = 2: two chains at n = 30, one at 7
         rec, alone = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (2, 1))
         assert opened == [], (d, n)
         assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), (d, n)
-    rec = kappa(SearchSpec(d=3, n=16, worker_count=2))
-    assert opened == [2]
-    assert (rec.kappa, rec.witness) == (3, kappa(SearchSpec(d=3, n=16)).witness)
+    for n in (30, 7, 16):
+        alone = kappa(SearchSpec(d=3, n=n))
+        assert opened == [], n
+        rec = kappa(SearchSpec(d=3, n=n, worker_count=2))
+        assert opened == [2], n
+        assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), n
+        opened.clear()
 
 
 def test_gap_sweep_holds_one_pool(monkeypatch):
@@ -487,18 +492,19 @@ def test_kappa_never_beats_the_bound():
 
 def test_a_false_bound_is_reported_not_stored(monkeypatch):
     """A conjectural bound above kappa never stops a search early. With every
-    bound raised by one, kappa(3, 16) (lattice pass) and kappa(3, 30) (one
-    chain, scanned alone) raise a ConjectureRefutation whose witness has the
-    true diameter, and kappa(2, 12) (two chains) and kappa(2, 7) (one chain)
-    raise an InternalConsistencyError, since the degree-2 bound is proven."""
+    bound raised by one, kappa(3, 16) (several chains) and kappa(3, 30) (one
+    chain) raise a ConjectureRefutation whose witness has the true diameter,
+    and kappa(2, 12) (two chains), kappa(2, 7) (one chain) and kappa(1, 9)
+    raise an InternalConsistencyError, since the degree-1 and 2 bounds are
+    proven."""
     monkeypatch.setattr(kappa_search, "lower_bound", lambda d, n: lower_bound(d, n) + 1)
     for n, k in ((16, 3), (30, 5)):
         with pytest.raises(ConjectureRefutation) as caught:
             kappa(SearchSpec(d=3, n=n))
         assert diameter(CayleyDigraph.from_literal(caught.value.witness)) == k, n
-    for n in (12, 7):
+    for d, n in ((2, 12), (2, 7), (1, 9)):
         with pytest.raises(InternalConsistencyError, match="below the proven bound"):
-            kappa(SearchSpec(d=2, n=n))
+            kappa(SearchSpec(d=d, n=n))
 
 
 def test_translate_matches_successor_oracle():
@@ -545,21 +551,22 @@ def test_scan_abort_rule():
                     assert balls == [_ball_bits(moduli, oracle, r) for r in range(len(balls))]
 
 
-@pytest.mark.parametrize("d,max_n,total", [(1, 40, 468), (2, 40, 684), (3, 30, 540)])
-def test_scan_group_matches_oracle(d, max_n, total):
-    """Every chain, hint and stop_at: the scan, with the units cut on cyclic
-    chains, against a scan of every set."""
+@pytest.mark.parametrize("d,max_n,total", [(1, 40, 858), (2, 40, 481), (3, 30, 245)])
+def test_witness_scan_matches_oracle(d, max_n, total):
+    """Every chain and every k from 1 to the chain's least diameter + 2: the
+    witness scan, with the units cut on cyclic chains, against a scan of every
+    set for the first one of diameter <= k."""
     cases = 0
     for n in range(2, max_n + 1):
         for moduli in sorted(chains_oracle(n, d)):
             group = InvariantFactors(moduli)
             memo = {}
-            for hint in (None, 2, 3, 4, 5, 8):
-                for stop_at in (None, 3):
-                    got = _scan_group(group, d, hint, stop_at=stop_at)
-                    want = scan_group_oracle(moduli, d, hint, stop_at, memo)
-                    assert got == want, (moduli, hint, stop_at)
-                    cases += 1
+            least = scan_group_oracle(moduli, d, None, memo=memo)[0]
+            for k in range(1, (n - 1 if least is None else least) + 3):
+                got = _witness(group, d, k)
+                best_k, best_gens, hit = scan_group_oracle(moduli, d, k + 1, k, memo)
+                assert got == ((best_k, best_gens) if hit else None), (moduli, k)
+                cases += 1
     assert cases == total
 
 
@@ -678,20 +685,18 @@ def test_kappa_logs_its_pass_once(caplog):
         assert 0 < int(fields["evaluated"]) <= judged < len(kept)
         lines.append([fields[key] for key in ("listed", "cut", "degenerate")])
     assert lines[0] == lines[1]  # evaluated depends on the hint each wave starts from
-    caplog.clear()
-    with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-        kappa(SearchSpec(d=3, n=7))  # one chain and d = 3: the scan alone
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-    assert line.startswith("kappa(3,7) search: scan_s=") and "listed" not in line
-    caplog.clear()
-    with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-        kappa(SearchSpec(d=2, n=7))  # d = 2 takes the lattice pass even on one chain
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-    fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
-    assert line.startswith("kappa(2,7) search: lattice_s="), line
-    assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
-    every = [rows for rows, _ in _hnfs_of_order(7, 2) if rows[0][0] > 1]
-    assert int(fields["listed"]) == len(every) == 7
+    # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
+    # one HNF the pass counts in closed form
+    for d, n in ((3, 7), (2, 7), (1, 7)):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+            kappa(SearchSpec(d=d, n=n))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
+        assert line.startswith(f"kappa({d},{n}) search: lattice_s="), line
+        assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
+        listed = 1 if d == 1 else len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
+        assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -705,22 +710,39 @@ def test_kappa_matches_full_scan_oracle(d):
             assert (rec.kappa, rec.witness) == want, (d, n, workers)
 
 
+def _golden_rows(name):
+    golden = Path(__file__).parent / "golden" / name
+    return [json.loads(line) for line in golden.read_text().splitlines() if not line.startswith("#")]
+
+
 def test_kappa_matches_the_records_of_the_retired_routes():
     """Every d = 2 order (n = 3..300) and every multi-chain d = 3 order n <= 72
     gives, on 1 and 2 workers, the (kappa, witness) the search stored before it
     took the lattice pass first: then a pruned search scanned each chain at the
     bound first, and a d = 2 order with one chain was scanned alone. The file
     holds each d = 2 order pruned and unpruned, and the two rows agree, so one
-    record serves both: the cache key is (d, n)."""
-    golden = Path(__file__).parent / "golden" / "kappa_routes.jsonl"
-    rows = [json.loads(line) for line in golden.read_text().splitlines() if not line.startswith("#")]
-    assert len(rows) == 2 * 298 + 27
+    record serves both: the cache key is (d, n).
+
+    So do every d = 1 order n = 2..400 and every single-chain d = 3 order
+    n <= 100, which the search once scanned alone on their one chain (a d = 1
+    scan stopping at the proven bound). The single-chain d = 3 rows above
+    n = 100, which take longer, are searched again in CI's north-star step."""
+    routes = _golden_rows("kappa_routes.jsonl")
+    assert len(routes) == 2 * 298 + 27
+    single = _golden_rows("kappa_single_chain.jsonl")
+    assert len(single) == 399 + 95
+    assert [(row["d"], row["n"]) for row in single if row["d"] == 1] == [(1, n) for n in range(2, 401)]
     by_order = {}
-    for row in rows:
+    for row in routes:
         by_order.setdefault((row["d"], row["n"]), []).append(row)
+    for (d, n), same in by_order.items():
+        assert sorted(row["prune"] for row in same) == ([False, True] if d == 2 else [True])
+    for row in single:
+        assert (row["d"], row["n"]) not in by_order and len(enumerate_groups(row["n"], row["d"])) == 1
+        if row["d"] == 1 or row["n"] <= 100:
+            by_order[row["d"], row["n"]] = [row]
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
         for (d, n), same in by_order.items():
-            assert sorted(row["prune"] for row in same) == ([False, True] if d == 2 else [True])
             (want,) = {json.dumps([row["kappa"], row["witness"]], sort_keys=True) for row in same}
             for w in (1, 2):
                 rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
