@@ -211,6 +211,11 @@ def _cmd_proper(args) -> CommandResult:
     group, gens = zmatrix.proper_generating_set(m)
     if group.order == 1:
         raise ValueError("an index-1 lattice gives the trivial group, which has no nonzero generators")
+    for j, gen in enumerate(gens, 1):
+        if not any(group.reduce(gen)):  # e_j maps to gen, so e_j lies in L
+            raise ValueError(
+                f"the lattice contains e_{j}, so generator {j} is zero in Z^{len(gens)}/L"
+            )
     g = CayleyDigraph(group, gens)
     row = {"digraph": g.to_literal()}
     return CommandResult(0, [row], f"{g}\n")

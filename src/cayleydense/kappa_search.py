@@ -59,18 +59,21 @@ starts with it. Once a ball equals the one before it stays fixed, so if
 that happens before it is the whole group, the set generates a proper
 subgroup.
 
---jobs shards the lattice pass by (diagonal, b_21) on a process pool: each
-diagonal splits into one shard per worker, which takes every workers-th
-b_21 (one worker takes a whole diagonal). Shards run in waves (one shard,
-or 4 x workers), each with the best (k, chain) found before it as its hint,
-and merge by one (k, chain) comparison. Every d = 3 pass runs on workers;
-a d = 1 or d = 2 search runs in one process. A d = 3 `gaps` sweep holds one
-pool for all its orders.
+--jobs shards the lattice pass by (diagonal, b_21) on a process pool. The
+b_21 that the orbit cut keeps split into shards of about equal HNF count,
+about 8 per worker, which run largest first on a free-worker queue: a
+worker that finishes takes the next shard at once, with at most workers + 1
+in flight. Each shard starts from the best (k, chain) known when it is
+submitted as its hint, and shards merge by one (k, chain) comparison, so
+the result does not depend on the order they finish in. Every d = 3 pass
+runs on workers; a d = 1 or d = 2 search runs in one process. A d = 3
+`gaps` sweep holds one pool for all its orders.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
-lattice pass and of the witness scan, and the HNFs the lattice pass listed,
+lattice pass and of the witness scan, the HNFs the lattice pass listed,
 cut by order, found degenerate and evaluated (grew up to the whole group
-within the limit).
+within the limit), its number of shards and the seconds of the slowest, so
+a traced run shows whether --jobs kept its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -82,11 +85,11 @@ import os
 import time
 import zlib
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
-from math import gcd, prod
+from itertools import combinations
+from math import ceil, gcd, prod
 from pathlib import Path
 
 from .abelian import InvariantFactors
@@ -305,44 +308,42 @@ def _digit_below(n: int, stride: int, modulus: int, t: int) -> int:
     return ((1 << t * stride) - 1) * (((1 << n) - 1) // ((1 << modulus * stride) - 1))
 
 
-def _pieces(n: int, parts) -> tuple[tuple[int, int, int, int], ...]:
+def _parts(n: int, parts) -> tuple[tuple[int, int, int], ...]:
     """Masked rotations of the map that moves each index of a mask by its offset.
 
     `parts` are (mask, offset) pairs whose masks partition the n indices. An
-    index v of offset c goes to v + c mod n: up by c when v < n - c, down by
-    n - c otherwise. Each (lo, hi, up, down) pairs one upward shift with one
-    downward shift, so a rotation within one digit is a single entry, as is
-    a rotation of the whole set.
+    index v of offset c goes to v + c mod n, so one (mask, c, n - c) part per
+    offset c mod n moves its bits x to (x << c) | (x >> (n - c)), masked to the
+    n indices: the bits below n - c go up by c, the rest down by n - c. Masks of
+    equal offset merge, so a rotation of the whole set is a single part, and
+    empty masks are dropped.
     """
-    ups, downs = [], []
+    merged: dict[int, int] = {}
     for mask, c in parts:
-        c %= n
-        lo = mask & ((1 << n - c) - 1)
-        if lo:
-            ups.append((lo, c))
-        if lo != mask:
-            downs.append((mask ^ lo, n - c))
-    return tuple(
-        (lo, hi, up, down)
-        for (lo, up), (hi, down) in zip_longest(ups, downs, fillvalue=(0, 0))
-    )
+        if mask:
+            c %= n
+            merged[c] = merged.get(c, 0) | mask
+    return tuple((mask, c, n - c) for c, mask in merged.items())
 
 
-def _translate(bits: int, rots) -> int:
-    """The vertex set `bits` shifted by the element whose masked rotations are `rots`."""
+def _translate(bits: int, rots, full: int) -> int:
+    """The vertex set `bits` shifted by the element whose masked rotations are `rots`;
+    `full` is the whole group."""
     out = 0
-    for lo, hi, up, down in rots:
-        out |= ((bits & lo) << up) | ((bits & hi) >> down)
-    return out
+    for mask, up, down in rots:
+        x = bits & mask
+        out |= (x << up) | (x >> down)
+    return out & full
 
 
-def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int, int], ...]:
-    """Masked rotations that translate a vertex bitset of `group` by `gen`.
+def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int], ...]:
+    """Masked rotations that translate a vertex bitset of `group` by `gen`, as parts.
 
     Bit v of a set stands for the element of mixed-radix index v (last
     coordinate fastest, as in `successor_table`). Adding x to a digit of
     modulus s and stride w moves v by x*w when the digit is below s - x and
-    by (x - s)*w otherwise, so each nonzero digit splits every mask in two.
+    by (x - s)*w otherwise, so each nonzero digit splits every mask in two;
+    `_parts` then merges the masks whose offsets agree mod n.
     """
     n = group.order
     parts = [((1 << n) - 1, 0)]
@@ -357,7 +358,7 @@ def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int, int],
                 for mask, c in parts
                 for part in ((mask & below, c + x * w), (mask & ~below, c + (x - s) * w))
             ]
-    return _pieces(n, parts)
+    return _parts(n, parts)
 
 
 def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
@@ -378,7 +379,11 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     top = len(below) - 1
     for level in range(1, limit + 1):
         prev = ball
-        ball = _translate(ball, rots) | below[level if level < top else top]
+        grown = below[level if level < top else top]
+        for mask, up, down in rots:  # _translate, inline
+            x = ball & mask
+            grown |= (x << up) | (x >> down)
+        ball = grown & full
         if ball == prev:
             break
         balls.append(ball)
@@ -410,7 +415,11 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     (1 - a_j)*w_j - b_j1*w_1 - ... mod n. When e_3 wraps where x_2 < b_32,
     x_2 borrows row 2 back, a further (1 + b_21)*w_1. The masks depend only
     on the diagonal and b_32, so they are built once per diagonal; the
-    rotations of e_1 once per diagonal and those of e_2 once per b_21.
+    rotations of e_1 once per diagonal and those of e_2 once per b_21. e_3
+    is three (mask, c, n - c) parts, built directly for each HNF: where x_3
+    does not wrap, where it wraps alone and where it also borrows (no part
+    when b_32 = 0). Across b_31 only the two wrap offsets change, and they
+    are not merged even when they agree.
 
     The orbit cut (on unless `orbit_cut` is false, which lists every HNF)
     keeps one HNF of each coordinate-permutation orbit at least. Permuting
@@ -428,27 +437,33 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     a1, a2 = diag[0], diag[1]
     a3 = diag[2] if len(diag) == 3 else 1
     w1, w2 = a2 * a3, a3
-    e1 = _pieces(n, [(full, w1)])
+    e1 = _parts(n, [(full, w1)])
     below2 = _digit_below(n, w2, a2, a2 - 1)
     below3 = _digit_below(n, 1, a3, a3 - 1)
+    up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
     borrows = [(full ^ below3) & _digit_below(n, w2, a2, b32) for b32 in range(a2)]
     for b21 in b21s:
         if orbit_cut and a2 < gcd(a1, b21):
             continue  # ord(e_2) < a_1
-        e2 = _pieces(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
+        e2 = _parts(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
         if len(diag) == 2:
             yield ((a1, 0), (b21, a2)), (e1, e2)
             continue
+        lift = (1 + b21) * w1  # x_2 borrowing row 2 back
         for b32, borrow in enumerate(borrows):
             g = gcd(a2, b32)
             u, v = a2 // g, b32 // g
             cut = orbit_cut and a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
+            wrap = full ^ below3 ^ borrow
             for b31 in range(a1):
                 if cut and a3 * u < gcd(a1, u * b31 - v * b21):
                     continue  # ord(e_3) < a_1
-                c = 1 - a3 - b32 * a3 - b31 * w1
-                wraps = ((full ^ below3 ^ borrow, c), (borrow, c + (1 + b21) * w1))
-                e3 = _pieces(n, ((below3, 1),) + wraps)
+                c = (1 - a3 - b32 * a3 - b31 * w1) % n
+                if borrow:
+                    c2 = (c + lift) % n
+                    e3 = up3 + ((wrap, c, n - c), (borrow, c2, n - c2))
+                else:
+                    e3 = up3 + ((wrap, c, n - c),)
                 yield ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3)), (e1, e2, e3)
 
 
@@ -472,15 +487,17 @@ def _hnf_chain(rows) -> tuple[int, ...]:
 
 
 def _lattice_task(args):
-    """(found, counts) for one shard of HNFs.
+    """(found, counts, seconds) for one shard of HNFs.
 
     `found` is the least (k, chain) of the shard that beats the incoming
     `best`, or None. `counts` says how many HNFs it listed, cut by order,
     found degenerate and evaluated (grew balls up to the whole group within
-    the limit). An HNF counts when its ball of radius best_k is the whole
-    group, so a tie on a lesser chain wins; once the best chain is the
-    cyclic one, which no chain precedes, only radius best_k - 1 can win.
+    the limit), and `seconds` how long the shard took. An HNF counts when its
+    ball of radius best_k is the whole group, so a tie on a lesser chain
+    wins; once the best chain is the cyclic one, which no chain precedes,
+    only radius best_k - 1 can win.
     """
+    started = time.monotonic()
     n, diag, b21s, best = args
     d = len(diag)
     full = (1 << n) - 1
@@ -495,7 +512,7 @@ def _lattice_task(args):
     check = 1 in diag
     for rows, rots in _hnfs(n, diag, b21s):
         kept += 1
-        if check and len({_translate(1, r) for r in rots}) < d:
+        if check and len({_translate(1, r, full) for r in rots}) < d:
             degenerate += 1
             continue
         limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
@@ -511,42 +528,91 @@ def _lattice_task(args):
             candidate = (len(reach) - 1, _hnf_chain(rows))
             if best is None or candidate < best:
                 best = found = candidate
-    return found, {
+    counts = {
         "listed": listed,
         "cut": listed - kept,
         "degenerate": degenerate,
         "evaluated": evaluated,
     }
+    return found, counts, time.monotonic() - started
+
+
+def _shards(n: int, d: int, workers: int):
+    """The shards (diag, b21s) of the lattice pass, largest first, and how many
+    HNFs the b_21 in no shard list (d = 2 or 3).
+
+    A shard holds consecutive b_21 of one diagonal with a_1 > 1 (else e_1 is
+    in L, and the diagonal is not listed). Only the b_21 that survive the
+    orbit cut's closed form, a_2 >= gcd(a_1, b_21), are in a shard; each b_21
+    lists a_1*a_2 HNFs at d = 3 and one at d = 2, and those of the others
+    count as cut. A diagonal splits into near-equal runs of b_21 that list
+    about 1/(8*workers) of the HNFs in shards each, or one b_21 where that
+    lists more, so the shards that run last are small.
+    """
+    sized, dropped = [], 0
+    for diag in _diagonals(n, d):
+        a1, a2 = diag[0], diag[1]
+        if a1 == 1:
+            continue
+        b21s = [b21 for b21 in range(a1) if a2 >= gcd(a1, b21)]
+        per = a1 * a2 if d == 3 else 1
+        dropped += (a1 - len(b21s)) * per
+        sized.append((len(b21s) * per, diag, b21s))
+    size = sum(listed for listed, _, _ in sized) / (8 * workers)
+    shards = []
+    for listed, diag, b21s in sized:
+        count = min(len(b21s), ceil(listed / size))
+        cuts = [len(b21s) * i // count for i in range(count + 1)]
+        shards += [
+            (listed * (hi - lo) // len(b21s), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+        ]
+    shards.sort(key=lambda shard: -shard[0])  # stable: equal sizes keep diagonal order
+    return [(diag, b21s) for _, diag, b21s in shards], dropped
+
+
+def _run_here(fn, arg) -> Future:
+    """fn(arg) run in this process, as a completed future."""
+    future = Future()
+    future.set_result(fn(arg))
+    return future
 
 
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
     """The least diameter k over all HNFs of index n with the least chain attaining it,
-    as (k, chain) or None, and the shards' HNF counts summed.
+    as (k, chain) or None, and the pass's counts: the shards' HNF counts summed,
+    the number of shards and the seconds of the slowest.
 
-    More than one worker runs the shards on `pool`, or on a pool of its own
-    opened and closed here when `pool` is None. At d = 1 the one HNF is (n), the
-    n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass returns in closed form."""
+    The shards (`_shards`) run largest first. More than one worker runs them
+    on `pool`, or on a pool of its own opened and closed here when `pool` is
+    None, with at most workers + 1 in flight, so a worker that finishes finds
+    the next one queued; one worker runs them here, one after another. Each
+    takes as its hint the best (k, chain) known when it is submitted. At
+    d = 1 the one HNF is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1,
+    which the pass returns in closed form."""
     if d == 1:
-        return (n - 1, (n,)), {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
-    shards = [
-        (diag, range(i, diag[0], workers))  # every workers-th b_21, for balance
-        for diag in _diagonals(n, d)
-        if diag[0] > 1  # else e_1 is in L
-        for i in range(min(workers, diag[0]))
-    ]
-    wave = 1 if workers == 1 else 4 * workers
+        counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
+        return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0}
+    shards, dropped = _shards(n, d, workers)
+    totals = Counter(listed=dropped, cut=dropped, shards=len(shards))
+    shards.reverse()  # pop() takes the largest first
     best = None
-    totals = Counter()
+    slowest = 0.0
     own = workers > 1 and pool is None
     with (ProcessPoolExecutor(max_workers=workers) if own else nullcontext(pool)) as pool:
-        run = pool.map if workers > 1 else map
-        for start in range(0, len(shards), wave):
-            tasks = [(n, diag, b21s, best) for diag, b21s in shards[start : start + wave]]
-            for found, counts in run(_lattice_task, tasks):
+        submit, in_flight = (pool.submit, workers + 1) if workers > 1 else (_run_here, 1)
+        pending = set()
+        while shards or pending:
+            while shards and len(pending) < in_flight:
+                diag, b21s = shards.pop()
+                pending.add(submit(_lattice_task, (n, diag, b21s, best)))
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                found, counts, seconds = future.result()
                 totals.update(counts)
+                slowest = max(slowest, seconds)
                 if found is not None and (best is None or found < best):
                     best = found
-    return best, dict(totals)
+    return best, {**totals, "slowest_shard_s": slowest}
 
 
 def _witness(group: InvariantFactors, d: int, k: int):

@@ -264,12 +264,17 @@ def test_value_and_os_errors_exit_2(argv, tmp_path, capsys):
         ),
         (["proper", "[[1]]"], "an index-1 lattice gives the trivial group, which has no nonzero generators"),
         (["proper", "[[0,1],[1,0]]"], "an index-1 lattice gives the trivial group, which has no nonzero generators"),
+        (["proper", "[[2,0],[0,1]]"], "the lattice contains e_2, so generator 2 is zero in Z^2/L"),
+        (["proper", "[[1,1],[0,2]]"], "the lattice contains e_1, so generator 1 is zero in Z^2/L"),
+        (["proper", "[[2,0,0],[0,3,0],[0,0,1]]"], "the lattice contains e_3, so generator 3 is zero in Z^3/L"),
     ],
-    ids=["unknown-key", "unknown-keys", "index-1", "index-1-swap"],
+    ids=["unknown-key", "unknown-keys", "index-1", "index-1-swap", "e2-in-L", "e1-in-L", "e3-in-L"],
 )
 def test_unknown_literal_keys_and_index_1_lattices_exit_2(argv, message, capsys):
     """A digraph literal with a key other than moduli and gens is refused, not
-    read without it, and an index-1 lattice is named as the trivial group."""
+    read without it, an index-1 lattice is named as the trivial group, and a
+    lattice that contains a basis vector e_j is named with it: generator j is
+    zero in Z^d/L."""
     result = run(argv)
     assert (result.exit_code, result.rows) == (2, [{"error": message}])
     assert result.human == f"error: {message}\n"

@@ -5,7 +5,8 @@ import os
 import random
 import re
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from itertools import combinations, permutations, product
 from math import gcd, prod
@@ -27,7 +28,9 @@ from cayleydense.kappa_search import (
     _grow_balls,
     _hnf_chain,
     _hnfs,
+    _lattice_pass,
     _rotations,
+    _shards,
     _translate,
     _witness,
     gap_table,
@@ -110,8 +113,10 @@ def test_process_pool_for_every_degree_3_search(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, arg):
+            future = Future()
+            future.set_result(fn(arg))
+            return future
 
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
     for d, n in ((2, 30), (2, 7), (1, 30), (1, 7)):  # d = 2: two chains at n = 30, one at 7
@@ -521,7 +526,7 @@ def test_translate_matches_successor_oracle():
                     table = successor_table_oracle(moduli, gen)
                     for bits in sets:
                         want = sum(1 << table[v] for v in range(n) if bits >> v & 1)
-                        assert _translate(bits, rots) == want, (moduli, gen, bits)
+                        assert _translate(bits, rots, (1 << n) - 1) == want, (moduli, gen, bits)
     assert chains == 196
 
 
@@ -587,7 +592,7 @@ def test_hnf_rotations_match_lattice_oracle():
                 for j in range(d):
                     for x in elems:
                         y = lattice_reduce_oracle(rows, [v + (i == j) for i, v in enumerate(x)])
-                        got = _translate(1 << mixed_radix_index(diag, x), rots[j])
+                        got = _translate(1 << mixed_radix_index(diag, x), rots[j], (1 << n) - 1)
                         assert got == 1 << mixed_radix_index(diag, y), (rows, j, x)
                 if n <= 16:
                     assert _hnf_chain(rows) == quotient_chain_oracle(rows), rows
@@ -666,8 +671,8 @@ def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
 
 
 def test_kappa_logs_its_pass_once(caplog):
-    """One DEBUG line per search: seconds per pass and the lattice pass's HNF counts,
-    which are the same on 1 and 2 workers."""
+    """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
+    which are the same on 1 and 2 workers, its shards and its slowest shard."""
     every = [rows for rows, _ in _hnfs_of_order(48, 3) if rows[0][0] > 1]
     kept = [rows for rows, _ in _hnfs_of_order(48, 3, orbit_cut=True) if rows[0][0] > 1]
     lines = []
@@ -683,8 +688,10 @@ def test_kappa_logs_its_pass_once(caplog):
         assert int(fields["cut"]) == len(every) - len(kept)
         judged = len(kept) - int(fields["degenerate"])
         assert 0 < int(fields["evaluated"]) <= judged < len(kept)
+        assert int(fields["shards"]) == len(_shards(48, 3, workers)[0]) > 1, line
+        assert 0 <= float(fields["slowest_shard_s"]) <= float(fields["lattice_s"]), line
         lines.append([fields[key] for key in ("listed", "cut", "degenerate")])
-    assert lines[0] == lines[1]  # evaluated depends on the hint each wave starts from
+    assert lines[0] == lines[1]  # evaluated depends on the hint each shard starts from
     # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
     # one HNF the pass counts in closed form
     for d, n in ((3, 7), (2, 7), (1, 7)):
@@ -697,6 +704,45 @@ def test_kappa_logs_its_pass_once(caplog):
         assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
         listed = 1 if d == 1 else len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
         assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
+        assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
+
+
+def test_shards_hold_each_kept_b21_once_on_any_worker_count():
+    """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
+    the orbit cut keeps is in exactly one shard, the shards come largest first, and
+    the pass gives the 1-worker (k, chain) and the same HNF counts: those of
+    `_hnfs`, where every HNF in a shard-less b_21 counts as cut."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        for d in (2, 3):
+            for n in range(d + 1, 49):
+                diags = [diag for diag in _diagonals(n, d) if diag[0] > 1]
+                per = {diag: diag[0] * diag[1] if d == 3 else 1 for diag in diags}
+                kept = Counter(
+                    (diag, b21)
+                    for diag in diags
+                    for b21 in range(diag[0])
+                    if diag[1] >= gcd(diag[0], b21)
+                )
+                hnfs = [rows for rows, _ in _hnfs_of_order(n, d, orbit_cut=True) if rows[0][0] > 1]
+                pairs = {(tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs}
+                assert pairs <= kept.keys(), (d, n)
+                listed = sum(diag[0] * per[diag] for diag in diags)
+                assert listed == len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
+                alone, counts = _lattice_pass(n, d, 1)
+                assert (counts["listed"], counts["cut"]) == (listed, listed - len(hnfs)), (d, n)
+                for workers in (1, 2, 3, 5):
+                    shards, dropped = _shards(n, d, workers)
+                    case = (d, n, workers)
+                    assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
+                    assert dropped == listed - sum(per[diag] for diag, _ in kept), case
+                    sizes = [len(b21s) * per[diag] for diag, b21s in shards]
+                    assert sizes == sorted(sizes, reverse=True), case
+                    value, got = _lattice_pass(n, d, workers, pool)
+                    assert value == alone, case
+                    assert got["shards"] == len(shards), case
+                    for key in ("listed", "cut", "degenerate"):
+                        assert got[key] == counts[key], (case, key)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
