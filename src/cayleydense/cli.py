@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; they shard the lattice pass of a d=3 order with more than one "
-        "chain by HNF diagonal and b21, and every other search runs in one process",
+        help="worker processes; they shard the lattice pass of an order by HNF diagonal and "
+        "b21, and a pass that lists fewer than 16,000 HNFs (d=3 up to n=64) runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -17,10 +17,10 @@ where two e_i coincide; no other e_i is 0, since each has order
 >= a_1 >= 2. It judges each by its balls (below) and returns k, the least
 diameter, together with the least chain (in
 `enumerate_groups` order) that attains it. That chain is the Smith form of
-the HNF basis: s_1 is the gcd of the entries, s_1*s_2 the gcd of the 2x2
-minors. Ties therefore count: an HNF counts when its ball of radius best_k
-is the whole group, unless the best chain is already the cyclic one, which
-no chain precedes. The pass is exhaustive, with no pruning by any bound.
+the HNF basis (`zmatrix.invariant_factors`). Ties therefore count: an HNF
+counts when its ball of radius best_k is the whole group, unless the best
+chain is already the cyclic one, which no chain precedes. The pass is
+exhaustive, with no pruning by any bound.
 
 The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
 Cay(Z_n, {1}), of diameter n - 1.
@@ -31,16 +31,10 @@ passes, on one route. The scan ranges over every d-subset of nonzero
 elements of the chain in lexicographic order, so its first hit is the
 lexicographically least set of diameter k on the least chain that attains
 k: the witness a full scan of every chain would keep, whatever --jobs is.
-On a cyclic chain it applies the units cut, an exact digraph symmetry:
-multiplying a set by a unit gives an isomorphic digraph, and skipping a set
-is sound exactly when another member of its orbit is still scanned, so the
-cut keeps every set that contains 1 and every set without unit elements.
-Its first hit is the one a scan of every set would give, since every set it
-skips is greater than the member of its orbit that contains 1. Other chains
-are scanned whole. The scan's diameter must equal k, and k must not beat the
-lower bound: below a proven bound (d <= 2) that is an
-InternalConsistencyError, below the conjectural one (d = 3) a
-ConjectureRefutation that carries the witness. No bound ever cuts a search.
+The scan's diameter must equal k, and k must not beat the lower bound:
+below a proven bound (d <= 2) that is an InternalConsistencyError, below
+the conjectural one (d = 3) a ConjectureRefutation that carries the
+witness. No bound ever cuts a search.
 
 Both passes judge a candidate by its balls, not by a BFS. A vertex set is an
 n-bit int (bit v is the element of index v), and translating it by an
@@ -65,15 +59,20 @@ about 8 per worker, which run largest first on a free-worker queue: a
 worker that finishes takes the next shard at once, with at most workers + 1
 in flight. Each shard starts from the best (k, chain) known when it is
 submitted as its hint, and shards merge by one (k, chain) comparison, so
-the result does not depend on the order they finish in. Every d = 3 pass
-runs on workers; a d = 1 or d = 2 search runs in one process. A d = 3
-`gaps` sweep holds one pool for all its orders.
+the result does not depend on the order they finish in. One rule, at any
+d, decides whether a pass uses workers: a pass that lists fewer than
+POOL_MIN_HNFS HNFs runs in this process on the 1-worker shard plan,
+whatever --jobs is, since shipping its shards would cost more than they
+take. A `gaps` sweep on more than one worker holds one pool for all its
+orders; the pool starts no process until a pass first submits to it.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and of the witness scan, the HNFs the lattice pass listed,
 cut by order, found degenerate and evaluated (grew up to the whole group
-within the limit), its number of shards and the seconds of the slowest, so
-a traced run shows whether --jobs kept its workers evenly busy.
+within the limit), its number of shards and the seconds of the slowest, and
+the number of processes it ran on (1 when it ran in this process), so a
+traced run shows where the pass ran and whether --jobs kept its workers
+evenly busy.
 """
 
 from __future__ import annotations
@@ -89,15 +88,22 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, gcd, prod
+from math import ceil, gcd
 from pathlib import Path
 
 from .abelian import InvariantFactors
 from .cayley import CayleyDigraph, diameter
 from .density import is_conjectural, lower_bound
 from .errors import ConjectureRefutation, InternalConsistencyError
+from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
+
+# A lattice pass that lists fewer HNFs than this runs in one process, whatever
+# --jobs is: on two workers, a pass that starts its own pool broke even at about
+# 12,000-14,000 listed HNFs. Every d = 3 order up to n = 64 lists fewer; n = 72
+# and n = 80 list about 20,000.
+POOL_MIN_HNFS = 16_000
 
 
 @dataclass(frozen=True)
@@ -283,21 +289,6 @@ class KappaCache:
             fh.write(line)
 
 
-def _is_cyclic_chain(group: InvariantFactors) -> bool:
-    return all(s == 1 for s in group[:-1])
-
-
-def _unit_cut_sets(n: int, d: int):
-    """The d-sets of nonzero elements of Z_n that the units cut keeps, in lexicographic order.
-
-    Those that contain 1 come first, then those without a unit. The units
-    of Z_n are known only when the second part starts, so a search that
-    stops in the first never computes them.
-    """
-    yield from ((1,) + rest for rest in combinations(range(2, n), d - 1))
-    yield from combinations([v for v in range(2, n) if gcd(v, n) > 1], d)
-
-
 def _digit_below(n: int, stride: int, modulus: int, t: int) -> int:
     """The indices whose digit of this stride and modulus is below t, as a bitset.
 
@@ -467,25 +458,6 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
                 yield ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3)), (e1, e2, e3)
 
 
-def _hnf_chain(rows) -> tuple[int, ...]:
-    """The invariant-factor chain of Z^d/L, from the HNF rows of L (d = 2 or 3).
-
-    It is the Smith form of the rows. Their determinantal divisors give it:
-    s_1 is the gcd of the entries, s_1*s_2 the gcd of the 2x2 minors, and
-    the product of the chain is n.
-    """
-    divisors = [gcd(*(x for row in rows for x in row))]
-    if len(rows) == 3:
-        minors = (
-            r[i] * s[j] - r[j] * s[i]
-            for r, s in combinations(rows, 2)
-            for i, j in combinations(range(3), 2)
-        )
-        divisors.append(gcd(*minors))
-    divisors.append(prod(row[i] for i, row in enumerate(rows)))
-    return tuple(b // a for a, b in zip([1] + divisors, divisors))
-
-
 def _lattice_task(args):
     """(found, counts, seconds) for one shard of HNFs.
 
@@ -525,7 +497,7 @@ def _lattice_task(args):
         reach = _grow_balls(balls[-1], rots[-1], limit, full)
         if reach[-1] == full:
             evaluated += 1
-            candidate = (len(reach) - 1, _hnf_chain(rows))
+            candidate = (len(reach) - 1, invariant_factors(rows))
             if best is None or candidate < best:
                 best = found = candidate
     counts = {
@@ -570,6 +542,13 @@ def _shards(n: int, d: int, workers: int):
     return [(diag, b21s) for _, diag, b21s in shards], dropped
 
 
+def _listed(n: int, d: int) -> int:
+    """How many HNFs the lattice pass of (d, n) lists (d = 2 or 3): each diagonal
+    with a_1 > 1 has a_1 values of b_21, and each lists one HNF at d = 2 and
+    a_1*a_2 at d = 3, as in `_shards`."""
+    return sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _diagonals(n, d) if a[0] > 1)
+
+
 def _run_here(fn, arg) -> Future:
     """fn(arg) run in this process, as a completed future."""
     future = Future()
@@ -580,18 +559,23 @@ def _run_here(fn, arg) -> Future:
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
     """The least diameter k over all HNFs of index n with the least chain attaining it,
     as (k, chain) or None, and the pass's counts: the shards' HNF counts summed,
-    the number of shards and the seconds of the slowest.
+    the number of shards, the seconds of the slowest and the number of
+    processes the pass ran on.
 
-    The shards (`_shards`) run largest first. More than one worker runs them
-    on `pool`, or on a pool of its own opened and closed here when `pool` is
-    None, with at most workers + 1 in flight, so a worker that finishes finds
-    the next one queued; one worker runs them here, one after another. Each
-    takes as its hint the best (k, chain) known when it is submitted. At
-    d = 1 the one HNF is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1,
-    which the pass returns in closed form."""
+    A pass that lists fewer than POOL_MIN_HNFS HNFs runs in this process on
+    the 1-worker plan, whatever `workers` is. The shards (`_shards`) run
+    largest first. More than one worker runs them on `pool`, or on a pool of
+    its own opened and closed here when `pool` is None, with at most
+    workers + 1 in flight, so a worker that finishes finds the next one
+    queued; one worker runs them here, one after another. Each takes as its
+    hint the best (k, chain) known when it is submitted. At d = 1 the one HNF
+    is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass
+    returns in closed form."""
     if d == 1:
         counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
-        return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0}
+        return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
+    if _listed(n, d) < POOL_MIN_HNFS:
+        workers = 1
     shards, dropped = _shards(n, d, workers)
     totals = Counter(listed=dropped, cut=dropped, shards=len(shards))
     shards.reverse()  # pop() takes the largest first
@@ -612,17 +596,16 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
                 slowest = max(slowest, seconds)
                 if found is not None and (best is None or found < best):
                     best = found
-    return best, {**totals, "slowest_shard_s": slowest}
+    return best, {**totals, "slowest_shard_s": slowest, "workers": workers}
 
 
 def _witness(group: InvariantFactors, d: int, k: int):
     """(k', gens): the lexicographically first d-set of this chain whose ball of
     radius k is the whole group, with its diameter k' <= k, or None.
 
-    Sets come in lexicographic order, with the units cut on a cyclic chain.
-    The balls of each proper prefix of the current set are kept in `balls`
-    and shared by every set that starts with it; the sets that share a
-    prefix come one after another.
+    Sets come in lexicographic order. The balls of each proper prefix of the
+    current set are kept in `balls` and shared by every set that starts with
+    it; the sets that share a prefix come one after another.
     """
     n = group.order
     full = (1 << n) - 1
@@ -634,13 +617,9 @@ def _witness(group: InvariantFactors, d: int, k: int):
             rots = rotations[idx] = _rotations(group, group.element(idx))
         return rots
 
-    if _is_cyclic_chain(group):
-        pools = _unit_cut_sets(n, d)
-    else:
-        pools = combinations(range(1, n), d)
     balls = [[1]] * d  # balls[j]: the balls of the set's first j elements
     held = (0,) * (d - 1)  # the prefix they belong to; 0 is in no set, so all differ
-    for idxs in pools:
+    for idxs in combinations(range(1, n), d):
         prefix = idxs[:-1]
         if prefix != held:
             j = 0
@@ -679,9 +658,7 @@ def kappa(
     target = lower_bound(spec.d, spec.n)
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
-    # Only a d = 3 pass runs on workers: a d = 2 pass measured faster in one process.
-    workers = spec.worker_count if spec.d == 3 else 1
-    value, counts = _lattice_pass(spec.n, spec.d, workers, pool)
+    value, counts = _lattice_pass(spec.n, spec.d, spec.worker_count, pool)
     stats["lattice_s"] = time.monotonic() - clock
     stats.update(counts)
     if value is None:
@@ -733,14 +710,15 @@ def gap_table(
 ) -> list[tuple[int, int]]:
     """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range.
 
-    With more than one worker and d = 3, the only degree whose lattice pass
-    runs on workers, every search of the sweep shares one process pool,
-    closed when the sweep ends or raises.
+    With more than one worker, every search of the sweep shares one process
+    pool, closed when the sweep ends or raises. It starts its processes at
+    the first pass large enough to use them (`_lattice_pass`), so a sweep
+    of small orders starts none.
     """
     if n_to < n_from:
         raise ValueError("empty order range")
     specs = [SearchSpec(d=d, n=n, worker_count=worker_count) for n in range(n_from, n_to + 1)]
-    pooled = d == 3 and worker_count > 1
+    pooled = worker_count > 1
     rows = []
     with (ProcessPoolExecutor(max_workers=worker_count) if pooled else nullcontext()) as pool:
         for spec in specs:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
 from .abelian import GroupElement
 from .cayley import CayleyDigraph, bfs_distances, dilate_digraph, successor_table
@@ -237,25 +236,23 @@ def _same_cube_parametrizations(shape: LShape) -> list[LShape]:
 def _conditions_hold(shape: LShape, g: CayleyDigraph) -> bool:
     group = g.group
     a, b = g.normalized_gens
-    if shape.area != group.order:
-        return False
-    if gcd(gcd(shape.l, shape.h), gcd(shape.w, shape.y)) != group[0]:
-        return False
-    if group.scalar_mul(shape.l, a) != group.scalar_mul(shape.y, b):
-        return False
-    if group.scalar_mul(shape.w, a) != group.scalar_mul(shape.h, b):
-        return False
-    return (shape.l - shape.y) * (shape.h - shape.w) >= 0 and not (
-        shape.l == shape.y and shape.h == shape.w
+    return (
+        shape.area == group.order
+        and group.scalar_mul(shape.l, a) == group.scalar_mul(shape.y, b)
+        and group.scalar_mul(shape.w, a) == group.scalar_mul(shape.h, b)
     )
 
 
 def lshape_validate(shape: LShape, g: CayleyDigraph) -> bool:
-    """The five arithmetic conditions tying a candidate L-shape to a digraph.
+    """Whether a candidate L-shape has area n and (l, -y), (-w, h) in the lattice L
+    of relations of the generators (l*a = y*b and w*a = h*b).
 
-    A rectangle keeps its cube set under any (w, 0) or (0, y) parameter
-    choice but the side conditions see those parameters, so the normalized
-    form is accepted if any equivalent parametrization satisfies them.
+    Those two vectors then form a basis of L, as their determinant is the area
+    n = [Z^2 : L], so gcd(l, h, w, y) is s_1 without a test; LShape itself
+    checks that the sides interlock. A rectangle keeps its cube set under any
+    (w, 0) or (0, y) parameter choice but the conditions see those
+    parameters, so the normalized form is accepted if any equivalent
+    parametrization satisfies them.
     """
     if g.degree != 2:
         raise ValueError("L-shape validation requires a degree-2 digraph")

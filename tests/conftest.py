@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, prod
 
@@ -335,6 +336,44 @@ def chains_oracle(n, d):
         if ok and prod_val == n:
             out.add(combo)
     return out
+
+
+def _lshape_cells_oracle(l, h, w, y):
+    return frozenset((x, z) for x in range(l) for z in range(h) if x < l - w or z < h - y)
+
+
+@lru_cache(maxsize=None)
+def _same_cells_oracle(l, h, w, y):
+    """Every (w', y') that gives L(l, h, w', y') the cells of L(l, h, w, y)."""
+    cells = _lshape_cells_oracle(l, h, w, y)
+    return [
+        (w2, y2)
+        for w2 in range(l)
+        for y2 in range(h)
+        if _lshape_cells_oracle(l, h, w2, y2) == cells
+    ]
+
+
+def lshape_validate_oracle(l, h, w, y, moduli, a, b):
+    """The five conditions on L(l, h, w, y) and Cay(Z_s1 + Z_s2, {a, b}), on plain tuples.
+
+    Some (l, h, w', y') with the same cells must have area s1*s2,
+    gcd(l, h, w', y') = s1, l*a = y'*b, w'*a = h*b, interlocking sides
+    ((l - y')*(h - w') >= 0) and not both side differences zero.
+    """
+
+    def mul(k, v):
+        return tuple(k * x % m for x, m in zip(v, moduli))
+
+    return any(
+        l * h - w2 * y2 == prod(moduli)
+        and gcd(gcd(l, h), gcd(w2, y2)) == moduli[0]
+        and mul(l, a) == mul(y2, b)
+        and mul(w2, a) == mul(h, b)
+        and (l - y2) * (h - w2) >= 0
+        and not (l == y2 and h == w2)
+        for w2, y2 in _same_cells_oracle(l, h, w, y)
+    )
 
 
 def _lshape_seeds(max_side=9, max_order=60):

@@ -178,7 +178,7 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["nonsense"])
     assert exc.value.code == 2
-    # the scan always applies the units cut; there is no symmetry level to choose
+    # the witness scan takes every set; there is no symmetry level to choose
     assert main(["kappa", "-d", "2", "-n", "12", "--symmetry", "units"]) == 2
     assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
     # whether a search stops at the bound follows from whether the bound is proven

@@ -26,9 +26,9 @@ from cayleydense.kappa_search import (
     SearchSpec,
     _diagonals,
     _grow_balls,
-    _hnf_chain,
     _hnfs,
     _lattice_pass,
+    _listed,
     _rotations,
     _shards,
     _translate,
@@ -36,6 +36,7 @@ from cayleydense.kappa_search import (
     gap_table,
     kappa,
 )
+from cayleydense.zmatrix import invariant_factors
 from conftest import (
     bfs_distance_oracle,
     cache_scan_oracle,
@@ -86,22 +87,24 @@ def test_search_spec_refuses_bad_values():
     assert SearchSpec(d=2, n=3).n == 3
 
 
-def test_worker_count_independence():
+def test_worker_count_independence(monkeypatch):
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     base = kappa(SearchSpec(d=3, n=24, worker_count=1))
     multi = kappa(SearchSpec(d=3, n=24, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
-    for d in (1, 2, 3):  # two workers shard the lattice pass of every d = 3 order
+    for d in (1, 2, 3):  # two workers shard the lattice pass of every d = 2 and 3 order
         for n in range(4, 25):
             base, multi = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (1, 2))
             assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
 
 
-def test_process_pool_for_every_degree_3_search(monkeypatch):
-    """Every d = 3 search on more than one worker opens the pool, on one chain
-    (squarefree n = 30, 7) or several (n = 16); d = 1 and d = 2 never do. Two
-    workers give the 1-worker record."""
-    opened = []
+def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch):
+    """A pass that lists fewer than POOL_MIN_HNFS HNFs submits nothing to a pool,
+    at any d, whether the search opens its own or is handed one; kappa(3, 80),
+    which lists 19,995, runs on two workers. The rule is the same at d = 2.
+    Every search gives the 1-worker record."""
+    opened, submitted = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -114,44 +117,72 @@ def test_process_pool_for_every_degree_3_search(monkeypatch):
             return False
 
         def submit(self, fn, arg):
+            submitted.append(arg)
             future = Future()
             future.set_result(fn(arg))
             return future
 
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
-    for d, n in ((2, 30), (2, 7), (1, 30), (1, 7)):  # d = 2: two chains at n = 30, one at 7
-        rec, alone = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (2, 1))
-        assert opened == [], (d, n)
+    assert _listed(64, 3) == 10668 < kappa_search.POOL_MIN_HNFS <= _listed(80, 3) == 19995
+    for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 64)):
+        alone = kappa(SearchSpec(d=d, n=n))
+        rec = kappa(SearchSpec(d=d, n=n, worker_count=2))
+        handed = kappa(SearchSpec(d=d, n=n, worker_count=2), pool=RecordingPool(2))
+        assert submitted == [] and opened == [2], (d, n)  # only the pool handed in
         assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), (d, n)
-    for n in (30, 7, 16):
-        alone = kappa(SearchSpec(d=3, n=n))
-        assert opened == [], n
-        rec = kappa(SearchSpec(d=3, n=n, worker_count=2))
-        assert opened == [2], n
-        assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), n
+        assert (handed.kappa, handed.witness) == (alone.kappa, alone.witness), (d, n)
         opened.clear()
+    alone = kappa(SearchSpec(d=3, n=80))
+    assert opened == [] and submitted == []
+    rec = kappa(SearchSpec(d=3, n=80, worker_count=2))
+    assert opened == [2] and len(submitted) == len(_shards(80, 3, 2)[0]) > 1
+    assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness)
+    opened.clear()
+    submitted.clear()
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _listed(30, 2))
+    assert _listed(29, 2) < _listed(30, 2)
+    for n, pooled in ((29, False), (30, True)):
+        alone = kappa(SearchSpec(d=2, n=n))
+        rec = kappa(SearchSpec(d=2, n=n, worker_count=2))
+        assert (opened, bool(submitted)) == (([2], True) if pooled else ([], False)), n
+        assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), n
 
 
 def test_gap_sweep_holds_one_pool(monkeypatch):
-    opened, closed = [], []
+    """A sweep on two workers holds one pool, closed when it ends or raises. A
+    sweep of small orders, below POOL_MIN_HNFS, starts no worker process in it."""
+    opened, closed, started, submitted = [], [], [], []
 
     class CountingPool(kappa_search.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
             super().__init__(*args, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            submitted.append(self)
+            return super().submit(*args, **kwargs)
+
         def shutdown(self, *args, **kwargs):
             closed.append(self)
+            started.append(len(self._processes))
             super().shutdown(*args, **kwargs)
 
     want = gap_table(3, 4, 40)
+    want2 = gap_table(2, 3, 40)
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", CountingPool)
     assert gap_table(3, 4, 40) == want
-    assert gap_table(2, 3, 40, worker_count=2) == gap_table(2, 3, 40)  # d = 2: one process
     assert opened == []
+    for d, rows in ((2, want2), (3, want)):  # every pass below the constant
+        assert gap_table(d, 3 if d == 2 else 4, 40, worker_count=2) == rows
+        assert len(opened) == 1 and closed == opened, d
+        assert submitted == [] and started == [0], d
+        for seen in (opened, closed, started):
+            seen.clear()
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     assert gap_table(3, 4, 40, worker_count=2) == want
     assert len(opened) == 1 and closed == opened
     assert opened[0]._max_workers == 2
+    assert set(submitted) == set(opened) and started[0] > 0
     search = kappa_search.kappa
 
     def failing(spec, cache=None, pool=None):
@@ -559,8 +590,7 @@ def test_scan_abort_rule():
 @pytest.mark.parametrize("d,max_n,total", [(1, 40, 858), (2, 40, 481), (3, 30, 245)])
 def test_witness_scan_matches_oracle(d, max_n, total):
     """Every chain and every k from 1 to the chain's least diameter + 2: the
-    witness scan, with the units cut on cyclic chains, against a scan of every
-    set for the first one of diameter <= k."""
+    witness scan against a scan of every set for the first one of diameter <= k."""
     cases = 0
     for n in range(2, max_n + 1):
         for moduli in sorted(chains_oracle(n, d)):
@@ -595,7 +625,7 @@ def test_hnf_rotations_match_lattice_oracle():
                         got = _translate(1 << mixed_radix_index(diag, x), rots[j], (1 << n) - 1)
                         assert got == 1 << mixed_radix_index(diag, y), (rows, j, x)
                 if n <= 16:
-                    assert _hnf_chain(rows) == quotient_chain_oracle(rows), rows
+                    assert invariant_factors(rows) == quotient_chain_oracle(rows), rows
                 hnfs += 1
     assert hnfs == 10375
 
@@ -670,48 +700,62 @@ def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
             seen |= orbit
 
 
-def test_kappa_logs_its_pass_once(caplog):
+def _debug_fields(caplog, d, n, workers=1):
+    """The fields of the one DEBUG line of kappa(d, n) on this many workers."""
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
+        kappa(SearchSpec(d=d, n=n, worker_count=workers))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
+    assert line.startswith(f"kappa({d},{n}) search: lattice_s="), line
+    return dict(field.split("=") for field in line.split(": ", 1)[1].split()), line
+
+
+def test_kappa_logs_its_pass_once(caplog, monkeypatch):
     """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
-    which are the same on 1 and 2 workers, its shards and its slowest shard."""
+    which are the same on 1 and 2 workers, its shards, its slowest shard and the
+    number of processes it ran on."""
     every = [rows for rows, _ in _hnfs_of_order(48, 3) if rows[0][0] > 1]
     kept = [rows for rows, _ in _hnfs_of_order(48, 3, orbit_cut=True) if rows[0][0] > 1]
     lines = []
-    for workers in (1, 2):
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-            kappa(SearchSpec(d=3, n=48, worker_count=workers))
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
-        assert line.startswith("kappa(3,48) search: ")
+    with monkeypatch.context() as patch:
+        patch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
+        for workers in (1, 2):
+            lines.append(_debug_fields(caplog, 3, 48, workers))
+    for workers, (fields, line) in zip((1, 2), lines):
         assert {"witness_s", "lattice_s"} <= fields.keys(), line
+        assert int(fields["workers"]) == workers, line
         assert int(fields["listed"]) == len(every)
         assert int(fields["cut"]) == len(every) - len(kept)
         judged = len(kept) - int(fields["degenerate"])
         assert 0 < int(fields["evaluated"]) <= judged < len(kept)
         assert int(fields["shards"]) == len(_shards(48, 3, workers)[0]) > 1, line
         assert 0 <= float(fields["slowest_shard_s"]) <= float(fields["lattice_s"]), line
-        lines.append([fields[key] for key in ("listed", "cut", "degenerate")])
-    assert lines[0] == lines[1]  # evaluated depends on the hint each shard starts from
+    counted = [[fields[key] for key in ("listed", "cut", "degenerate")] for fields, _ in lines]
+    assert counted[0] == counted[1]  # evaluated depends on the hint each shard starts from
+    # on both sides of the constant: n = 64 lists 10,668 HNFs and runs in process on
+    # the 1-worker plan, n = 80 lists 19,995 and runs on both workers
+    for n, workers in ((64, 1), (80, 2)):
+        fields, line = _debug_fields(caplog, 3, n, 2)
+        assert int(fields["listed"]) == _listed(n, 3), line
+        assert int(fields["workers"]) == workers, line
+        assert int(fields["shards"]) == len(_shards(n, 3, workers)[0]), line
     # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
     # one HNF the pass counts in closed form
     for d, n in ((3, 7), (2, 7), (1, 7)):
-        caplog.clear()
-        with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
-            kappa(SearchSpec(d=d, n=n))
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-        fields = dict(field.split("=") for field in line.split(": ", 1)[1].split())
-        assert line.startswith(f"kappa({d},{n}) search: lattice_s="), line
+        fields, line = _debug_fields(caplog, d, n, 2)
         assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
         listed = 1 if d == 1 else len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
         assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
         assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
+        assert int(fields["workers"]) == 1, line
 
 
-def test_shards_hold_each_kept_b21_once_on_any_worker_count():
+def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
     """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
     the orbit cut keeps is in exactly one shard, the shards come largest first, and
     the pass gives the 1-worker (k, chain) and the same HNF counts: those of
     `_hnfs`, where every HNF in a shard-less b_21 counts as cut."""
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
         for d in (2, 3):
@@ -740,15 +784,16 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count():
                     assert sizes == sorted(sizes, reverse=True), case
                     value, got = _lattice_pass(n, d, workers, pool)
                     assert value == alone, case
-                    assert got["shards"] == len(shards), case
+                    assert (got["shards"], got["workers"]) == (len(shards), workers), case
                     for key in ("listed", "cut", "degenerate"):
                         assert got[key] == counts[key], (case, key)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_kappa_matches_full_scan_oracle(d):
+def test_kappa_matches_full_scan_oracle(d, monkeypatch):
     """Value and witness against a scan of every set on every chain: every n <= 48,
     on 1 and 2 workers."""
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     for n in range(d + 1, 49):
         want = kappa_oracle(d, n)
         for workers in (1, 2):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -22,8 +22,11 @@ from cayleydense.mdd import (
 from cayleydense.zmatrix import det
 from conftest import (
     bfs_distance_oracle,
+    chains_oracle,
+    closure_oracle,
     det_oracle,
     lex_least_word_oracle,
+    lshape_validate_oracle,
     mdd_oracle,
     proper_corpus,
 )
@@ -96,6 +99,34 @@ def test_lshape_validate_examples():
     assert lshape_validate(LShape(2, 2, 1, 1), upsilon(2, 1))
     assert lshape_validate(LShape(2, 4, 1, 1), Z7)
     assert not lshape_validate(LShape(3, 3, 0, 0), Z7)
+
+
+def test_lshape_validate_matches_five_condition_oracle():
+    """Every 2-generator digraph of order n <= 20 (every chain, every ordered pair
+    of distinct nonzero elements that generates) against every L-shape of area n:
+    the same verdict as the five conditions, the gcd and interlock tests included."""
+    pairs = valid = 0
+    for n in range(2, 21):
+        shapes = []
+        for l, h in product(range(1, n + 1), repeat=2):
+            for w, y in product(range(l), range(h)):
+                if l * h - w * y == n:
+                    try:
+                        shapes.append(LShape(l, h, w, y))
+                    except ValueError:
+                        continue
+        for moduli in sorted(chains_oracle(n, 2)):
+            elems = list(product(*(range(m) for m in moduli)))[1:]
+            for a, b in permutations(elems, 2):
+                if len(closure_oracle(moduli, (a, b))) != n:
+                    continue
+                g = CayleyDigraph(InvariantFactors(moduli), (a, b))
+                for s in shapes:
+                    got = lshape_validate(s, g)
+                    assert got == lshape_validate_oracle(s.l, s.h, s.w, s.y, moduli, a, b), (s, g)
+                    pairs += 1
+                    valid += got
+    assert (pairs, valid) == (84160, 8520)
 
 
 def test_lshape_solid_diameter_examples():
