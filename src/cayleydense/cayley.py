@@ -11,10 +11,10 @@ matrix, are unimodular (`mdd.is_proper`).
 `bfs_distances` is the one BFS that computes distances; elements are
 indexed mixed-radix, last coordinate fastest, and `successor_table` maps
 each index to the index of its sum with a generator. Successor tables are
-immutable tuples shared by every caller through one module-level memo,
-least recently used first out, which keeps at most TABLE_BUDGET entries
-over all its tables: a sweep over the generating sets of one group builds
-each generator's table once, and memory stays bounded. The kappa search
+immutable tuples shared by every caller through one least-recently-used
+cache of TABLE_CACHE_SIZE tables, so a digraph's own tables always fit
+together and memory stays bounded by that many tables of the largest
+group in use. The kappa search
 indexes elements the same way but keeps vertex sets as n-bit ints and
 grows balls instead: B_L(S) = B_L(S minus g) | (B_L-1(S) + g) for any g
 in S, which is exact because the group is Abelian, so every shortest word
@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import json
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .abelian import GroupElement, InvariantFactors
@@ -131,14 +129,9 @@ class DistanceProfile:
         return dict(self.items())
 
 
-# Memoized successor tables keyed by (group, generator entries), least
-# recently used first, and the number of entries they hold together. Each
-# OrderedDict call is atomic; the lock keeps the entry count in step with
-# the tables when threads store and evict at once.
-TABLE_BUDGET = 4096
-_tables: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
-_kept = 0
-_lock = threading.Lock()
+# Successor tables kept, least recently used first out: a census of every
+# pair in a group of order 65 (64 nonzero elements) still builds each once.
+TABLE_CACHE_SIZE = 64
 
 
 def successor_table(group: InvariantFactors, gen: Sequence[int]) -> tuple[int, ...]:
@@ -155,37 +148,22 @@ def successor_table(group: InvariantFactors, gen: Sequence[int]) -> tuple[int, .
     reduced first, so unreduced and negative lifts give the same table.
 
     The table is an immutable tuple shared with every other caller that asks
-    for the same group and entries. Built tables are kept while they fit in
-    TABLE_BUDGET entries in total, and the least recently used go first; a
-    table larger than the budget is built on every call and never kept.
+    for the same group and entries; the TABLE_CACHE_SIZE tables used last
+    are kept, whatever their size.
     """
-    global _kept
-    key = (group, tuple(map(operator.index, gen)))
-    tbl = _tables.get(key)
-    if tbl is not None:
-        try:
-            _tables.move_to_end(key)
-        except KeyError:  # another thread evicted it since the lookup
-            pass
-        return tbl
-    if len(key[1]) != group.rank:
-        raise ValueError(
-            f"element has {len(key[1])} coordinates, group has rank {group.rank}"
-        )
+    return _build_table(group, tuple(map(operator.index, gen)))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _build_table(group: InvariantFactors, gen: tuple[int, ...]) -> tuple[int, ...]:
+    if len(gen) != group.rank:
+        raise ValueError(f"element has {len(gen)} coordinates, group has rank {group.rank}")
     tbl = [0]
-    for x, s in zip(key[1], group):
+    for x, s in zip(gen, group):
         x %= s
         shifted = [*range(x, s), *range(x)]  # y -> (y + x) % s
         tbl = shifted if tbl == [0] else [t * s + y for t in tbl for y in shifted]
-    tbl = tuple(tbl)
-    if len(tbl) <= TABLE_BUDGET:
-        with _lock:
-            if key not in _tables:  # another thread may have kept it meanwhile
-                while _kept + len(tbl) > TABLE_BUDGET:
-                    _kept -= len(_tables.popitem(last=False)[1])
-                _tables[key] = tbl
-                _kept += len(tbl)
-    return tbl
+    return tuple(tbl)
 
 
 def bfs_distances(

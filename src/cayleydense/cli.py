@@ -264,6 +264,8 @@ def _cmd_mdd(args) -> CommandResult:
         ok = mdd_mod.verify_mdd(h)
         return CommandResult(0, [{"valid": ok}], f"{str(ok).lower()}\n")
     # render
+    if not mdd_mod.verify_mdd(h):
+        raise ValueError(f"{args.digraph} holds no minimum distance diagram of its digraph")
     if h.source.degree == 2:
         content = lshape_svg(mdd_mod.extract_lshape(h))
     elif h.source.degree == 3:
@@ -534,8 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; they shard the lattice pass of an order by HNF diagonal and "
-        "b21, and a pass that lists fewer than 16,000 HNFs (d=3 up to n=64) runs in one process",
+        help="worker processes, at most the CPU count; they shard the lattice pass of an order "
+        "by HNF diagonal and b21, and a pass that lists fewer than 16,000 HNFs (d=3 up to n=64) "
+        "runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -53,7 +53,8 @@ starts with it. Once a ball equals the one before it stays fixed, so if
 that happens before it is the whole group, the set generates a proper
 subgroup.
 
---jobs shards the lattice pass by (diagonal, b_21) on a process pool. The
+--jobs shards the lattice pass by (diagonal, b_21) on a process pool of
+that many workers, or of os.cpu_count() where that is fewer. The
 b_21 that the orbit cut keeps split into shards of about equal HNF count,
 about 8 per worker, which run largest first on a free-worker queue: a
 worker that finishes takes the next shard at once, with at most workers + 1
@@ -556,6 +557,13 @@ def _run_here(fn, arg) -> Future:
     return future
 
 
+def _pool_size(worker_count: int) -> int:
+    """The processes a search of `worker_count` workers may run on: no more than
+    this machine's CPUs, since a pool under the fork start method forks all its
+    workers at its first submit, and more than the CPUs only queue for them."""
+    return min(worker_count, os.cpu_count() or 1)
+
+
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
     """The least diameter k over all HNFs of index n with the least chain attaining it,
     as (k, chain) or None, and the pass's counts: the shards' HNF counts summed,
@@ -646,9 +654,10 @@ def kappa(
 ) -> KappaRecord:
     """Exact minimum diameter over all groups and generating sets of (d, n).
 
-    `pool`, a process pool of `spec.worker_count` workers, serves the lattice
-    pass when it runs on more than one worker; without it the pass opens its
-    own. A sweep passes one so that it starts its workers once.
+    The lattice pass runs on `spec.worker_count` workers, but on no more than
+    the machine's CPUs (`_pool_size`). `pool`, a process pool of that many
+    workers, serves the pass when it runs on more than one; without it the
+    pass opens its own. A sweep passes one so that it starts its workers once.
     """
     if cache is not None:
         hit = cache.get(spec.d, spec.n)
@@ -658,7 +667,7 @@ def kappa(
     target = lower_bound(spec.d, spec.n)
     stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
     clock = time.monotonic()
-    value, counts = _lattice_pass(spec.n, spec.d, spec.worker_count, pool)
+    value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count), pool)
     stats["lattice_s"] = time.monotonic() - clock
     stats.update(counts)
     if value is None:
@@ -710,17 +719,18 @@ def gap_table(
 ) -> list[tuple[int, int]]:
     """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range.
 
-    With more than one worker, every search of the sweep shares one process
-    pool, closed when the sweep ends or raises. It starts its processes at
-    the first pass large enough to use them (`_lattice_pass`), so a sweep
-    of small orders starts none.
+    With more than one worker on more than one CPU, every search of the
+    sweep shares one process pool of `_pool_size(worker_count)` workers,
+    closed when the sweep ends or raises. It starts its processes at the
+    first pass large enough to use them (`_lattice_pass`), so a sweep of
+    small orders starts none.
     """
     if n_to < n_from:
         raise ValueError("empty order range")
     specs = [SearchSpec(d=d, n=n, worker_count=worker_count) for n in range(n_from, n_to + 1)]
-    pooled = worker_count > 1
+    workers = _pool_size(worker_count)
     rows = []
-    with (ProcessPoolExecutor(max_workers=worker_count) if pooled else nullcontext()) as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         for spec in specs:
             rec = kappa(spec, cache=cache, pool=pool)
             rows.append((spec.n, rec.kappa - lower_bound(d, spec.n)))

@@ -165,7 +165,7 @@ def test_successor_table_matches_oracle():
 def test_successor_table_memo_keeps_the_checks():
     group = InvariantFactors((2, 6))
     assert list(successor_table(group, (1, 1))) == successor_table_oracle((2, 6), (1, 1))
-    for _ in range(2):  # the memo now holds a table of this group
+    for _ in range(2):  # the cache now holds a table of this group, and keeps no error
         for gen in ((1,), (1, 1, 1), ()):
             with pytest.raises(ValueError, match="rank 2"):
                 successor_table(group, gen)
@@ -186,37 +186,43 @@ def test_successor_table_memo_shares_one_table_per_key():
 
 
 def test_successor_table_memo_stays_within_its_budget():
-    group = InvariantFactors((2000,))
-    for x in range(-30, 61):
-        tbl = successor_table(group, (x,))
-        assert tbl == tuple((v + x) % 2000 for v in range(2000))
-        kept = sum(map(len, cayley._tables.values()))
-        assert kept == cayley._kept <= cayley.TABLE_BUDGET
-        assert (group, (x,)) in cayley._tables  # the newest table fits, so it is kept
-    successor_table(group, (59,))  # a hit: now the most recently used, so it stays
-    successor_table(group, (61,))
-    assert (group, (59,)) in cayley._tables and (group, (60,)) not in cayley._tables
-    big = InvariantFactors((cayley.TABLE_BUDGET + 1,))
-    assert successor_table(big, (1,))[-1] == 0
-    assert (big, (1,)) not in cayley._tables
-    assert sum(map(len, cayley._tables.values())) == cayley._kept <= cayley.TABLE_BUDGET
+    """The cache keeps the last TABLE_CACHE_SIZE tables, however wide: a hit keeps
+    its table, and the next miss past the limit evicts the least recently used."""
+    cache = cayley._build_table
+    size = cayley.TABLE_CACHE_SIZE
+    group = InvariantFactors((5000,))  # a table counts as one, however wide
+    cache.cache_clear()
+    for x in range(-1, size - 1):
+        assert successor_table(group, (x,)) == tuple((v + x) % 5000 for v in range(5000))
+    assert cache.cache_info()[:] == (0, size, size, size)  # hits, misses, maxsize, currsize
+    successor_table(group, (-1,))  # a hit: now the most recently used, so it stays
+    successor_table(group, (size - 1,))  # a miss past the limit evicts (0,)
+    assert cache.cache_info()[:] == (1, size + 1, size, size)
+    successor_table(group, (-1,))
+    assert cache.cache_info()[:] == (2, size + 1, size, size)
+    successor_table(group, (0,))  # built again, evicting (1,)
+    assert cache.cache_info()[:] == (2, size + 2, size, size)
+    successor_table(group, (1,))
+    assert cache.cache_info()[:] == (2, size + 3, size, size)
 
 
 def test_successor_table_memo_under_threads():
     group = InvariantFactors((1400,))
+    keys = cayley.TABLE_CACHE_SIZE + 8  # more keys than the cache keeps: hits and evictions interleave
     wrong = []
 
     def work(seed):
         rng = random.Random(seed)
         try:
             for _ in range(2000):
-                x = rng.randrange(3)  # two tables fit the budget: hits and evictions interleave
+                x = rng.randrange(keys)
                 tbl = successor_table(group, (x,))
                 if len(tbl) != 1400 or tbl[0] != x or tbl[-1] != (x - 1) % 1400:
                     wrong.append(x)
         except Exception as exc:  # a lost update can surface as any error
             wrong.append(exc)
 
+    cayley._build_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -229,16 +235,18 @@ def test_successor_table_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert sum(map(len, cayley._tables.values())) == cayley._kept <= cayley.TABLE_BUDGET
+    info = cayley._build_table.cache_info()
+    assert info.hits + info.misses == 8 * 2000 and info.hits > 0
+    assert info.misses > keys and info.currsize == cayley.TABLE_CACHE_SIZE
 
 
 def test_bfs_distances_matches_oracle_from_the_memo():
+    cache = cayley._build_table
     for moduli in ((12,), (2, 6), (1, 3, 9), (2, 2, 4), (4, 8)):
         group = InvariantFactors(moduli)
         elems = list(product(*(range(m) for m in moduli)))[1:]
-        for run in range(2):  # the second run reads every table from the memo
-            if run:
-                assert all((group, e) in cayley._tables for e in elems)
+        for run in range(2):  # the second run reads every table from the cache
+            before = cache.cache_info()
             for gens in combinations(elems, 2):
                 oracle = bfs_distance_oracle(moduli, gens)
                 dist = bfs_distances(group, gens)
@@ -247,6 +255,10 @@ def test_bfs_distances_matches_oracle_from_the_memo():
                     continue
                 by_index = sorted(oracle, key=lambda e: mixed_radix_index(moduli, e))
                 assert dist == [oracle[e] for e in by_index], (moduli, gens, run)
+            if run:
+                after = cache.cache_info()
+                assert after.misses == before.misses, moduli
+                assert after.hits - before.hits == len(elems) * (len(elems) - 1), moduli
 
 
 def test_bfs_distances_matches_oracle():

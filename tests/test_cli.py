@@ -291,10 +291,17 @@ def test_diagram_file_usage_errors_exit_2(tmp_path, capsys):
     literal = '{"moduli":[1,1,1,5],"gens":[[0,0,0,1],[0,0,0,2],[0,0,0,3],[0,0,0,4]]}'
     assert main(["mdd", "build", literal, "-o", str(four)]) == 0
     capsys.readouterr()
+    # hand-edited diagrams that are no diagram: render checks before it draws
+    negative = tmp_path / "negative.mdd"
+    negative.write_text('# {"moduli":[1,3],"gens":[[0,1],[1,-1]]}\n-100 0\n0 0\n0 1\n')
+    short = tmp_path / "short.mdd"
+    short.write_text('# {"moduli":[1,1,16],"gens":[[0,0,1],[0,0,4],[0,0,5]]}\n0\n')
     for argv in (
         ["mdd", "verify", str(headerless)],
         ["mdd", "verify", str(float_header)],
         ["mdd", "render", str(four)],
+        ["mdd", "render", str(negative)],
+        ["mdd", "render", str(short)],
     ):
         assert main(["--format", "jsonl"] + argv) == 2
         (line,) = capsys.readouterr().out.splitlines()

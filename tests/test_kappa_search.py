@@ -99,11 +99,17 @@ def test_worker_count_independence(monkeypatch):
             assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
 
 
-def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch):
-    """A pass that lists fewer than POOL_MIN_HNFS HNFs submits nothing to a pool,
-    at any d, whether the search opens its own or is handed one; kappa(3, 80),
-    which lists 19,995, runs on two workers. The rule is the same at d = 2.
-    Every search gives the 1-worker record."""
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A search on two workers runs on two, whatever this machine's CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for the search's ProcessPoolExecutor that runs each task in this
+    process and records the pool sizes opened and the tasks submitted: it
+    starts no process."""
     opened, submitted = [], []
 
     class RecordingPool:
@@ -122,7 +128,18 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch):
             future.set_result(fn(arg))
             return future
 
+    RecordingPool.opened, RecordingPool.submitted = opened, submitted
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
+    """A pass that lists fewer than POOL_MIN_HNFS HNFs submits nothing to a pool,
+    at any d, whether the search opens its own or is handed one; kappa(3, 80),
+    which lists 19,995, runs on two workers. The rule is the same at d = 2.
+    Every search gives the 1-worker record."""
+    RecordingPool = recording_pool
+    opened, submitted = RecordingPool.opened, RecordingPool.submitted
     assert _listed(64, 3) == 10668 < kappa_search.POOL_MIN_HNFS <= _listed(80, 3) == 19995
     for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 64)):
         alone = kappa(SearchSpec(d=d, n=n))
@@ -148,7 +165,7 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch):
         assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), n
 
 
-def test_gap_sweep_holds_one_pool(monkeypatch):
+def test_gap_sweep_holds_one_pool(monkeypatch, two_cpus):
     """A sweep on two workers holds one pool, closed when it ends or raises. A
     sweep of small orders, below POOL_MIN_HNFS, starts no worker process in it."""
     opened, closed, started, submitted = [], [], [], []
@@ -710,7 +727,7 @@ def _debug_fields(caplog, d, n, workers=1):
     return dict(field.split("=") for field in line.split(": ", 1)[1].split()), line
 
 
-def test_kappa_logs_its_pass_once(caplog, monkeypatch):
+def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
     which are the same on 1 and 2 workers, its shards, its slowest shard and the
     number of processes it ran on."""
@@ -748,6 +765,34 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch):
         assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
         assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
         assert int(fields["workers"]) == 1, line
+
+
+def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, recording_pool):
+    """--jobs above the CPU count runs on os.cpu_count() workers, and on one, with no
+    pool, when the count is 1 or unknown: the pool a search or a sweep opens, the
+    shard plan and the DEBUG line's workers= all use that number, and the
+    records are those of one worker. The fake pool starts no process."""
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
+    opened, submitted = recording_pool.opened, recording_pool.submitted
+    alone = kappa(SearchSpec(d=3, n=24))
+    rows = gap_table(3, 4, 12)
+    for cpus, workers in ((3, 3), (2, 2), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools = [workers] if workers > 1 else []
+        shards = len(_shards(24, 3, workers)[0])
+        fields, line = _debug_fields(caplog, 3, 24, 100_000)
+        assert int(fields["workers"]) == workers and int(fields["shards"]) == shards, line
+        assert opened == pools and len(submitted) == (shards if pools else 0), cpus
+        opened.clear()
+        assert gap_table(3, 4, 12, worker_count=100_000) == rows
+        assert opened == pools, cpus
+        opened.clear()
+        assert cli_main(["--format", "jsonl", "kappa", "-d", "3", "-n", "24", "--jobs", "100000"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert (row["kappa"], row["witness"]) == (alone.kappa, alone.witness), cpus
+        assert opened == pools, cpus
+        opened.clear()
+        submitted.clear()
 
 
 def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):

@@ -3,6 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from cayleydense import cayley
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, diameter, dilate_digraph, upsilon
 from cayleydense.mdd import (
@@ -55,6 +56,17 @@ def test_build_mdd_examples():
     assert len(h.points) == 16
     assert max(sum(a) for a in h.points) == 3
     assert verify_mdd(h)
+
+
+def test_diagram_builds_each_table_once():
+    """The diameter, build and verify of a digraph build one table per generator
+    between them, at any order: upsilon(3, 3) (n = 2,268) and upsilon(2, 30)
+    (n = 2,700) as upsilon(3, 2) (n = 672)."""
+    for g, tables in ((upsilon(3, 3), 3), (upsilon(2, 30), 2), (upsilon(3, 2), 3)):
+        cayley._build_table.cache_clear()
+        diameter(g)
+        assert verify_mdd(build_mdd(g))
+        assert cayley._build_table.cache_info().misses == tables, g
 
 
 def test_verify_mdd_rejects_bad_sets():
