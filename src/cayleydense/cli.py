@@ -251,6 +251,20 @@ def _cmd_density(args) -> CommandResult:
     return CommandResult(0, [row], human)
 
 
+def _read_mdd(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return read_mdd_file(fh.read())
+
+
+def _verified_mdd(path: str):
+    """The diagram in a file, checked first: render and dilate --mdd act only on a
+    minimum distance diagram of its digraph, and exit 2 on anything else."""
+    h = _read_mdd(path)
+    if not mdd_mod.verify_mdd(h):
+        raise ValueError(f"{path} holds no minimum distance diagram of its digraph")
+    return h
+
+
 def _cmd_mdd(args) -> CommandResult:
     if args.action == "build":
         g = _parse_digraph(args.digraph)
@@ -258,14 +272,10 @@ def _cmd_mdd(args) -> CommandResult:
         content = write_mdd_file(h)
         _emit(args.out, content)
         return CommandResult(0, [{"points": len(h.points)}], "")
-    with open(args.digraph, encoding="utf-8") as fh:
-        h = read_mdd_file(fh.read())
     if args.action == "verify":
-        ok = mdd_mod.verify_mdd(h)
+        ok = mdd_mod.verify_mdd(_read_mdd(args.digraph))
         return CommandResult(0, [{"valid": ok}], f"{str(ok).lower()}\n")
-    # render
-    if not mdd_mod.verify_mdd(h):
-        raise ValueError(f"{args.digraph} holds no minimum distance diagram of its digraph")
+    h = _verified_mdd(args.digraph)  # render
     if h.source.degree == 2:
         content = lshape_svg(mdd_mod.extract_lshape(h))
     elif h.source.degree == 3:
@@ -278,9 +288,7 @@ def _cmd_mdd(args) -> CommandResult:
 
 def _cmd_dilate(args) -> CommandResult:
     if args.mdd:
-        with open(args.digraph, encoding="utf-8") as fh:
-            h = read_mdd_file(fh.read())
-        out = mdd_mod.dilate_mdd(h, args.m)
+        out = mdd_mod.dilate_mdd(_verified_mdd(args.digraph), args.m)
         _emit(args.out, write_mdd_file(out))
         return CommandResult(0, [{"points": len(out.points)}], "")
     g = _parse_digraph(args.digraph)
@@ -537,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes, at most the CPU count; they shard the lattice pass of an order "
-        "by HNF diagonal and b21, and a pass that lists fewer than 16,000 HNFs (d=3 up to n=64) "
-        "runs in one process",
+        "by HNF diagonal and b21, and a pass whose shards hold fewer than 12,000 HNFs (d=3 up to "
+        "n=90) runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -164,31 +164,41 @@ def tightness_coefficient(d: int, n: int):
 
     INFINITE exactly when n = Delta_d * x**d for integer x in C_d; otherwise
     the largest m such that every m' <= m satisfies the ceiling
-    characterization. The incremental loop is cross-checked against the
-    closed form via the exact inequality (m*X - 1)**d < m**d * n / Delta_d.
+    characterization ceil((m'**d * B)**(1/d)) = m'*X, with B = n / Delta_d and
+    X = ceil(B**(1/d)). That holds exactly when (m'*X - 1)**d < m'**d * B,
+    that is m'*(X - B**(1/d)) < 1, so the tight m' are 1..c. c is found in
+    O(log c) probes, doubling m until a probe is not tight and then bisecting.
+    At every probe, and at c and c + 1, the ceiling test is cross-checked
+    against that exact inequality.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if attains_maximum_order(d, n):
         return INFINITE
-    dd = delta(d)
-    base = Fraction(n, 1) / dd
+    base = Fraction(n, 1) / delta(d)
     x1 = ceil_root(base, d)
-    m = 1
-    while True:
-        nxt = m + 1
-        loop_tight = ceil_root(nxt**d * base, d) == nxt * x1
-        # closed-form test: m' stays tight iff (m'*X - 1)^d < m'^d * n / Delta_d
-        lhs = (nxt * x1 - 1) ** d * base.denominator
-        rhs = nxt**d * base.numerator
-        closed_tight = lhs < rhs
-        if loop_tight != closed_tight:
+
+    def tight(m: int) -> bool:
+        ceiling = ceil_root(m**d * base, d) == m * x1
+        closed = (m * x1 - 1) ** d * base.denominator < m**d * base.numerator
+        if ceiling != closed:
             raise InternalConsistencyError(
-                f"tightness coefficient cross-check failed at d={d}, n={n}, m={nxt}"
+                f"tightness coefficient cross-check failed at d={d}, n={n}, m={m}"
             )
-        if not loop_tight:
-            return m
-        m = nxt
+        return ceiling
+
+    lo, hi = 1, 2  # m = 1 is tight; hi is not known to be yet
+    while tight(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # lo is tight and hi is not
+        mid = (lo + hi) // 2
+        if tight(mid):
+            lo = mid
+        else:
+            hi = mid
+    if not tight(lo) or tight(lo + 1):
+        raise InternalConsistencyError(f"tightness coefficient of d={d}, n={n} is not {lo}")
+    return lo
 
 
 def max_order(d: int, k: int) -> int:

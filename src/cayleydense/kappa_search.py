@@ -11,16 +11,18 @@ with a_1*...*a_d = n and 0 <= b_ij < a_j. One HNF stands for a whole
 Aut(G) orbit of generating tuples, on every chain at once, and every HNF
 generates. Permuting the coordinates of Z^d gives the same digraph, so the
 pass lists one HNF of each permutation orbit at least: those where a_1, the
-order of e_1, is the least order of an e_i (`_hnfs` has the closed forms).
-It skips the diagonals with a_1 = 1, where e_1 is 0, and a listed HNF
-where two e_i coincide; no other e_i is 0, since each has order
->= a_1 >= 2. It judges each by its balls (below) and returns k, the least
-diameter, together with the least chain (in
-`enumerate_groups` order) that attains it. That chain is the Smith form of
-the HNF basis (`zmatrix.invariant_factors`). Ties therefore count: an HNF
-counts when its ball of radius best_k is the whole group, unless the best
-chain is already the cyclic one, which no chain precedes. The pass is
-exhaustive, with no pruning by any bound.
+order of e_1, is the least order of an e_i, and of two HNFs that differ by
+swapping coordinates 2 and 3, the one whose a_3 is not the larger (on
+the diagonal (a_1, 1, 1), the one with b_31 >= b_21). It skips the diagonals
+with a_1 = 1, where e_1 is 0, and a listed HNF where two e_i coincide; no
+other e_i is 0, since each has order >= a_1 >= 2. `_hnfs` decides all of
+this in closed form, before it builds any rotation. The pass judges each
+HNF by its balls (below) and returns k, the least diameter, together with
+the least chain (in `enumerate_groups` order) that attains it. That chain is
+the Smith form of the HNF basis (`zmatrix.invariant_factors`). Ties
+therefore count: an HNF counts when its ball of radius best_k is the whole
+group, unless the best chain is already the cyclic one, which no chain
+precedes. The pass is exhaustive, with no pruning by any bound.
 
 The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
 Cay(Z_n, {1}), of diameter n - 1.
@@ -55,13 +57,13 @@ subgroup.
 
 --jobs shards the lattice pass by (diagonal, b_21) on a process pool of
 that many workers, or of os.cpu_count() where that is fewer. The
-b_21 that the orbit cut keeps split into shards of about equal HNF count,
+b_21 that the cuts keep split into shards of about equal HNF count,
 about 8 per worker, which run largest first on a free-worker queue: a
 worker that finishes takes the next shard at once, with at most workers + 1
 in flight. Each shard starts from the best (k, chain) known when it is
 submitted as its hint, and shards merge by one (k, chain) comparison, so
 the result does not depend on the order they finish in. One rule, at any
-d, decides whether a pass uses workers: a pass that lists fewer than
+d, decides whether a pass uses workers: a pass whose shards hold fewer than
 POOL_MIN_HNFS HNFs runs in this process on the 1-worker shard plan,
 whatever --jobs is, since shipping its shards would cost more than they
 take. A `gaps` sweep on more than one worker holds one pool for all its
@@ -69,11 +71,11 @@ orders; the pool starts no process until a pass first submits to it.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and of the witness scan, the HNFs the lattice pass listed,
-cut by order, found degenerate and evaluated (grew up to the whole group
-within the limit), its number of shards and the seconds of the slowest, and
-the number of processes it ran on (1 when it ran in this process), so a
-traced run shows where the pass ran and whether --jobs kept its workers
-evenly busy.
+cut (by order or as a swap twin), found degenerate and evaluated (grew up
+to the whole group within the limit), its number of shards and the seconds
+of the slowest, and the number of processes it ran on (1 when it ran in
+this process), so a traced run shows where the pass ran and whether --jobs
+kept its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ import logging
 import os
 import time
 import zlib
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import ceil, gcd
 from pathlib import Path
 
@@ -100,11 +103,12 @@ from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
 
-# A lattice pass that lists fewer HNFs than this runs in one process, whatever
-# --jobs is: on two workers, a pass that starts its own pool broke even at about
-# 12,000-14,000 listed HNFs. Every d = 3 order up to n = 64 lists fewer; n = 72
-# and n = 80 list about 20,000.
-POOL_MIN_HNFS = 16_000
+# A lattice pass whose shards hold fewer HNFs than this (`_shards`) runs in one
+# process, whatever --jobs is: on two workers, a d = 3 pass that starts its own
+# pool broke even at about 11,000-12,700 held HNFs (n = 90 holds 11,229 and
+# n = 100 12,709). Every d = 3 order up to n = 90 holds fewer; n = 96 holds
+# 14,020, and no d = 2 order up to n = 400 holds 1,000.
+POOL_MIN_HNFS = 12_000
 
 
 @dataclass(frozen=True)
@@ -318,16 +322,6 @@ def _parts(n: int, parts) -> tuple[tuple[int, int, int], ...]:
     return tuple((mask, c, n - c) for c, mask in merged.items())
 
 
-def _translate(bits: int, rots, full: int) -> int:
-    """The vertex set `bits` shifted by the element whose masked rotations are `rots`;
-    `full` is the whole group."""
-    out = 0
-    for mask, up, down in rots:
-        x = bits & mask
-        out |= (x << up) | (x >> down)
-    return out & full
-
-
 def _rotations(group: InvariantFactors, gen) -> tuple[tuple[int, int, int], ...]:
     """Masked rotations that translate a vertex bitset of `group` by `gen`, as parts.
 
@@ -372,7 +366,7 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     for level in range(1, limit + 1):
         prev = ball
         grown = below[level if level < top else top]
-        for mask, up, down in rots:  # _translate, inline
+        for mask, up, down in rots:  # ball + g
             x = ball & mask
             grown |= (x << up) | (x >> down)
         ball = grown & full
@@ -396,6 +390,12 @@ def _diagonals(n: int, d: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _b32s(a2: int, a3: int) -> list[int]:
+    """The b_32 that the swap cut keeps on a diagonal (a_1, a_2, a_3): those with
+    gcd(a_2, b_32) >= a_3. None at all when a_2 < a_3, since each gcd divides a_2."""
+    return [b32 for b32 in range(a2) if gcd(a2, b32) >= a3]
+
+
 def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     """The HNFs of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`.
 
@@ -413,17 +413,31 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     when b_32 = 0). Across b_31 only the two wrap offsets change, and they
     are not merged even when they agree.
 
-    The orbit cut (on unless `orbit_cut` is false, which lists every HNF)
-    keeps one HNF of each coordinate-permutation orbit at least. Permuting
-    the coordinates maps L to a lattice with the same quotient and the same
-    generators, so the same (k, chain), and a_1 is the order of e_1 in
-    Z^d/L, so some member of each orbit has a_1 = the least order of an
-    e_i. The cut skips an HNF where e_2 or e_3 has order below a_1, before
-    its rotations are built. The orders are exact:
-    ord(e_2) = a_2*a_1/gcd(a_1, b_21), below a_1 exactly when
-    a_2 < gcd(a_1, b_21), and, with g = gcd(a_2, b_32), u = a_2/g and
+    The cuts (on unless `orbit_cut` is false, which lists every HNF with its
+    rotations) are decided in closed form before any rotation is built. The
+    orbit cut keeps one HNF of each coordinate-permutation orbit at least.
+    Permuting the coordinates maps L to a lattice with the same quotient and
+    the same generators, so the same (k, chain), and a_1 is the order of e_1
+    in Z^d/L, so some member of each orbit has a_1 = the least order of an
+    e_i. The cut skips an HNF where e_2 or e_3 has order below a_1. The
+    orders are exact: ord(e_2) = a_2*a_1/gcd(a_1, b_21), below a_1 exactly
+    when a_2 < gcd(a_1, b_21), and, with g = gcd(a_2, b_32), u = a_2/g and
     v = b_32/g, ord(e_3) = a_3*u*a_1/gcd(a_1, u*b_31 - v*b_21), below a_1
     exactly when a_3*u < gcd(a_1, u*b_31 - v*b_21).
+
+    The swap cut (d = 3) keeps one of each pair of HNFs that differ by
+    swapping coordinates 2 and 3, the same digraph with e_2 and e_3
+    exchanged. The twin has the same a_1, a_3' = g and a_2' = a_2*a_3/g, and
+    the same generator orders, so the orbit cut keeps both or neither. The
+    cut skips every b_32 with g < a_3, whose twin has g' = a_3 > a_3' and is
+    kept (`_b32s`); a diagonal with a_2 < a_3 keeps none. On the diagonal
+    (a_1, 1, 1) the twin of (b_21, b_31) is (b_31, b_21), and the cut keeps
+    b_31 >= b_21 (b_31 = b_21 is degenerate, below).
+
+    An HNF where two e_i coincide, e_i - e_j in L, is yielded with rots None.
+    A triangular solve gives: e_1 = e_2 iff a_2 = 1 and b_21 = a_1 - 1;
+    e_1 = e_3 iff a_3 = 1, b_32 = 0 and b_31 = a_1 - 1; e_2 = e_3 iff
+    a_3 = 1, b_32 = a_2 - 1 and b_31 = b_21.
     """
     full = (1 << n) - 1
     a1, a2 = diag[0], diag[1]
@@ -433,42 +447,52 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     below2 = _digit_below(n, w2, a2, a2 - 1)
     below3 = _digit_below(n, 1, a3, a3 - 1)
     up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
-    borrows = [(full ^ below3) & _digit_below(n, w2, a2, b32) for b32 in range(a2)]
+    b32s = _b32s(a2, a3) if orbit_cut else range(a2)
+    borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in b32s]
+    swapped = orbit_cut and a2 == a3 == 1  # (b_21, b_31) and (b_31, b_21) are twins
     for b21 in b21s:
         if orbit_cut and a2 < gcd(a1, b21):
             continue  # ord(e_2) < a_1
         e2 = _parts(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
+        e12 = orbit_cut and a2 == 1 and b21 == a1 - 1  # e_1 = e_2
         if len(diag) == 2:
-            yield ((a1, 0), (b21, a2)), (e1, e2)
+            yield ((a1, 0), (b21, a2)), (None if e12 else (e1, e2))
             continue
         lift = (1 + b21) * w1  # x_2 borrowing row 2 back
-        for b32, borrow in enumerate(borrows):
+        for b32, borrow in borrows:
             g = gcd(a2, b32)
             u, v = a2 // g, b32 // g
             cut = orbit_cut and a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
+            same = ()  # the b_31 where e_3 = e_1 or e_3 = e_2
+            if orbit_cut and a3 == 1:
+                same = (a1 - 1 if b32 == 0 else -1, b21 if b32 == a2 - 1 else -1)
             wrap = full ^ below3 ^ borrow
-            for b31 in range(a1):
+            for b31 in range(b21 if swapped else 0, a1):
                 if cut and a3 * u < gcd(a1, u * b31 - v * b21):
                     continue  # ord(e_3) < a_1
+                rows = ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3))
+                if e12 or b31 in same:
+                    yield rows, None
+                    continue
                 c = (1 - a3 - b32 * a3 - b31 * w1) % n
                 if borrow:
                     c2 = (c + lift) % n
                     e3 = up3 + ((wrap, c, n - c), (borrow, c2, n - c2))
                 else:
                     e3 = up3 + ((wrap, c, n - c),)
-                yield ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3)), (e1, e2, e3)
+                yield rows, (e1, e2, e3)
 
 
 def _lattice_task(args):
     """(found, counts, seconds) for one shard of HNFs.
 
     `found` is the least (k, chain) of the shard that beats the incoming
-    `best`, or None. `counts` says how many HNFs it listed, cut by order,
-    found degenerate and evaluated (grew balls up to the whole group within
-    the limit), and `seconds` how long the shard took. An HNF counts when its
-    ball of radius best_k is the whole group, so a tie on a lesser chain
-    wins; once the best chain is the cyclic one, which no chain precedes,
-    only radius best_k - 1 can win.
+    `best`, or None. `counts` says how many HNFs it listed, cut (by order or
+    as a swap twin), found degenerate and evaluated (grew balls up to the
+    whole group within the limit), and `seconds` how long the shard took.
+    An HNF counts when its ball of radius best_k is the whole group, so a
+    tie on a lesser chain wins; once the best chain is the cyclic one, which
+    no chain precedes, only radius best_k - 1 can win.
     """
     started = time.monotonic()
     n, diag, b21s, best = args
@@ -480,12 +504,9 @@ def _lattice_task(args):
     found = None
     listed = len(b21s) * (diag[0] * diag[1] if d == 3 else 1)
     kept = degenerate = evaluated = 0
-    # Every kept e_i has order >= a_1 >= 2, so none is 0; two can coincide only
-    # when some a_i is 1, else e_j is w_j in Z^d/L.
-    check = 1 in diag
     for rows, rots in _hnfs(n, diag, b21s):
         kept += 1
-        if check and len({_translate(1, r, full) for r in rots}) < d:
+        if rots is None:  # two e_i coincide
             degenerate += 1
             continue
         limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
@@ -510,44 +531,67 @@ def _lattice_task(args):
     return found, counts, time.monotonic() - started
 
 
-def _shards(n: int, d: int, workers: int):
-    """The shards (diag, b21s) of the lattice pass, largest first, and how many
-    HNFs the b_21 in no shard list (d = 2 or 3).
+def _plan(n: int, d: int):
+    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, sizes), and
+    how many HNFs the b_21 in no entry list.
 
-    A shard holds consecutive b_21 of one diagonal with a_1 > 1 (else e_1 is
-    in L, and the diagonal is not listed). Only the b_21 that survive the
-    orbit cut's closed form, a_2 >= gcd(a_1, b_21), are in a shard; each b_21
-    lists a_1*a_2 HNFs at d = 3 and one at d = 2, and those of the others
-    count as cut. A diagonal splits into near-equal runs of b_21 that list
-    about 1/(8*workers) of the HNFs in shards each, or one b_21 where that
-    lists more, so the shards that run last are small.
+    A diagonal with a_1 = 1 is not listed (e_1 is in L), nor one where the
+    swap cut keeps no b_32 (a_2 < a_3). Of the others, only the b_21 that
+    survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept.
+    Each b_21 lists a_1*a_2 HNFs at d = 3 and one at d = 2; those of the b_21
+    left out count as cut. sizes[i] is how many HNFs the kept b21s[i] holds
+    after the swap cut: a_1 per kept b_32 at d = 3, or a_1 - b_21 on the
+    diagonal (a_1, 1, 1), where only b_31 >= b_21 is kept, and one at d = 2.
     """
-    sized, dropped = [], 0
+    plan, dropped = [], 0
     for diag in _diagonals(n, d):
         a1, a2 = diag[0], diag[1]
         if a1 == 1:
             continue
-        b21s = [b21 for b21 in range(a1) if a2 >= gcd(a1, b21)]
-        per = a1 * a2 if d == 3 else 1
-        dropped += (a1 - len(b21s)) * per
-        sized.append((len(b21s) * per, diag, b21s))
-    size = sum(listed for listed, _, _ in sized) / (8 * workers)
+        per = len(_b32s(a2, diag[2])) if d == 3 else 1
+        b21s = [b21 for b21 in range(a1) if per and a2 >= gcd(a1, b21)]
+        dropped += (a1 - len(b21s)) * (a1 * a2 if d == 3 else 1)
+        if not b21s:
+            continue
+        if d == 2:
+            sizes = [1] * len(b21s)
+        elif diag[1:] == (1, 1):
+            sizes = [a1 - b21 for b21 in b21s]
+        else:
+            sizes = [a1 * per] * len(b21s)
+        plan.append((diag, b21s, sizes))
+    return plan, dropped
+
+
+def _shards(n: int, d: int, workers: int):
+    """The shards (diag, b21s) of the lattice pass, largest first, how many HNFs
+    the b_21 in no shard list (d = 2 or 3), and the workers they are cut for:
+    one when the shards hold fewer than POOL_MIN_HNFS HNFs in all, since
+    shipping them would cost more than they take, else `workers`.
+
+    A shard holds consecutive kept b_21 of one diagonal (`_plan`). A diagonal
+    splits into runs of b_21 that hold about 1/(8*workers) of the HNFs in
+    shards each, or one b_21 where that holds more, so the shards that run
+    last are small.
+    """
+    plan, dropped = _plan(n, d)
+    held = sum(sum(sizes) for _, _, sizes in plan)
+    if held < POOL_MIN_HNFS:
+        workers = 1
+    size = held / (8 * workers)
     shards = []
-    for listed, diag, b21s in sized:
-        count = min(len(b21s), ceil(listed / size))
-        cuts = [len(b21s) * i // count for i in range(count + 1)]
+    for diag, b21s, sizes in plan:
+        running = list(accumulate(sizes))
+        total = running[-1]
+        count = min(len(b21s), ceil(total / size))
+        # cut after the first b_21 whose running total reaches i/count of the diagonal
+        cuts = [0] + [bisect_left(running, -(-total * i // count)) + 1 for i in range(1, count)]
+        cuts.append(len(b21s))
         shards += [
-            (listed * (hi - lo) // len(b21s), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+            (sum(sizes[lo:hi]), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
         ]
     shards.sort(key=lambda shard: -shard[0])  # stable: equal sizes keep diagonal order
-    return [(diag, b21s) for _, diag, b21s in shards], dropped
-
-
-def _listed(n: int, d: int) -> int:
-    """How many HNFs the lattice pass of (d, n) lists (d = 2 or 3): each diagonal
-    with a_1 > 1 has a_1 values of b_21, and each lists one HNF at d = 2 and
-    a_1*a_2 at d = 3, as in `_shards`."""
-    return sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _diagonals(n, d) if a[0] > 1)
+    return [(diag, b21s) for _, diag, b21s in shards], dropped, workers
 
 
 def _run_here(fn, arg) -> Future:
@@ -570,21 +614,19 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     the number of shards, the seconds of the slowest and the number of
     processes the pass ran on.
 
-    A pass that lists fewer than POOL_MIN_HNFS HNFs runs in this process on
-    the 1-worker plan, whatever `workers` is. The shards (`_shards`) run
-    largest first. More than one worker runs them on `pool`, or on a pool of
-    its own opened and closed here when `pool` is None, with at most
-    workers + 1 in flight, so a worker that finishes finds the next one
-    queued; one worker runs them here, one after another. Each takes as its
-    hint the best (k, chain) known when it is submitted. At d = 1 the one HNF
-    is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass
+    A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
+    process on the 1-worker plan, whatever `workers` is. The shards
+    (`_shards`) run largest first. More than one worker runs them on `pool`,
+    or on a pool of its own opened and closed here when `pool` is None, with
+    at most workers + 1 in flight, so a worker that finishes finds the next
+    one queued; one worker runs them here, one after another. Each takes as
+    its hint the best (k, chain) known when it is submitted. At d = 1 the one
+    HNF is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass
     returns in closed form."""
     if d == 1:
         counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
         return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
-    if _listed(n, d) < POOL_MIN_HNFS:
-        workers = 1
-    shards, dropped = _shards(n, d, workers)
+    shards, dropped, workers = _shards(n, d, workers)
     totals = Counter(listed=dropped, cut=dropped, shards=len(shards))
     shards.reverse()  # pop() takes the largest first
     best = None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, prod
@@ -213,6 +214,29 @@ def quotient_chain_oracle(rows):
         if all(prod(gcd(m, x) for x in s) == c for m, c in counts.items())
     ]
     return chain
+
+
+def tightness_coefficient_oracle(d, n, delta):
+    """The largest m such that every m' <= m is tight, by stepping m' = 2, 3, ...
+    one dilate at a time. m' is tight when ceil((m'**d * B)**(1/d)) equals
+    m' * ceil(B**(1/d)), B = n / delta; roots by bisection on integers. Only for
+    orders whose coefficient is finite and small."""
+    base = Fraction(n) / delta
+
+    def ceil_root(r):
+        lo, hi = 0, 1  # lo**d < r <= hi**d
+        while hi**d < r:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid**d >= r else (mid, hi)
+        return hi
+
+    x = ceil_root(base)
+    m = 1
+    while ceil_root((m + 1) ** d * base) == (m + 1) * x:
+        m += 1
+    return m
 
 
 def det_oracle(rows):

@@ -144,6 +144,27 @@ def test_dilate_mdd_cli(tmp_path, capsys):
     assert len(read_mdd_file(out_path.read_text()).points) == 12
 
 
+def test_dilate_mdd_refuses_a_file_that_holds_no_diagram(tmp_path, capsys):
+    """dilate --mdd verifies the diagram first, as mdd render does: a header with no
+    points, or a point with too few coordinates, exits 2 with one error row, through
+    cli.run and main, and writes no dilate."""
+    header = "# " + json.dumps(upsilon(2, 1).to_literal(), separators=(",", ":")) + "\n"
+    empty = tmp_path / "empty.mdd"
+    empty.write_text(header)
+    short = tmp_path / "short.mdd"
+    short.write_text(header + "".join(f"{x}\n" for x in range(upsilon(2, 1).order)))
+    out_path = tmp_path / "out.mdd"
+    for path in (empty, short):
+        argv = ["dilate", "--mdd", "-m", "2", str(path), "-o", str(out_path)]
+        result = run(argv)
+        assert result.exit_code == 2 and len(result.rows) == 1, path
+        assert set(result.rows[0]) == {"error"} and str(path) in result.rows[0]["error"]
+        assert main(["--format", "jsonl"] + argv) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert set(json.loads(line)) == {"error"}
+        assert not out_path.exists()
+
+
 def test_gaps_csv_and_svg(tmp_path):
     csv_path = tmp_path / "gaps.csv"
     svg_path = tmp_path / "gaps.svg"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, dilate_digraph
+from cayleydense.cli import main as cli_main
 from cayleydense.density import (
     INFINITE,
     REGISTRY,
@@ -19,6 +21,7 @@ from cayleydense.density import (
     tightness,
     tightness_coefficient,
 )
+from conftest import tightness_coefficient_oracle
 
 GAMMA1 = CayleyDigraph(InvariantFactors((1, 72)), ((-1, 4), (-3, 11)))
 SPACE_SEED = CayleyDigraph(
@@ -118,6 +121,37 @@ def test_tightness_coefficient_characterization():
             for m in range(1, c + 1):
                 assert ceil_root(m**d * base, d) == m * x1
             assert ceil_root((c + 1) ** d * base, d) != (c + 1) * x1
+
+
+def test_tightness_coefficient_matches_stepping_oracle():
+    """The bisection against the loop that stepped m one dilate at a time: every
+    d = 2 and 3 order up to 2,000 with a finite coefficient, and the orders
+    3*10**k - 1, whose coefficient at d = 2 grows as 2*10**(k/2)."""
+    orders = list(range(1, 2001)) + [3 * 10**k - 1 for k in range(3, 8)]
+    for d in (2, 3):
+        for n in orders:
+            c = tightness_coefficient(d, n)
+            if c is not INFINITE:
+                assert c == tightness_coefficient_oracle(d, n, delta(d)), (d, n)
+    assert tightness_coefficient(2, 3 * 10**6 - 1) == 1999
+
+
+def test_tightness_coefficient_of_a_30_digit_order(capsys):
+    """Orders far beyond any stepping loop: c is tight and c + 1 is not, by the
+    exact inequality (m*X - 1)**d < m**d * n / Delta_d, and the CLI prints it."""
+    for d, n, want in (
+        (2, 3 * 10**29 - 1, 4),
+        (2, 3 * 10**30 - 1, 2 * 10**15 - 1),
+        (3, 672 * 10**27 - 1, 1008 * 10**17 - 1),  # 672*10**27 = Delta_3 * (2*10**10)**3
+    ):
+        c = tightness_coefficient(d, n)
+        assert c == want, (d, n)
+        base = Fraction(n) / delta(d)
+        x = ceil_root(base, d)
+        assert (c * x - 1) ** d < c**d * base
+        assert ((c + 1) * x - 1) ** d >= (c + 1) ** d * base
+    assert cli_main(["--format", "jsonl", "tight", "coeff", "-d", "2", "-n", str(3 * 10**30 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficient"] == 2 * 10**15 - 1
 
 
 def test_infinite_iff_order_attains_maximum():

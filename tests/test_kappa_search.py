@@ -28,10 +28,9 @@ from cayleydense.kappa_search import (
     _grow_balls,
     _hnfs,
     _lattice_pass,
-    _listed,
+    _plan,
     _rotations,
     _shards,
-    _translate,
     _witness,
     gap_table,
     kappa,
@@ -133,15 +132,21 @@ def recording_pool(monkeypatch):
     return RecordingPool
 
 
+def _held(n, d):
+    """How many HNFs the shards of the lattice pass of (d, n) hold in all."""
+    return sum(sum(sizes) for _, _, sizes in _plan(n, d)[0])
+
+
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
-    """A pass that lists fewer than POOL_MIN_HNFS HNFs submits nothing to a pool,
-    at any d, whether the search opens its own or is handed one; kappa(3, 80),
-    which lists 19,995, runs on two workers. The rule is the same at d = 2.
+    """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs submits nothing to a
+    pool, at any d, whether the search opens its own or is handed one; kappa(3, 96),
+    whose shards hold 14,020, runs on two workers. The rule is the same at d = 2.
     Every search gives the 1-worker record."""
     RecordingPool = recording_pool
     opened, submitted = RecordingPool.opened, RecordingPool.submitted
-    assert _listed(64, 3) == 10668 < kappa_search.POOL_MIN_HNFS <= _listed(80, 3) == 19995
-    for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 64)):
+    assert _held(90, 3) == 11229 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14020
+    assert _shards(90, 3, 2)[2] == 1 and _shards(96, 3, 2)[2] == 2  # the workers planned for
+    for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 90)):
         alone = kappa(SearchSpec(d=d, n=n))
         rec = kappa(SearchSpec(d=d, n=n, worker_count=2))
         handed = kappa(SearchSpec(d=d, n=n, worker_count=2), pool=RecordingPool(2))
@@ -149,15 +154,15 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
         assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), (d, n)
         assert (handed.kappa, handed.witness) == (alone.kappa, alone.witness), (d, n)
         opened.clear()
-    alone = kappa(SearchSpec(d=3, n=80))
+    alone = kappa(SearchSpec(d=3, n=96))
     assert opened == [] and submitted == []
-    rec = kappa(SearchSpec(d=3, n=80, worker_count=2))
-    assert opened == [2] and len(submitted) == len(_shards(80, 3, 2)[0]) > 1
+    rec = kappa(SearchSpec(d=3, n=96, worker_count=2))
+    assert opened == [2] and len(submitted) == len(_shards(96, 3, 2)[0]) > 1
     assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness)
     opened.clear()
     submitted.clear()
-    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _listed(30, 2))
-    assert _listed(29, 2) < _listed(30, 2)
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _held(30, 2))
+    assert _held(29, 2) < _held(30, 2)
     for n, pooled in ((29, False), (30, True)):
         alone = kappa(SearchSpec(d=2, n=n))
         rec = kappa(SearchSpec(d=2, n=n, worker_count=2))
@@ -560,6 +565,16 @@ def test_a_false_bound_is_reported_not_stored(monkeypatch):
             kappa(SearchSpec(d=d, n=n))
 
 
+def _translate(bits, rots, full):
+    """The vertex set `bits` shifted by the element whose masked rotations are
+    `rots`, one part at a time, as `_grow_balls` applies them; `full` is the group."""
+    out = 0
+    for mask, up, down in rots:
+        x = bits & mask
+        out |= (x << up) | (x >> down)
+    return out & full
+
+
 def test_translate_matches_successor_oracle():
     rng = random.Random(4111)
     chains = 0
@@ -658,9 +673,11 @@ def test_hnf_count_matches_sublattice_formula():
         want = sum(m * _sigma(m) for m in range(1, n + 1) if n % m == 0)
         assert len(_hnfs_of_order(n, 3)) == want, n
     assert sum(m * _sigma(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)) == 43435
-    # the orbit cut keeps these of the 255 and 43,435 HNFs of index 128
+    # the cuts keep these of the 255 and 43,435 HNFs of index 128 (the orbit cut
+    # alone kept 20,736 at d = 3); 339 of the 14,005 are degenerate
     assert len(_hnfs_of_order(128, 2, orbit_cut=True)) == 170
-    assert len(_hnfs_of_order(128, 3, orbit_cut=True)) == 20736
+    kept = _hnfs_of_order(128, 3, orbit_cut=True)
+    assert (len(kept), sum(rots is None for _, rots in kept)) == (14005, 339)
 
 
 def _order_oracle(rows, j):
@@ -672,48 +689,85 @@ def _order_oracle(rows, j):
             return m
 
 
+def _degenerate_oracle(rows):
+    """Whether two e_i coincide in Z^d/L: e_i - e_j reduces to 0."""
+    d = len(rows)
+    units = [[int(k == i) for k in range(d)] for i in range(d)]
+    return any(
+        not any(lattice_reduce_oracle(rows, [x - y for x, y in zip(units[i], units[j])]))
+        for i, j in combinations(range(d), 2)
+    )
+
+
+def _degenerate_closed_form(rows):
+    """The triangular solve of `_hnfs`: e_1 = e_2, e_1 = e_3 or e_2 = e_3."""
+    (a1, _, _), (b21, a2, _) = (tuple(row) + (0,) * (3 - len(row)) for row in rows[:2])
+    if a2 == 1 and b21 == a1 - 1:
+        return True
+    if len(rows) == 2 or rows[2][2] != 1:
+        return False
+    b31, b32, _ = rows[2]
+    return (b32, b31) == (0, a1 - 1) or (b32, b31) == (a2 - 1, b21)
+
+
 def test_orbit_cut_orders_match_lattice_oracle():
-    """The closed-form orders of e_2 and e_3, and the HNFs the cut keeps: those
-    where no e_i has order below a_1, every HNF with d = 2 and 3, n <= 24."""
+    """The closed-form orders of e_2 and e_3 and the closed-form degeneracy test,
+    and the HNFs the cuts keep, every HNF with d = 2 and 3, n <= 24: those where no
+    e_i has order below a_1 and, at d = 3, gcd(a_2, b_32) >= a_3 and, on the
+    diagonal (a_1, 1, 1), b_31 >= b_21. A kept HNF has its rotations unless two
+    e_i coincide."""
     for d in (2, 3):
         for n in range(1, 25):
-            kept = {rows for rows, _ in _hnfs_of_order(n, d, orbit_cut=True)}
+            kept = dict(_hnfs_of_order(n, d, orbit_cut=True))
             for rows in hnf_oracle(n, d):
                 orders = [_order_oracle(rows, j) for j in range(d)]
                 a1, a2 = rows[0][0], rows[1][1]
                 b21 = rows[1][0]
                 assert orders[0] == a1, rows
                 assert orders[1] == a2 * a1 // gcd(a1, b21), rows
+                keep = min(orders) == a1
                 if d == 3:
                     (b31, b32, a3) = rows[2]
                     g = gcd(a2, b32)
                     u, v = a2 // g, b32 // g
                     assert orders[2] == a3 * u * a1 // gcd(a1, u * b31 - v * b21), rows
-                assert (rows in kept) == (min(orders) == a1), rows
+                    keep = keep and g >= a3 and (b31 >= b21 or (a2, a3) != (1, 1))
+                degenerate = _degenerate_oracle(rows)
+                assert _degenerate_closed_form(rows) == degenerate, rows
+                assert (rows in kept) == keep, rows
+                if keep:
+                    assert (kept[rows] is None) == degenerate, rows
+
+
+def _points_mod_oracle(rows, n):
+    """L mod n, as the set of its points in [0, n)^3: L has index n, so it holds
+    nZ^3, and c_i*row_i with 0 <= c_i < n/a_i reach each point once."""
+    a = [rows[i][i] for i in range(3)]
+    return frozenset(
+        tuple(sum(c * row[k] for c, row in zip(cs, rows)) % n for k in range(3))
+        for cs in product(*(range(n // x) for x in a))
+    )
 
 
 def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
-    """d = 3, n <= 12: the HNF of sigma(L), for each sigma in S_3, is the one whose
-    rows all lie in sigma(L); some kept HNF lies in every such orbit."""
-    zero = (0, 0, 0)
-    for n in range(1, 13):
-        hnfs = hnf_oracle(n, 3)
-        kept = {rows for rows, _ in _hnfs_of_order(n, 3, orbit_cut=True)}
+    """d = 3, n <= 16: the orbit of L under S_3 is that of its points mod n (which
+    fix L), permuted. Every orbit holds an HNF that the cuts keep, and one with its
+    rotations unless two e_i coincide in it, which the oracle decides."""
+    for n in range(1, 17):
+        hnfs = {_points_mod_oracle(rows, n): rows for rows in hnf_oracle(n, 3)}
+        kept = dict(_hnfs_of_order(n, 3, orbit_cut=True))
         seen = set()
-        for rows in hnfs:
+        for points, rows in hnfs.items():
             if rows in seen:
                 continue
             orbit = {
-                other
-                for other in hnfs
+                hnfs[frozenset(tuple(x[i] for i in sigma) for x in points)]
                 for sigma in permutations(range(3))
-                if all(
-                    lattice_reduce_oracle(rows, [r[sigma[i]] for i in range(3)]) == zero
-                    for r in other
-                )
             }
             assert rows in orbit and len(orbit) <= 6, rows
-            assert orbit & kept, sorted(orbit)
+            assert orbit & kept.keys(), sorted(orbit)
+            if all(kept.get(other) is None for other in orbit):
+                assert all(_degenerate_oracle(other) for other in orbit), sorted(orbit)
             seen |= orbit
 
 
@@ -738,22 +792,25 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
         patch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
         for workers in (1, 2):
             lines.append(_debug_fields(caplog, 3, 48, workers))
-    for workers, (fields, line) in zip((1, 2), lines):
+        planned = [len(_shards(48, 3, workers)[0]) for workers in (1, 2)]
+    for workers, shards, (fields, line) in zip((1, 2), planned, lines):
         assert {"witness_s", "lattice_s"} <= fields.keys(), line
         assert int(fields["workers"]) == workers, line
         assert int(fields["listed"]) == len(every)
         assert int(fields["cut"]) == len(every) - len(kept)
         judged = len(kept) - int(fields["degenerate"])
         assert 0 < int(fields["evaluated"]) <= judged < len(kept)
-        assert int(fields["shards"]) == len(_shards(48, 3, workers)[0]) > 1, line
+        assert int(fields["shards"]) == shards > 1, line
         assert 0 <= float(fields["slowest_shard_s"]) <= float(fields["lattice_s"]), line
     counted = [[fields[key] for key in ("listed", "cut", "degenerate")] for fields, _ in lines]
     assert counted[0] == counted[1]  # evaluated depends on the hint each shard starts from
-    # on both sides of the constant: n = 64 lists 10,668 HNFs and runs in process on
-    # the 1-worker plan, n = 80 lists 19,995 and runs on both workers
-    for n, workers in ((64, 1), (80, 2)):
+    # on both sides of the constant: the shards of n = 90 hold 11,229 HNFs and it
+    # runs in process on the 1-worker plan, those of n = 96 hold 14,020 and it runs
+    # on both workers
+    for n, workers in ((90, 1), (96, 2)):
         fields, line = _debug_fields(caplog, 3, n, 2)
-        assert int(fields["listed"]) == _listed(n, 3), line
+        listed = sum(a[0] * a[0] * a[1] for a in _diagonals(n, 3) if a[0] > 1)
+        assert int(fields["listed"]) == listed, line
         assert int(fields["workers"]) == workers, line
         assert int(fields["shards"]) == len(_shards(n, 3, workers)[0]), line
     # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
@@ -797,9 +854,10 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
 
 def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
     """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
-    the orbit cut keeps is in exactly one shard, the shards come largest first, and
+    the cuts keep is in exactly one shard, the shards come largest first, and
     the pass gives the 1-worker (k, chain) and the same HNF counts: those of
-    `_hnfs`, where every HNF in a shard-less b_21 counts as cut."""
+    `_hnfs`, where every HNF in a shard-less b_21 counts as cut. The size of a
+    b_21 in the plan bounds the HNFs `_hnfs` keeps of it."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
@@ -811,21 +869,26 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
                     (diag, b21)
                     for diag in diags
                     for b21 in range(diag[0])
-                    if diag[1] >= gcd(diag[0], b21)
+                    if diag[1] >= gcd(diag[0], b21) and diag[1] >= diag[-1]
                 )
                 hnfs = [rows for rows, _ in _hnfs_of_order(n, d, orbit_cut=True) if rows[0][0] > 1]
-                pairs = {(tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs}
-                assert pairs <= kept.keys(), (d, n)
+                pairs = Counter((tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs)
+                assert pairs.keys() <= kept.keys(), (d, n)
+                plan, _ = _plan(n, d)
+                size = {(diag, b21): x for diag, b21s, xs in plan for b21, x in zip(b21s, xs)}
+                assert size.keys() == kept.keys(), (d, n)
+                assert all(pairs[key] <= x for key, x in size.items()), (d, n)
                 listed = sum(diag[0] * per[diag] for diag in diags)
                 assert listed == len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
                 alone, counts = _lattice_pass(n, d, 1)
                 assert (counts["listed"], counts["cut"]) == (listed, listed - len(hnfs)), (d, n)
                 for workers in (1, 2, 3, 5):
-                    shards, dropped = _shards(n, d, workers)
+                    shards, dropped, planned = _shards(n, d, workers)
                     case = (d, n, workers)
+                    assert planned == workers, case
                     assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
                     assert dropped == listed - sum(per[diag] for diag, _ in kept), case
-                    sizes = [len(b21s) * per[diag] for diag, b21s in shards]
+                    sizes = [sum(size[diag, b21] for b21 in b21s) for diag, b21s in shards]
                     assert sizes == sorted(sizes, reverse=True), case
                     value, got = _lattice_pass(n, d, workers, pool)
                     assert value == alone, case
@@ -861,13 +924,16 @@ def test_kappa_matches_the_records_of_the_retired_routes():
 
     So do every d = 1 order n = 2..400 and every single-chain d = 3 order
     n <= 100, which the search once scanned alone on their one chain (a d = 1
-    scan stopping at the proven bound). The single-chain d = 3 rows above
-    n = 100, which take longer, are searched again in CI's north-star step."""
+    scan stopping at the proven bound), and the other d = 3 orders n = 73..100,
+    recorded before the lattice pass cut the e_2/e_3 swap twins. The d = 3 rows
+    of both files above n = 100, which take longer, are searched again in CI's
+    north-star step."""
     routes = _golden_rows("kappa_routes.jsonl")
     assert len(routes) == 2 * 298 + 27
     single = _golden_rows("kappa_single_chain.jsonl")
     assert len(single) == 399 + 95
     assert [(row["d"], row["n"]) for row in single if row["d"] == 1] == [(1, n) for n in range(2, 401)]
+    cut = _golden_rows("kappa_orbit_cut.jsonl")
     by_order = {}
     for row in routes:
         by_order.setdefault((row["d"], row["n"]), []).append(row)
@@ -875,6 +941,11 @@ def test_kappa_matches_the_records_of_the_retired_routes():
         assert sorted(row["prune"] for row in same) == ([False, True] if d == 2 else [True])
     for row in single:
         assert (row["d"], row["n"]) not in by_order and len(enumerate_groups(row["n"], row["d"])) == 1
+    held = by_order.keys() | {(row["d"], row["n"]) for row in single}
+    assert [(row["d"], row["n"]) for row in cut] == [
+        (3, n) for n in range(73, 201) if (3, n) not in held
+    ]
+    for row in single + cut:
         if row["d"] == 1 or row["n"] <= 100:
             by_order[row["d"], row["n"]] = [row]
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
