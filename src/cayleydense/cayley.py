@@ -10,7 +10,9 @@ matrix, are unimodular (`mdd.is_proper`).
 
 `bfs_distances` is the one BFS that computes distances; elements are
 indexed mixed-radix, last coordinate fastest, and `successor_table` maps
-each index to the index of its sum with a generator. Successor tables are
+each index to the index of its sum with a generator. A digraph keeps its
+own distances (`CayleyDigraph.distances`), so its diameter, its diagram's
+build and the diagram's verification share one search. Successor tables are
 immutable tuples shared by every caller through one least-recently-used
 cache of TABLE_CACHE_SIZE tables, so a digraph's own tables always fit
 together and memory stays bounded by that many tables of the largest
@@ -31,6 +33,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .abelian import GroupElement, InvariantFactors
+from .errors import InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,18 @@ class CayleyDigraph:
     def normalized_gens(self) -> tuple[GroupElement, ...]:
         return tuple(self.group.reduce(t) for t in self.gens)
 
+    @cached_property
+    def distances(self) -> tuple[int, ...]:
+        """BFS distance from the identity to each element, by mixed-radix index.
+
+        Searched once per digraph. `bfs_distances` itself keeps no cache: a
+        census calls it once on each of thousands of distinct sets.
+        """
+        dist = bfs_distances(self.group, self.normalized_gens)
+        if dist is None:  # unreachable: construction already checked generation
+            raise InternalConsistencyError(f"BFS does not reach every vertex of {self}")
+        return tuple(dist)
+
     def to_literal(self) -> dict:
         return {"moduli": list(self.group), "gens": [list(t) for t in self.gens]}
 
@@ -109,9 +124,7 @@ class DistanceProfile:
     distances: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.distances) != self.group.order or any(
-            x < 0 for x in self.distances
-        ):
+        if len(self.distances) != self.group.order or min(self.distances) < 0:
             raise ValueError("profile must cover the whole group")
 
     def of(self, elem: Sequence[int]) -> int:
@@ -194,10 +207,8 @@ def bfs_distances(
 
 
 def distance_profile(g: CayleyDigraph) -> DistanceProfile:
-    dist = bfs_distances(g.group, g.normalized_gens)
-    if dist is None:  # unreachable: construction already checked generation
-        raise ValueError("generators do not generate the group")
-    return DistanceProfile(g.group, tuple(dist))
+    """The digraph's distances, searched once per digraph (`CayleyDigraph.distances`)."""
+    return DistanceProfile(g.group, g.distances)
 
 
 def diameter(g: CayleyDigraph) -> int:
@@ -220,6 +231,8 @@ def dilate_digraph(g: CayleyDigraph, m: int, strict: bool = False) -> CayleyDigr
     ValueError. Strict mode also refuses g unless every dilate exists, which
     is when the lifts are unimodular (`mdd.is_proper`).
     """
+    if type(m) is not int:  # no truncated floats, no bools
+        raise ValueError(f"dilation factor must be an int, not {m!r}")
     if m < 1:
         raise ValueError(f"dilation factor must be >= 1, got {m}")
     if strict:

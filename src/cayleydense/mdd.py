@@ -25,13 +25,17 @@ when its stored lifts form a unimodular matrix. Whenever a dilate exists,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .abelian import GroupElement
-from .cayley import CayleyDigraph, bfs_distances, dilate_digraph, successor_table
-from .errors import InternalConsistencyError
+from .cayley import CayleyDigraph, dilate_digraph, successor_table
 from .zmatrix import Matrix, is_unimodular
+
+_PREFIX = itemgetter(slice(None, -1))  # a point's column: all but its last coordinate
+_LAST = itemgetter(-1)
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,8 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
     rep(0) = 0, and rep(x) is the lexicographic minimum of rep(x - g_i) + e_i
     over the generators i with dist(x - g_i) = dist(x) - 1. One pass over the
     vertices in BFS order offers rep(v) + e_i to every successor one level
-    further out, so the build is O(n*d) on top of a single BFS.
+    further out, so the build is O(n*d) on top of the digraph's one BFS
+    (`CayleyDigraph.distances`).
 
     The recurrence is exact because graded lex is compatible with
     translation: if rep(x)_i > 0, then rep(x) - e_i reaches x - g_i with norm
@@ -105,9 +110,7 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
     group = g.group
     n = group.order
     tables = [successor_table(group, t) for t in g.normalized_gens]
-    dist = bfs_distances(group, g.normalized_gens)
-    if dist is None:
-        raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
+    dist = g.distances
     rep: list[tuple[int, ...] | None] = [None] * n
     rep[0] = (0,) * g.degree
     for v in sorted(range(n), key=dist.__getitem__):
@@ -125,44 +128,59 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
 
 
 def verify_mdd(h: Mdd) -> bool:
-    """Check all three diagram conditions against a fresh BFS of the source.
+    """Check all three diagram conditions against the source's distances.
 
-    The successor tables of the source's generators, shared with that BFS
-    through the `successor_table` memo, also map the points to the group.
-    After the count, rank and sign checks, the points are walked in norm
-    order, which gives each point's group index without phi:
-    idx(0) = 0 and idx(a) = tables[i][idx(a - e_i)] for any i with a_i > 0.
-    Every lower neighbour a - e_i has norm one less, so it is in the set
-    exactly when it was already walked; looking it up checks downward
-    closure and gives its index. phi(a) = phi(a - e_i) + g_i makes the walk
-    exact. Injectivity and norm = BFS distance are checked on those indices.
+    The count, rank, integer type and sign of the points are checked first,
+    by passes over the whole set. The points are then taken as columns: the
+    points that share a prefix p (all but the last coordinate) form the
+    column of p, of height k(p). Downward closure along the last coordinate
+    holds exactly when every column's last coordinates are 0, ..., k(p) - 1.
+    They are distinct and nonnegative, so that is when their sum over the
+    whole set is the sum of k(p)(k(p) - 1)/2, the least it can be. Along a
+    coordinate i of p, closure holds exactly when q = p - e_i has a column
+    at least as high as p's.
+
+    The successor tables of the source's generators, shared with its BFS
+    through the `successor_table` memo, map the points to the group without
+    phi. The prefixes are walked in norm order: idx(0) = 0 and
+    idx(p) = tables[i][idx(p - e_i)] for any i with p_i > 0, and each column
+    then climbs by the last generator's table, idx(p, j + 1) =
+    tables[-1][idx(p, j)]. phi(a) = phi(a - e_i) + g_i makes the walk exact.
+    Injectivity and norm = BFS distance are checked on those indices.
     """
     g = h.source
     group = g.group
     d = group.rank
     pts = h.points
-    if len(pts) != group.order:
+    if len(pts) != group.order or {*map(len, pts)} != {d}:
         return False
-    if any(len(a) != d or min(a) < 0 for a in pts):
+    coords = [*chain.from_iterable(pts)]
+    if {*map(type, coords)} != {int} or min(coords) < 0:
+        return False  # no truncated floats, no bools, nothing below zero
+    heights = Counter(map(_PREFIX, pts))
+    if sum(map(_LAST, pts)) != sum(k * (k - 1) for k in heights.values()) // 2:
         return False
     tables = [successor_table(group, t) for t in g.normalized_gens]
-    dist = bfs_distances(group, g.normalized_gens)
-    if dist is None:
-        raise InternalConsistencyError(f"BFS does not reach every vertex of {g}")
+    climb = tables[-1]
+    dist = g.distances
     index: dict[tuple[int, ...], int] = {}
-    seen = [False] * group.order
-    for a in sorted(pts, key=sum):
+    seen = bytearray(group.order)
+    for p in sorted(heights, key=sum):
+        k = heights[p]
         idx = 0
-        for i, x in enumerate(a):
+        for i, x in enumerate(p):
             if x:
-                below = index.get(a[:i] + (x - 1,) + a[i + 1 :])
-                if below is None:
+                q = p[:i] + (x - 1,) + p[i + 1 :]
+                if heights.get(q, 0) < k:
                     return False
-                idx = tables[i][below]
-        if seen[idx] or dist[idx] != sum(a):
-            return False
-        seen[idx] = True
-        index[a] = idx
+                idx = tables[i][index[q]]
+        index[p] = idx
+        start = sum(p)
+        for norm in range(start, start + k):
+            if seen[idx] or dist[idx] != norm:
+                return False
+            seen[idx] = 1
+            idx = climb[idx]
     return True
 
 
@@ -173,17 +191,15 @@ def solid_diameter(h: Mdd) -> int:
 
 def dilate_mdd(h: Mdd, m: int) -> Mdd:
     """Replace every cube by an m x ... x m block; dilate the source alongside."""
-    if m < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {m}")
+    source = dilate_digraph(h.source, m)  # refuses a factor that is no int >= 1
     if m == 1:
         return h
-    d = h.source.degree
     pts = frozenset(
-        tuple(m * x + o for x, o in zip(a, offs))
-        for a in h.points
-        for offs in product(range(m), repeat=d)
+        chain.from_iterable(
+            product(*[range(m * x, m * x + m) for x in a]) for a in h.points
+        )
     )
-    return Mdd(points=pts, source=dilate_digraph(h.source, m))
+    return Mdd(points=pts, source=source)
 
 
 def extract_lshape(h: Mdd) -> LShape:

@@ -252,19 +252,25 @@ def det_oracle(rows):
     return total
 
 
+# mdd_oracle is asked about many mutations of one diagram; each digraph's plain
+# BFS runs once for all of them
+_bfs_distance_oracle_memo = lru_cache(maxsize=8)(bfs_distance_oracle)
+
+
 def mdd_oracle(moduli, gens, points):
     """Whether points form a minimum distance diagram, with phi by plain arithmetic.
 
-    The conditions: n points of the right rank in N^d, downward closed, phi
-    injective, and each point's 1-norm equal to its image's BFS distance.
+    The conditions: n points of the right rank in N^d (int coordinates only,
+    no floats or bools), downward closed, phi injective, and each point's
+    1-norm equal to its image's BFS distance.
     """
     d = len(gens)
-    dist = bfs_distance_oracle(moduli, gens)
+    dist = _bfs_distance_oracle_memo(tuple(moduli), tuple(map(tuple, gens)))
     if dist is None or len(points) != len(dist):
         return False
     images = set()
     for a in points:
-        if len(a) != d or any(x < 0 for x in a):
+        if len(a) != d or any(type(x) is not int or x < 0 for x in a):
             return False
         for i in range(d):
             if a[i] > 0 and a[:i] + (a[i] - 1,) + a[i + 1 :] not in points:
@@ -276,6 +282,15 @@ def mdd_oracle(moduli, gens, points):
             return False
         images.add(value)
     return True
+
+
+def dilate_points_oracle(points, m):
+    """Every point a replaced by its block, the m^d points m*a + o with 0 <= o_i < m."""
+    out = set()
+    for a in points:
+        for offs in product(range(m), repeat=len(a)):
+            out.add(tuple(m * x + o for x, o in zip(a, offs)))
+    return frozenset(out)
 
 
 def word_length_oracle(moduli, gens, max_norm):

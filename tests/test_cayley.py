@@ -114,6 +114,10 @@ def test_dilate_examples():
     assert diameter(five) == 27
     with pytest.raises(ValueError):
         dilate_digraph(GAMMA2, 0)
+    # a factor is an int: no float that would be truncated, no bool taken as 1
+    for m in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an int"):
+            dilate_digraph(GAMMA2, m)
 
 
 def test_dilating_method_small():

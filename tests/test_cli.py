@@ -142,6 +142,7 @@ def test_dilate_mdd_cli(tmp_path, capsys):
     out_path = tmp_path / "u2x2.mdd"
     assert main(["dilate", "--mdd", "-m", "2", str(target), "-o", str(out_path)]) == 0
     assert len(read_mdd_file(out_path.read_text()).points) == 12
+    assert main(["dilate", "--mdd", "-m", "0", str(target), "-o", str(out_path)]) == 2
 
 
 def test_dilate_mdd_refuses_a_file_that_holds_no_diagram(tmp_path, capsys):

@@ -2,10 +2,17 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleydense import cayley
 from cayleydense.abelian import InvariantFactors
-from cayleydense.cayley import CayleyDigraph, diameter, dilate_digraph, upsilon
+from cayleydense.cayley import (
+    CayleyDigraph,
+    diameter,
+    dilate_digraph,
+    distance_profile,
+    upsilon,
+)
 from cayleydense.mdd import (
     LShape,
     Mdd,
@@ -26,6 +33,7 @@ from conftest import (
     chains_oracle,
     closure_oracle,
     det_oracle,
+    dilate_points_oracle,
     lex_least_word_oracle,
     lshape_validate_oracle,
     mdd_oracle,
@@ -69,6 +77,27 @@ def test_diagram_builds_each_table_once():
         assert cayley._build_table.cache_info().misses == tables, g
 
 
+def test_diameter_build_and_verify_share_one_bfs(monkeypatch):
+    """A digraph is searched once: its diameter, its profile, the build of its
+    diagram and the diagram's verification all read `CayleyDigraph.distances`."""
+    calls = []
+    bfs = cayley.bfs_distances
+
+    def counted(group, gens):
+        calls.append(tuple(group))
+        return bfs(group, gens)
+
+    monkeypatch.setattr(cayley, "bfs_distances", counted)
+    for named in (upsilon(3, 2), upsilon(2, 5), SPACE_SEED, Z7):
+        g = CayleyDigraph(named.group, named.gens)  # a fresh digraph, never searched
+        calls.clear()
+        k = diameter(g)
+        h = build_mdd(g)
+        assert verify_mdd(h) and solid_diameter(h) == k + g.degree
+        assert distance_profile(g).max_distance == k
+        assert calls == [tuple(g.group)], str(g)
+
+
 def test_verify_mdd_rejects_bad_sets():
     good = build_mdd(U2)
     assert verify_mdd(good)
@@ -77,6 +106,31 @@ def test_verify_mdd_rejects_bad_sets():
     z3 = CayleyDigraph.from_cyclic(3, (1, 2))
     stretched = Mdd(points=frozenset({(0, 0), (1, 0), (2, 0)}), source=z3)
     assert not verify_mdd(stretched)
+    # a column's last coordinates sum as 0, ..., k - 1 do, but one is negative
+    # and another too high: only the sign check sees it
+    ring = CayleyDigraph.from_cyclic(5, (1,))
+    for g, pts in (
+        (ring, {(-1,), (1,), (2,), (3,), (5,)}),
+        (U2, {(0, 0), (0, 2), (1, -1)}),
+    ):
+        assert not mdd_oracle(tuple(g.group), g.gens, frozenset(pts))
+        assert not verify_mdd(Mdd(points=frozenset(pts), source=g)), pts
+
+
+def test_verify_mdd_rejects_non_int_coordinates():
+    """Coordinates are ints, as generator entries are: a float or a bool equal to the
+    right int, or a string, makes the set no diagram, as it does for the oracle."""
+    moduli = tuple(U2.group)
+    for pts in (
+        {(0.0, 0), (1, 0), (0, 1)},
+        {(0, 0), (True, False), (0, 1)},
+        {(0, 0), (1, 0), (0, 1.0)},
+        {(0, 0), (1, 0), (0, "1")},
+        {(0, 0), (1, 0), ("0", "1")},
+    ):
+        assert len(pts) == U2.order
+        assert not mdd_oracle(moduli, U2.gens, frozenset(pts)), pts
+        assert not verify_mdd(Mdd(points=frozenset(pts), source=U2)), pts
 
 
 def test_solid_diameter_examples():
@@ -88,6 +142,9 @@ def test_solid_diameter_examples():
 def test_dilate_mdd_examples():
     h = build_mdd(U2)
     assert dilate_mdd(h, 1) is h
+    for m in (2.0, True, 0):  # the factor rule of dilate_digraph
+        with pytest.raises(ValueError, match="dilation factor"):
+            dilate_mdd(h, m)
     doubled = dilate_mdd(h, 2)
     assert doubled.points == LShape(4, 4, 2, 2).cubes()
     assert verify_mdd(doubled)
@@ -95,6 +152,24 @@ def test_dilate_mdd_examples():
     assert len(space.points) == 128
     assert solid_diameter(space) == 12
     assert verify_mdd(space)
+
+
+DILATION_SOURCES = {1: CayleyDigraph.from_cyclic(5, (1,)), 2: U2, 3: SPACE_SEED}
+
+
+@given(
+    data=st.data(),
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_dilate_mdd_matches_blockwise_oracle(data, d, m):
+    """Any point set of a proper source, a diagram or not, dilates block by block."""
+    g = DILATION_SOURCES[d]
+    pts = data.draw(st.frozensets(st.tuples(*[st.integers(0, 5)] * d), max_size=20))
+    hd = dilate_mdd(Mdd(points=pts, source=g), m)
+    assert hd.points == dilate_points_oracle(pts, m)
+    assert hd.source == dilate_digraph(g, m)
 
 
 def test_extract_lshape_examples():
@@ -369,14 +444,20 @@ def _mutations(g, pts, rng):
     corners = [p for p in ordered if not any(q in pts for q in _outer_corners({p}))]
     yield "drop", pts - {rng.choice(corners)}
     yield "lift", frozenset(p + (0,) for p in ordered)
+    # equal to the diagram's own points, but not ints: the type check alone sees
+    # them (drawing nothing from rng keeps the other kinds' draws as they were)
+    top = ordered[-1]
+    yield "float", pts - {top} | {tuple(map(float, top))}
+    yield "bool", pts - {ordered[0]} | {(False,) * d}
 
 
-def test_verify_mdd_rejection_matches_phi_oracle():
-    rng = random.Random(5501)
+def _mutation_verdicts(diagrams, rng):
+    """The oracle's verdict on each mutation of each diagram, by kind, after
+    checking that verify_mdd gives the same one."""
     verdicts = {}
-    for g in proper_corpus():
+    for h in diagrams:
+        g = h.source
         moduli = tuple(g.group)
-        h = build_mdd(g)
         assert verify_mdd(h) and mdd_oracle(moduli, g.gens, h.points)
         for kind, pts in _mutations(g, h.points, rng):
             want = mdd_oracle(moduli, g.gens, frozenset(pts))
@@ -384,9 +465,27 @@ def test_verify_mdd_rejection_matches_phi_oracle():
             assert got == want, (kind, str(g), sorted(pts))
             verdicts.setdefault(kind, []).append(want)
     assert set(verdicts) == {
-        "move", "above", "swap", "negative", "rank", "same-image", "drop", "lift"
+        "move", "above", "swap", "negative", "rank", "same-image", "drop", "lift",
+        "float", "bool",
     }
-    for kind in ("above", "negative", "rank", "same-image", "drop", "lift"):
+    for kind in ("above", "negative", "rank", "same-image", "drop", "lift", "float", "bool"):
         assert not any(verdicts[kind]), kind
     assert verdicts["move"].count(False) > len(verdicts["move"]) // 2
     assert verdicts["swap"].count(False) > len(verdicts["swap"]) // 2
+    return verdicts
+
+
+def test_verify_mdd_rejection_matches_phi_oracle():
+    _mutation_verdicts((build_mdd(g) for g in proper_corpus()), random.Random(5501))
+
+
+def test_verify_mdd_rejection_matches_phi_oracle_on_dilates():
+    """The same mutations of dilated diagrams, whose points are no graded-lex
+    least words, so the verdicts do not rest on the shape build_mdd gives.
+    Every degree-1 and degree-3 member of the corpus is dilated, and every tenth
+    of its 1,390 degree-2 L-shapes: all of them would take about 10 s."""
+    corpus = proper_corpus()
+    sources = [g for g in corpus if g.degree != 2] + [g for g in corpus if g.degree == 2][::10]
+    diagrams = (dilate_mdd(build_mdd(g), m) for g in sources for m in (2, 3))
+    verdicts = _mutation_verdicts(diagrams, random.Random(5503))
+    assert len(verdicts["move"]) == 2 * len(sources) >= 2 * 200
