@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import density as density_mod
@@ -37,6 +37,8 @@ TABLE1_SEEDS = (
 TABLE2_SEED = CayleyDigraph(
     InvariantFactors((1, 1, 16)), ((0, 0, 1), (0, 1, -12), (1, 0, -11))
 )
+# table name -> (seeds, last m): the Dilating Method to one step past c(d, n)
+TABLES = {"table1": (TABLE1_SEEDS, 4), "table2": ((TABLE2_SEED,), 5)}
 
 
 @dataclass
@@ -246,8 +248,7 @@ def _cmd_density(args) -> CommandResult:
         "bound": _rat(bound),
         "conjectural_bound": density_mod.is_conjectural(d),
     }
-    mark = "'" if density_mod.is_conjectural(d) else ""
-    human = f"density = {_rat(value)} (<= Delta{mark}_{d} = {_rat(bound)})\n"
+    human = f"density = {_rat(value)} (<= {_bound_label(d, 'Delta')}_{d} = {_rat(bound)})\n"
     return CommandResult(0, [row], human)
 
 
@@ -300,36 +301,25 @@ def _cmd_dilate(args) -> CommandResult:
 def _cmd_bound(args) -> CommandResult:
     if (args.n is None) == (args.k is None):
         raise ValueError("bound: give exactly one of -n (lower bound) or -k (max order)")
-    if args.n is not None:
-        value = density_mod.lower_bound(args.d, args.n)
-        label = _bound_label(args.d, "l")
-        row = {
-            "kind": "lower_bound",
-            "d": args.d,
-            "n": args.n,
-            "value": value,
-            "conjectural": density_mod.is_conjectural(args.d),
-        }
-        return CommandResult(0, [row], f"{label}({args.d},{args.n}) = {value}\n")
-    value = density_mod.max_order(args.d, args.k)
-    label = _bound_label(args.d, "N")
+    kind, key, base = ("lower_bound", "n", "l") if args.k is None else ("max_order", "k", "N")
+    arg = getattr(args, key)
+    value = getattr(density_mod, kind)(args.d, arg)  # density.lower_bound or .max_order
     row = {
-        "kind": "max_order",
+        "kind": kind,
         "d": args.d,
-        "k": args.k,
+        key: arg,
         "value": value,
         "conjectural": density_mod.is_conjectural(args.d),
     }
-    return CommandResult(0, [row], f"{label}({args.d},{args.k}) = {value}\n")
+    return CommandResult(0, [row], f"{_bound_label(args.d, base)}({args.d},{arg}) = {value}\n")
 
 
 def _cmd_tight(args) -> CommandResult:
     if args.what == "value":
         g = _parse_digraph(args.digraph)
         t = density_mod.tightness(g)
-        mark = "'" if density_mod.is_conjectural(g.degree) else ""
         row = {"tightness": t, "conjectural": density_mod.is_conjectural(g.degree)}
-        return CommandResult(0, [row], f"t{mark} = {t}\n")
+        return CommandResult(0, [row], f"{_bound_label(g.degree, 't')} = {t}\n")
     conj = density_mod.is_conjectural(args.d)
     if args.what == "coeff":
         c = density_mod.tightness_coefficient(args.d, args.n)
@@ -360,18 +350,11 @@ def _cmd_kappa(args) -> CommandResult:
         )
     spec = kappa_search.SearchSpec(d=args.d, n=args.n, worker_count=args.jobs)
     rec = kappa_search.kappa(spec, cache=_cache_from(args))
-    row = {
-        "d": rec.d,
-        "n": rec.n,
-        "kappa": rec.kappa,
-        "witness": rec.witness,
-        "millis": rec.millis,
-    }
     human = (
         f"kappa({args.d},{args.n}) = {rec.kappa}\n"
         f"witness: {CayleyDigraph.from_literal(rec.witness)}\n"
     )
-    return CommandResult(0, [row], human)
+    return CommandResult(0, [asdict(rec)], human)
 
 
 def _cmd_gaps(args) -> CommandResult:
@@ -394,62 +377,26 @@ def _cmd_gaps(args) -> CommandResult:
     return result
 
 
-def _table1_rows() -> list[dict]:
+def _cmd_table(args) -> CommandResult:
+    """Each seed's m-th dilate, its diameter k and l(d, n), for m = 1, ..., last."""
+    seeds, last = TABLES[args.command]
+    d = seeds[0].degree
     rows = []
-    for m in range(1, 5):
-        for seed in TABLE1_SEEDS:
+    for m in range(1, last + 1):
+        for seed in seeds:
             g = dilate_digraph(seed, m)
-            shape = mdd_mod.extract_lshape(mdd_mod.build_mdd(g))
-            rows.append(
-                {
-                    "m": m,
-                    "n": g.order,
-                    "digraph": str(g),
-                    "lshape": str(shape),
-                    "k": diameter(g),
-                    "lower_bound": density_mod.lower_bound(2, g.order),
-                }
-            )
-    return rows
-
-
-def _cmd_table1(args) -> CommandResult:
-    rows = _table1_rows()
+            row = {"m": m, "n": g.order, "digraph": str(g)}
+            if d == 2:
+                row["lshape"] = str(mdd_mod.extract_lshape(mdd_mod.build_mdd(g)))
+            row["k"] = diameter(g)
+            row["lower_bound"] = density_mod.lower_bound(d, g.order)
+            if density_mod.is_conjectural(d):
+                row["conjectural"] = True
+            rows.append(row)
+    keys = [key for key in rows[0] if key != "conjectural"]
+    labels = {"lshape": "L-shape", "lower_bound": f"{_bound_label(d, 'l')}({d},n)"}
     human = _render_table(
-        ["m", "n", "digraph", "L-shape", "k", "l(2,n)"],
-        [
-            [str(r["m"]), str(r["n"]), r["digraph"], r["lshape"], str(r["k"]), str(r["lower_bound"])]
-            for r in rows
-        ],
-    )
-    return CommandResult(0, rows, human)
-
-
-def _table2_rows() -> list[dict]:
-    rows = []
-    for m in range(1, 6):
-        g = dilate_digraph(TABLE2_SEED, m)
-        rows.append(
-            {
-                "m": m,
-                "n": g.order,
-                "digraph": str(g),
-                "k": diameter(g),
-                "lower_bound": density_mod.lower_bound(3, g.order),
-                "conjectural": True,
-            }
-        )
-    return rows
-
-
-def _cmd_table2(args) -> CommandResult:
-    rows = _table2_rows()
-    human = _render_table(
-        ["m", "n", "digraph", "k", "l'(3,n)"],
-        [
-            [str(r["m"]), str(r["n"]), r["digraph"], str(r["k"]), str(r["lower_bound"])]
-            for r in rows
-        ],
+        [labels.get(key, key) for key in keys], [[str(r[key]) for key in keys] for r in rows]
     )
     return CommandResult(0, rows, human)
 
@@ -565,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_gaps)
 
     s = sub.add_parser("table1", help="dilation table for the two order-72 degree-2 seeds")
-    s.set_defaults(handler=_cmd_table1)
+    s.set_defaults(handler=_cmd_table)
 
     s = sub.add_parser("table2", help="dilation table for the order-16 degree-3 seed")
-    s.set_defaults(handler=_cmd_table2)
+    s.set_defaults(handler=_cmd_table)
 
     s = sub.add_parser("upsilon", help="extremal-density family member")
     s.add_argument("-d", type=int, required=True, choices=(2, 3))

@@ -90,7 +90,7 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, combinations
 from math import ceil, gcd
 from pathlib import Path
@@ -141,13 +141,9 @@ class KappaRecord:
     millis: int
 
     def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "n": self.n,
-            "kappa": self.kappa,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
+        # field by field: asdict deep-copies the witness, and vars() would keep a
+        # __dict__ on every record written
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod

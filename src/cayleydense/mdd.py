@@ -56,6 +56,8 @@ class LShape:
     y: int
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.l, self.h, self.w, self.y)):
+            raise ValueError(f"L-shape parameters must be ints, not {self}")  # no floats, no bools
         if not (0 <= self.w < self.l and 0 <= self.y < self.h):
             raise ValueError(f"invalid L-shape parameters {self}")
         if (self.l - self.y) * (self.h - self.w) < 0:
@@ -68,12 +70,10 @@ class LShape:
         return self.l * self.h - self.w * self.y
 
     def cubes(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (x, y)
-            for x in range(self.l)
-            for y in range(self.h)
-            if x < self.l - self.w or y < self.h - self.y
-        )
+        """The full-height columns x < l - w, then the w columns of height h - y."""
+        cut = self.l - self.w
+        full = product(range(cut), range(self.h))
+        return frozenset(chain(full, product(range(cut, self.l), range(self.h - self.y))))
 
     def __str__(self) -> str:
         return f"L({self.l},{self.h},{self.w},{self.y})"
@@ -205,58 +205,28 @@ def dilate_mdd(h: Mdd, m: int) -> Mdd:
 def extract_lshape(h: Mdd) -> LShape:
     """Unique (l, h, w, y) whose cube set equals the planar diagram.
 
-    Rectangles are normalized to w = y = 0. Failure here signals a bug:
-    planar diagrams are always L-shapes or rectangles.
+    Read from the column heights: l columns, h the height of column 0, y = h
+    less the height of the last column, w the number of columns lower than h.
+    Rectangles come out as w = y = 0. Failure here signals a bug: planar
+    diagrams are always L-shapes or rectangles.
     """
     if h.source.degree != 2:
         raise ValueError("L-shape extraction requires a degree-2 diagram")
     pts = h.points
-    width = max(a[0] for a in pts) + 1
-    heights = [0] * width
-    for a in pts:
-        heights[a[0]] += 1
-    levels = sorted(set(heights), reverse=True)
-    if len(levels) == 1:
-        shape = LShape(width, levels[0], 0, 0)
-    elif len(levels) == 2:
-        high, low = levels
-        w = heights.count(low)
-        shape = LShape(width, high, w, high - low)
-        if heights != [high] * (width - w) + [low] * w:
-            raise ValueError("point set is not an L-shape")
-    else:
-        raise ValueError("point set is not an L-shape")
-    if shape.cubes() != pts:
-        raise ValueError("point set is not an L-shape")
-    return shape
-
-
-def _same_cube_parametrizations(shape: LShape) -> list[LShape]:
-    """All (l, h, w, y) with the same cube set; rectangles have many."""
-    if shape.w and shape.y:
-        return [shape]
-    out = []
-    for w in range(shape.l):
+    coords = [*chain.from_iterable(pts)]
+    # ints only (no floats, no bools); 2n of them, so coords[::2] are the first
+    # coordinates unless some point is no pair, and then no L-shape's cubes match
+    if len(coords) == 2 * len(pts) and {*map(type, coords)} == {int}:
+        heights = Counter(coords[::2])
+        l, top = len(heights), heights[0]
+        w = sum(k < top for k in heights.values())
         try:
-            out.append(LShape(shape.l, shape.h, w, 0))
-        except ValueError:
+            shape = LShape(l, top, w, top - heights[l - 1])
+            if shape.cubes() == pts:
+                return shape
+        except ValueError:  # no L-shape has these parameters
             pass
-    for y in range(1, shape.h):
-        try:
-            out.append(LShape(shape.l, shape.h, 0, y))
-        except ValueError:
-            pass
-    return out
-
-
-def _conditions_hold(shape: LShape, g: CayleyDigraph) -> bool:
-    group = g.group
-    a, b = g.normalized_gens
-    return (
-        shape.area == group.order
-        and group.scalar_mul(shape.l, a) == group.scalar_mul(shape.y, b)
-        and group.scalar_mul(shape.w, a) == group.scalar_mul(shape.h, b)
-    )
+    raise ValueError("point set is not an L-shape")
 
 
 def lshape_validate(shape: LShape, g: CayleyDigraph) -> bool:
@@ -265,14 +235,27 @@ def lshape_validate(shape: LShape, g: CayleyDigraph) -> bool:
 
     Those two vectors then form a basis of L, as their determinant is the area
     n = [Z^2 : L], so gcd(l, h, w, y) is s_1 without a test; LShape itself
-    checks that the sides interlock. A rectangle keeps its cube set under any
-    (w, 0) or (0, y) parameter choice but the conditions see those
-    parameters, so the normalized form is accepted if any equivalent
-    parametrization satisfies them.
+    checks that the sides interlock. A rectangle (w = 0 or y = 0) keeps its
+    cube set under every parametrization LShape accepts, (w, 0) for
+    0 <= w <= min(l - 1, h) and (0, y) for 1 <= y <= min(h - 1, l), but the
+    conditions see those parameters, so it is accepted if any of them
+    satisfies them.
     """
     if g.degree != 2:
         raise ValueError("L-shape validation requires a degree-2 digraph")
-    return any(_conditions_hold(p, g) for p in _same_cube_parametrizations(shape))
+    group = g.group
+    if shape.area != group.order:
+        return False
+    l, h, a, b = shape.l, shape.h, *g.normalized_gens
+    if shape.w and shape.y:
+        pairs = [(shape.w, shape.y)]
+    else:
+        pairs = [(w, 0) for w in range(min(l - 1, h) + 1)]
+        pairs += [(0, y) for y in range(1, min(h - 1, l) + 1)]
+    la, hb = group.scalar_mul(l, a), group.scalar_mul(h, b)
+    return any(
+        la == group.scalar_mul(y, b) and group.scalar_mul(w, a) == hb for w, y in pairs
+    )
 
 
 def lshape_solid_diameter(shape: LShape) -> int:

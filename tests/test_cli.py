@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cayleydense.cli import (
+    TABLES,
     _render,
     build_parser,
     main,
@@ -17,6 +18,7 @@ from cayleydense.cli import (
 )
 from cayleydense.mdd import build_mdd
 from cayleydense.cayley import upsilon
+from cayleydense.density import tightness_coefficient
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,12 +30,91 @@ def _human(argv):
     return result.human
 
 
+def _assert_table_golden(name):
+    """The human table, its jsonl rows and its csv (CRLF rows, so read as bytes)."""
+    assert _human([name]) == (GOLDEN / f"{name}.txt").read_text()
+    for fmt in ("jsonl", "csv"):
+        result = run(["--format", fmt, name])
+        assert _render(result, fmt) == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
+
+
 def test_table1_matches_golden():
-    assert _human(["table1"]) == (GOLDEN / "table1.txt").read_text()
+    _assert_table_golden("table1")
 
 
 def test_table2_matches_golden():
-    assert _human(["table2"]) == (GOLDEN / "table2.txt").read_text()
+    _assert_table_golden("table2")
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tables_stop_one_step_past_the_tightness_coefficient(name):
+    """The Dilating Method keeps k = l(d, n) for m <= c(d, n) and loses it at m = c + 1."""
+    seeds, last = TABLES[name]
+    d, n = seeds[0].degree, seeds[0].order
+    c = tightness_coefficient(d, n)
+    assert all(seed.degree == d and seed.order == n for seed in seeds)
+    assert last == c + 1
+    rows = run(["--format", "jsonl", name]).rows
+    assert [r["m"] for r in rows] == [m for m in range(1, last + 1) for _ in seeds]
+    assert all(r["k"] == r["lower_bound"] for r in rows if r["m"] <= c)
+    assert all(r["k"] > r["lower_bound"] for r in rows if r["m"] == last)
+
+
+SEED2 = '{"moduli":[1,72],"gens":[[-1,4],[-3,11]]}'
+SEED3 = '{"moduli":[1,1,16],"gens":[[0,0,1],[0,1,-12],[1,0,-11]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, jsonl, csv",
+    [
+        (
+            ["bound", "-d", "2", "-n", "72"],
+            '{"conjectural": false, "d": 2, "kind": "lower_bound", "n": 72, "value": 13}\n',
+            "kind,d,n,value,conjectural\r\nlower_bound,2,72,13,False\r\n",
+        ),
+        (
+            ["bound", "-d", "3", "-k", "7"],
+            '{"conjectural": true, "d": 3, "k": 7, "kind": "max_order", "value": 84}\n',
+            "kind,d,k,value,conjectural\r\nmax_order,3,7,84,True\r\n",
+        ),
+        (
+            ["kappa", "-d", "2", "-n", "12"],
+            '{"d": 2, "kappa": 4, "millis": 0, "n": 12,'
+            ' "witness": {"gens": [[0, 1], [1, 2]], "moduli": [2, 6]}}\n',
+            'd,n,kappa,witness,millis\r\n'
+            '2,12,4,"{""gens"": [[0, 1], [1, 2]], ""moduli"": [2, 6]}",0\r\n',
+        ),
+        (
+            ["density", SEED2],
+            '{"bound": "1/3", "conjectural_bound": false, "density": "8/25"}\n',
+            "density,bound,conjectural_bound\r\n8/25,1/3,False\r\n",
+        ),
+        (
+            ["density", SEED3],
+            '{"bound": "21/250", "conjectural_bound": true, "density": "2/27"}\n',
+            "density,bound,conjectural_bound\r\n2/27,21/250,True\r\n",
+        ),
+        (
+            ["tight", "value", SEED2],
+            '{"conjectural": false, "tightness": 0}\n',
+            "tightness,conjectural\r\n0,False\r\n",
+        ),
+        (
+            ["tight", "value", SEED3],
+            '{"conjectural": true, "tightness": 0}\n',
+            "tightness,conjectural\r\n0,True\r\n",
+        ),
+    ],
+)
+def test_machine_rows_pinned(argv, jsonl, csv):
+    """The jsonl and csv bytes of single-row commands; a kappa row's millis reads 0."""
+    for fmt, want in (("jsonl", jsonl), ("csv", csv)):
+        result = run(["--format", fmt, *argv])
+        assert result.exit_code == 0, result.human
+        (row,) = result.rows
+        if "millis" in row:
+            row["millis"] = 0
+        assert _render(result, fmt) == want
 
 
 def test_bound_examples():

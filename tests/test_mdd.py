@@ -180,6 +180,20 @@ def test_extract_lshape_examples():
         extract_lshape(build_mdd(SPACE_SEED))
     rect = extract_lshape(build_mdd(CayleyDigraph.from_cyclic(6, (1, 3))))
     assert rect == LShape(3, 2, 0, 0)  # rectangles are normalized to w = y = 0
+    # every point must be a pair of ints: (0.0, 0) and (True, 0) equal (0, 0) and (1, 0),
+    # so a reader that only counts columns would take them for the L(2, 4, 1, 1) of Z7
+    pts = build_mdd(Z7).points
+    for bad in (
+        pts - {(0, 0)} | {(0.0, 0)},
+        pts - {(1, 0)} | {(True, 0)},
+        pts | {()},
+        pts | {(0, 0, 0)},
+        pts - {(0, 3), (1, 2)} | {(0, 3, 1), (2,)},  # still 2n coordinates
+        pts - {(0, 3)} | {(), (0, 3, 0, 0)},
+        frozenset(),
+    ):
+        with pytest.raises(ValueError, match="not an L-shape"):
+            extract_lshape(Mdd(points=bad, source=Z7))
 
 
 def test_lshape_validate_examples():
@@ -235,6 +249,9 @@ def test_lshape_parameter_validation():
         LShape(3, 2, 1, 2)
     with pytest.raises(ValueError):
         LShape(2, 3, 3, 2)
+    for params in ((2.0, 2, 1, 1), (2, 2, 1.0, 1), (2, True, 1, 1), (2, 2, 0, False)):
+        with pytest.raises(ValueError, match="must be ints"):
+            LShape(*params)
 
 
 def test_is_proper_decisions():
