@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 GroupElement = tuple[int, ...]
 
@@ -63,9 +63,6 @@ class InvariantFactors(tuple):
             raise ValueError("element rank does not match the group")
         return tuple((x + y) % m for x, y, m in zip(a, b, self))
 
-    def neg(self, a: Sequence[int]) -> GroupElement:
-        return tuple((-x) % m for x, m in zip(a, self))
-
     def scalar_mul(self, k: int, a: Sequence[int]) -> GroupElement:
         return tuple((k * x) % m for x, m in zip(a, self))
 
@@ -81,10 +78,6 @@ class InvariantFactors(tuple):
             q, idx = divmod(idx, p)
             out.append(q % m)
         return tuple(out)
-
-    def elements(self) -> Iterator[GroupElement]:
-        for idx in range(self.order):
-            yield self.element(idx)
 
 
 @lru_cache(maxsize=4096)

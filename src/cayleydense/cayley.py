@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .abelian import GroupElement, InvariantFactors
+from .abelian import GroupElement, InvariantFactors, generates
 from .errors import InternalConsistencyError
 
 
@@ -42,8 +42,6 @@ class CayleyDigraph:
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        from .abelian import generates  # deferred to keep import order simple
-
         if not isinstance(self.group, InvariantFactors):
             object.__setattr__(self, "group", InvariantFactors(self.group))
         gens = tuple(tuple(t) for t in self.gens)

@@ -235,14 +235,7 @@ def _cmd_density(args) -> CommandResult:
     value = solid_density(g)
     bound = density_mod.delta(d)
     if value > bound:
-        if density_mod.is_conjectural(d):
-            raise ConjectureRefutation(
-                f"solid density {value} exceeds the conjectural bound {bound}",
-                witness=g.to_literal(),
-            )
-        raise InternalConsistencyError(
-            f"solid density {value} exceeds the proven bound {bound}"
-        )
+        raise density_mod.bound_violation(g, f"solid density {value} exceeds", bound)
     row = {
         "density": _rat(value),
         "bound": _rat(bound),

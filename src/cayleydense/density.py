@@ -14,7 +14,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .cayley import CayleyDigraph, diameter
-from .errors import ConjectureRefutation, InternalConsistencyError
+from .errors import CayleyDenseError, ConjectureRefutation, InternalConsistencyError
 
 Rational = Fraction
 
@@ -103,21 +103,26 @@ def lower_bound(d: int, n: int) -> int:
     return ceil_root(n / delta(d), d) - d
 
 
+def bound_violation(g: CayleyDigraph, what: str, bound) -> CayleyDenseError:
+    """The error for a digraph that breaks its degree's bound, `what` being the
+    value that breaks it and how ("diameter 5 below"): a ConjectureRefutation
+    that carries g where the bound is conjectural, else an
+    InternalConsistencyError, since a proven bound never fails."""
+    d, n = g.degree, g.order
+    if is_conjectural(d):
+        return ConjectureRefutation(
+            f"{what} the conjectural bound {bound} for d={d}, n={n}", witness=g.to_literal()
+        )
+    return InternalConsistencyError(f"{what} the proven bound {bound} for d={d}, n={n}: {g}")
+
+
 def tightness(g: CayleyDigraph) -> int:
     """diameter - lower_bound; zero means the digraph is tight."""
-    d = g.degree
-    n = g.order
-    t = diameter(g) - lower_bound(d, n)
-    if t < 0:
-        if is_conjectural(d):
-            raise ConjectureRefutation(
-                f"diameter below the conjectural bound for d={d}, n={n}",
-                witness=g.to_literal(),
-            )
-        raise InternalConsistencyError(
-            f"diameter below the proven bound for d={d}, n={n}: {g}"
-        )
-    return t
+    k = diameter(g)
+    bound = lower_bound(g.degree, g.order)
+    if k < bound:
+        raise bound_violation(g, f"diameter {k} below", bound)
+    return k - bound
 
 
 def in_Cd(x: int, d: int) -> bool:

@@ -15,14 +15,15 @@ order of e_1, is the least order of an e_i, and of two HNFs that differ by
 swapping coordinates 2 and 3, the one whose a_3 is not the larger (on
 the diagonal (a_1, 1, 1), the one with b_31 >= b_21). It skips the diagonals
 with a_1 = 1, where e_1 is 0, and a listed HNF where two e_i coincide; no
-other e_i is 0, since each has order >= a_1 >= 2. `_hnfs` decides all of
-this in closed form, before it builds any rotation. The pass judges each
-HNF by its balls (below) and returns k, the least diameter, together with
-the least chain (in `enumerate_groups` order) that attains it. That chain is
-the Smith form of the HNF basis (`zmatrix.invariant_factors`). Ties
-therefore count: an HNF counts when its ball of radius best_k is the whole
-group, unless the best chain is already the cyclic one, which no chain
-precedes. The pass is exhaustive, with no pruning by any bound.
+other e_i is 0, since each has order >= a_1 >= 2. `_plan` and `_hnfs`
+decide all of this in closed form, before any rotation is built. The pass
+judges each HNF by its balls (below) and returns k, the least diameter,
+together with the least chain (in `enumerate_groups` order) that attains
+it. That chain is the Smith form of the HNF basis
+(`zmatrix.invariant_factors`). Ties therefore count: an HNF counts when its
+ball of radius best_k is the whole group, unless the best chain is already
+the cyclic one, which no chain precedes. The pass is exhaustive, with no
+pruning by any bound.
 
 The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
 Cay(Z_n, {1}), of diameter n - 1.
@@ -70,12 +71,12 @@ take. A `gaps` sweep on more than one worker holds one pool for all its
 orders; the pool starts no process until a pass first submits to it.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
-lattice pass and of the witness scan, the HNFs the lattice pass listed,
-cut (by order or as a swap twin), found degenerate and evaluated (grew up
-to the whole group within the limit), its number of shards and the seconds
-of the slowest, and the number of processes it ran on (1 when it ran in
-this process), so a traced run shows where the pass ran and whether --jobs
-kept its workers evenly busy.
+lattice pass and of the witness scan, the HNFs the lattice pass listed
+(every HNF with a_1 > 1), cut (by order or as a swap twin), found
+degenerate and evaluated (grew up to the whole group within the limit),
+its number of shards and the seconds of the slowest, and the number of
+processes it ran on (1 when it ran in this process), so a traced run shows
+where the pass ran and whether --jobs kept its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ from pathlib import Path
 
 from .abelian import InvariantFactors
 from .cayley import CayleyDigraph, diameter
-from .density import is_conjectural, lower_bound
-from .errors import ConjectureRefutation, InternalConsistencyError
+from .density import bound_violation, lower_bound
+from .errors import InternalConsistencyError
 from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
@@ -392,8 +393,9 @@ def _b32s(a2: int, a3: int) -> list[int]:
     return [b32 for b32 in range(a2) if gcd(a2, b32) >= a3]
 
 
-def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
-    """The HNFs of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`.
+def _hnfs(n: int, diag: tuple[int, ...], b21s):
+    """The HNFs of index n with this diagonal (d = 2 or 3) and b_21 in `b21s`
+    that the lattice pass judges, given the b21s that `_plan` keeps.
 
     Yields (rows, rots), with rots[j] the masked rotations of e_(j+1) on
     Z^d/L. An element is its reduced x (0 <= x_i < a_i), indexed with x_1
@@ -409,26 +411,27 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     when b_32 = 0). Across b_31 only the two wrap offsets change, and they
     are not merged even when they agree.
 
-    The cuts (on unless `orbit_cut` is false, which lists every HNF with its
-    rotations) are decided in closed form before any rotation is built. The
+    The cuts are decided in closed form before any rotation is built. The
     orbit cut keeps one HNF of each coordinate-permutation orbit at least.
     Permuting the coordinates maps L to a lattice with the same quotient and
     the same generators, so the same (k, chain), and a_1 is the order of e_1
     in Z^d/L, so some member of each orbit has a_1 = the least order of an
     e_i. The cut skips an HNF where e_2 or e_3 has order below a_1. The
     orders are exact: ord(e_2) = a_2*a_1/gcd(a_1, b_21), below a_1 exactly
-    when a_2 < gcd(a_1, b_21), and, with g = gcd(a_2, b_32), u = a_2/g and
-    v = b_32/g, ord(e_3) = a_3*u*a_1/gcd(a_1, u*b_31 - v*b_21), below a_1
-    exactly when a_3*u < gcd(a_1, u*b_31 - v*b_21).
+    when a_2 < gcd(a_1, b_21), which `_plan` decides per b_21, and, with
+    g = gcd(a_2, b_32), u = a_2/g and v = b_32/g,
+    ord(e_3) = a_3*u*a_1/gcd(a_1, u*b_31 - v*b_21), below a_1 exactly when
+    a_3*u < gcd(a_1, u*b_31 - v*b_21), which is decided here.
 
     The swap cut (d = 3) keeps one of each pair of HNFs that differ by
     swapping coordinates 2 and 3, the same digraph with e_2 and e_3
     exchanged. The twin has the same a_1, a_3' = g and a_2' = a_2*a_3/g, and
     the same generator orders, so the orbit cut keeps both or neither. The
     cut skips every b_32 with g < a_3, whose twin has g' = a_3 > a_3' and is
-    kept (`_b32s`); a diagonal with a_2 < a_3 keeps none. On the diagonal
-    (a_1, 1, 1) the twin of (b_21, b_31) is (b_31, b_21), and the cut keeps
-    b_31 >= b_21 (b_31 = b_21 is degenerate, below).
+    kept (`_b32s`); `_plan` lists no diagonal with a_2 < a_3, which keeps
+    none. On the diagonal (a_1, 1, 1) the twin of (b_21, b_31) is
+    (b_31, b_21), and the cut keeps b_31 >= b_21 (b_31 = b_21 is
+    degenerate, below).
 
     An HNF where two e_i coincide, e_i - e_j in L, is yielded with rots None.
     A triangular solve gives: e_1 = e_2 iff a_2 = 1 and b_21 = a_1 - 1;
@@ -443,14 +446,11 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
     below2 = _digit_below(n, w2, a2, a2 - 1)
     below3 = _digit_below(n, 1, a3, a3 - 1)
     up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
-    b32s = _b32s(a2, a3) if orbit_cut else range(a2)
-    borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in b32s]
-    swapped = orbit_cut and a2 == a3 == 1  # (b_21, b_31) and (b_31, b_21) are twins
+    borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in _b32s(a2, a3)]
+    swapped = a2 == a3 == 1  # (b_21, b_31) and (b_31, b_21) are twins
     for b21 in b21s:
-        if orbit_cut and a2 < gcd(a1, b21):
-            continue  # ord(e_2) < a_1
         e2 = _parts(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
-        e12 = orbit_cut and a2 == 1 and b21 == a1 - 1  # e_1 = e_2
+        e12 = a2 == 1 and b21 == a1 - 1  # e_1 = e_2
         if len(diag) == 2:
             yield ((a1, 0), (b21, a2)), (None if e12 else (e1, e2))
             continue
@@ -458,9 +458,9 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s, orbit_cut: bool = True):
         for b32, borrow in borrows:
             g = gcd(a2, b32)
             u, v = a2 // g, b32 // g
-            cut = orbit_cut and a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
+            cut = a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
             same = ()  # the b_31 where e_3 = e_1 or e_3 = e_2
-            if orbit_cut and a3 == 1:
+            if a3 == 1:
                 same = (a1 - 1 if b32 == 0 else -1, b21 if b32 == a2 - 1 else -1)
             wrap = full ^ below3 ^ borrow
             for b31 in range(b21 if swapped else 0, a1):
@@ -483,9 +483,9 @@ def _lattice_task(args):
     """(found, counts, seconds) for one shard of HNFs.
 
     `found` is the least (k, chain) of the shard that beats the incoming
-    `best`, or None. `counts` says how many HNFs it listed, cut (by order or
-    as a swap twin), found degenerate and evaluated (grew balls up to the
-    whole group within the limit), and `seconds` how long the shard took.
+    `best`, or None. `counts` says how many HNFs `_hnfs` kept of it, how many
+    of those it found degenerate and how many it evaluated (grew balls up to
+    the whole group within the limit), and `seconds` how long the shard took.
     An HNF counts when its ball of radius best_k is the whole group, so a
     tie on a lesser chain wins; once the best chain is the cyclic one, which
     no chain precedes, only radius best_k - 1 can win.
@@ -498,7 +498,6 @@ def _lattice_task(args):
     balls = [[1]] * d  # balls[j]: the balls of e_1..e_j
     held = [None] * (d - 1)  # the rotations they grew from; _hnfs shares them
     found = None
-    listed = len(b21s) * (diag[0] * diag[1] if d == 3 else 1)
     kept = degenerate = evaluated = 0
     for rows, rots in _hnfs(n, diag, b21s):
         kept += 1
@@ -518,35 +517,28 @@ def _lattice_task(args):
             candidate = (len(reach) - 1, invariant_factors(rows))
             if best is None or candidate < best:
                 best = found = candidate
-    counts = {
-        "listed": listed,
-        "cut": listed - kept,
-        "degenerate": degenerate,
-        "evaluated": evaluated,
-    }
+    counts = {"kept": kept, "degenerate": degenerate, "evaluated": evaluated}
     return found, counts, time.monotonic() - started
 
 
 def _plan(n: int, d: int):
-    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, sizes), and
-    how many HNFs the b_21 in no entry list.
+    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, sizes).
 
     A diagonal with a_1 = 1 is not listed (e_1 is in L), nor one where the
     swap cut keeps no b_32 (a_2 < a_3). Of the others, only the b_21 that
-    survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept.
-    Each b_21 lists a_1*a_2 HNFs at d = 3 and one at d = 2; those of the b_21
-    left out count as cut. sizes[i] is how many HNFs the kept b21s[i] holds
-    after the swap cut: a_1 per kept b_32 at d = 3, or a_1 - b_21 on the
-    diagonal (a_1, 1, 1), where only b_31 >= b_21 is kept, and one at d = 2.
+    survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept:
+    `_hnfs` lists the HNFs of these b21s and no others. sizes[i] bounds how
+    many HNFs the kept b21s[i] holds after the swap cut: a_1 per kept b_32 at
+    d = 3, or a_1 - b_21 on the diagonal (a_1, 1, 1), where only
+    b_31 >= b_21 is kept, and one at d = 2.
     """
-    plan, dropped = [], 0
+    plan = []
     for diag in _diagonals(n, d):
         a1, a2 = diag[0], diag[1]
         if a1 == 1:
             continue
         per = len(_b32s(a2, diag[2])) if d == 3 else 1
         b21s = [b21 for b21 in range(a1) if per and a2 >= gcd(a1, b21)]
-        dropped += (a1 - len(b21s)) * (a1 * a2 if d == 3 else 1)
         if not b21s:
             continue
         if d == 2:
@@ -556,21 +548,21 @@ def _plan(n: int, d: int):
         else:
             sizes = [a1 * per] * len(b21s)
         plan.append((diag, b21s, sizes))
-    return plan, dropped
+    return plan
 
 
 def _shards(n: int, d: int, workers: int):
-    """The shards (diag, b21s) of the lattice pass, largest first, how many HNFs
-    the b_21 in no shard list (d = 2 or 3), and the workers they are cut for:
-    one when the shards hold fewer than POOL_MIN_HNFS HNFs in all, since
-    shipping them would cost more than they take, else `workers`.
+    """The shards (diag, b21s) of the lattice pass (d = 2 or 3), largest first, and
+    the workers they are cut for: one when the shards hold fewer than
+    POOL_MIN_HNFS HNFs in all, since shipping them would cost more than they
+    take, else `workers`.
 
     A shard holds consecutive kept b_21 of one diagonal (`_plan`). A diagonal
     splits into runs of b_21 that hold about 1/(8*workers) of the HNFs in
     shards each, or one b_21 where that holds more, so the shards that run
     last are small.
     """
-    plan, dropped = _plan(n, d)
+    plan = _plan(n, d)
     held = sum(sum(sizes) for _, _, sizes in plan)
     if held < POOL_MIN_HNFS:
         workers = 1
@@ -587,7 +579,7 @@ def _shards(n: int, d: int, workers: int):
             (sum(sizes[lo:hi]), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
         ]
     shards.sort(key=lambda shard: -shard[0])  # stable: equal sizes keep diagonal order
-    return [(diag, b21s) for _, diag, b21s in shards], dropped, workers
+    return [(diag, b21s) for _, diag, b21s in shards], workers
 
 
 def _run_here(fn, arg) -> Future:
@@ -606,9 +598,11 @@ def _pool_size(worker_count: int) -> int:
 
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
     """The least diameter k over all HNFs of index n with the least chain attaining it,
-    as (k, chain) or None, and the pass's counts: the shards' HNF counts summed,
-    the number of shards, the seconds of the slowest and the number of
-    processes the pass ran on.
+    as (k, chain) or None, and the pass's counts: the HNFs listed, every HNF of
+    a diagonal with a_1 > 1 (a_1*a_1*a_2 of them at d = 3, a_1 at d = 2), those
+    cut (listed but not kept by `_hnfs`), the shards' degenerate and evaluated
+    HNFs summed, the number of shards, the seconds of the slowest and the
+    number of processes the pass ran on.
 
     A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
     process on the 1-worker plan, whatever `workers` is. The shards
@@ -622,8 +616,9 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     if d == 1:
         counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
         return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
-    shards, dropped, workers = _shards(n, d, workers)
-    totals = Counter(listed=dropped, cut=dropped, shards=len(shards))
+    shards, workers = _shards(n, d, workers)
+    listed = sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _diagonals(n, d) if a[0] > 1)
+    totals = Counter(listed=listed, cut=listed, shards=len(shards))
     shards.reverse()  # pop() takes the largest first
     best = None
     slowest = 0.0
@@ -642,6 +637,7 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
                 slowest = max(slowest, seconds)
                 if found is not None and (best is None or found < best):
                     best = found
+    totals["cut"] -= totals.pop("kept")
     return best, {**totals, "slowest_shard_s": slowest, "workers": workers}
 
 
@@ -678,11 +674,6 @@ def _witness(group: InvariantFactors, d: int, k: int):
         if reach[-1] == full:
             return len(reach) - 1, idxs
     return None
-
-
-def _witness_record(group: InvariantFactors, idxs: tuple[int, ...]) -> dict:
-    g = CayleyDigraph(group, tuple(group.element(i) for i in idxs))
-    return g.to_literal()
 
 
 def kappa(
@@ -727,20 +718,14 @@ def kappa(
             f"on {value[1]}, but the scan of that chain disagrees"
         )
     k, gens = found
+    witness = CayleyDigraph(group, tuple(group.element(i) for i in gens))
     if k < target:
-        if is_conjectural(spec.d):
-            raise ConjectureRefutation(
-                f"kappa({spec.d},{spec.n}) = {k} beats the conjectural bound {target}",
-                witness=_witness_record(group, gens),
-            )
-        raise InternalConsistencyError(
-            f"kappa({spec.d},{spec.n}) = {k} below the proven bound {target}"
-        )
+        raise bound_violation(witness, f"kappa({spec.d},{spec.n}) = {k} below", target)
     record = KappaRecord(
         d=spec.d,
         n=spec.n,
         kappa=k,
-        witness=_witness_record(group, gens),
+        witness=witness.to_literal(),
         millis=int((time.monotonic() - started) * 1000),
     )
     if cache is not None:

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, dilate_digraph
+from cayleydense import density as density_mod
 from cayleydense.cli import main as cli_main
 from cayleydense.density import (
     INFINITE,
     REGISTRY,
+    bound_violation,
     ceil_root,
     delta,
     floor_root,
@@ -21,6 +23,7 @@ from cayleydense.density import (
     tightness,
     tightness_coefficient,
 )
+from cayleydense.errors import ConjectureRefutation, InternalConsistencyError
 from conftest import tightness_coefficient_oracle
 
 GAMMA1 = CayleyDigraph(InvariantFactors((1, 72)), ((-1, 4), (-3, 11)))
@@ -86,6 +89,32 @@ def test_tightness_examples():
     assert tightness(GAMMA1) == 0
     assert tightness(dilate_digraph(GAMMA1, 4)) == 1
     assert tightness(dilate_digraph(SPACE_SEED, 5)) == 1
+
+
+def test_a_broken_bound_is_a_refutation_only_where_it_is_conjectural(monkeypatch, capsys):
+    """One rule for every consumer of a bound: a digraph that breaks the degree-3
+    bound, which is conjectural, is a ConjectureRefutation that carries it (exit 4),
+    one that breaks a proven bound (d <= 2) an InternalConsistencyError (exit 3).
+    `tightness` and the density command raise it here; kappa in
+    test_a_false_bound_is_reported_not_stored."""
+    real_lower_bound, real_delta = lower_bound, delta
+    monkeypatch.setattr(density_mod, "lower_bound", lambda d, n: real_lower_bound(d, n) + 1)
+    monkeypatch.setattr(density_mod, "delta", lambda d: real_delta(d) / 2)
+    for g in (CayleyDigraph.from_cyclic(9, [1]), GAMMA1, SPACE_SEED):
+        conjectural = g.degree == 3
+        error = ConjectureRefutation if conjectural else InternalConsistencyError
+        status = "conjectural" if conjectural else "proven"
+        caught = bound_violation(g, "diameter 1 below", 2)
+        assert type(caught) is error, g
+        assert str(caught).startswith(f"diameter 1 below the {status} bound 2 for d={g.degree}")
+        assert getattr(caught, "witness", None) == (g.to_literal() if conjectural else None)
+        with pytest.raises(error, match=f"below the {status} bound"):
+            tightness(g)
+        literal = json.dumps(g.to_literal())
+        assert cli_main(["--format", "jsonl", "density", literal]) == (4 if conjectural else 3)
+        row = json.loads(capsys.readouterr().out)
+        assert f"exceeds the {status} bound" in row["error"], row
+        assert row.get("witness") == (g.to_literal() if conjectural else None), row
 
 
 def test_in_Cd_examples():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cayleydense import kappa_search
-from cayleydense.abelian import InvariantFactors, enumerate_groups
+from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.cli import main as cli_main
 from cayleydense.density import lower_bound
@@ -134,7 +134,7 @@ def recording_pool(monkeypatch):
 
 def _held(n, d):
     """How many HNFs the shards of the lattice pass of (d, n) hold in all."""
-    return sum(sum(sizes) for _, _, sizes in _plan(n, d)[0])
+    return sum(sum(sizes) for _, _, sizes in _plan(n, d))
 
 
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
@@ -145,7 +145,7 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
     RecordingPool = recording_pool
     opened, submitted = RecordingPool.opened, RecordingPool.submitted
     assert _held(90, 3) == 11229 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14020
-    assert _shards(90, 3, 2)[2] == 1 and _shards(96, 3, 2)[2] == 2  # the workers planned for
+    assert _shards(90, 3, 2)[1] == 1 and _shards(96, 3, 2)[1] == 2  # the workers planned for
     for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 90)):
         alone = kappa(SearchSpec(d=d, n=n))
         rec = kappa(SearchSpec(d=d, n=n, worker_count=2))
@@ -637,18 +637,27 @@ def test_witness_scan_matches_oracle(d, max_n, total):
     assert cases == total
 
 
-def _hnfs_of_order(n, d, orbit_cut=False):
-    return [hnf for diag in _diagonals(n, d) for hnf in _hnfs(n, diag, range(diag[0]), orbit_cut)]
+def _kept_hnfs(n, d):
+    """The HNFs the lattice pass of (d, n) judges, with their rotations."""
+    return [hnf for diag, b21s, _ in _plan(n, d) for hnf in _hnfs(n, diag, b21s)]
 
 
 def test_hnf_rotations_match_lattice_oracle():
-    """Each e_j's masked rotations move every element of Z^d/L to its sum with e_j."""
-    hnfs = 0
+    """Each e_j's masked rotations move every element of Z^d/L to its sum with e_j,
+    on every HNF the pass judges with d = 2 and 3, n <= 24 (a degenerate one has
+    no rotations)."""
+    hnfs = degenerate = 0
     for d in (2, 3):
         for n in range(1, 25):
-            listed = _hnfs_of_order(n, d)
-            assert sorted(rows for rows, _ in listed) == sorted(hnf_oracle(n, d)), (d, n)
-            for rows, rots in listed:
+            every = set(hnf_oracle(n, d))
+            for rows, rots in _kept_hnfs(n, d):
+                assert rows in every, rows
+                if n <= 16:
+                    assert invariant_factors(rows) == quotient_chain_oracle(rows), rows
+                hnfs += 1
+                if rots is None:
+                    degenerate += 1
+                    continue
                 diag = [rows[i][i] for i in range(d)]
                 elems = list(product(*(range(a) for a in diag)))
                 for j in range(d):
@@ -656,10 +665,7 @@ def test_hnf_rotations_match_lattice_oracle():
                         y = lattice_reduce_oracle(rows, [v + (i == j) for i, v in enumerate(x)])
                         got = _translate(1 << mixed_radix_index(diag, x), rots[j], (1 << n) - 1)
                         assert got == 1 << mixed_radix_index(diag, y), (rows, j, x)
-                if n <= 16:
-                    assert invariant_factors(rows) == quotient_chain_oracle(rows), rows
-                hnfs += 1
-    assert hnfs == 10375
+    assert (hnfs, degenerate) == (3432, 638)
 
 
 def _sigma(m):
@@ -667,17 +673,18 @@ def _sigma(m):
 
 
 def test_hnf_count_matches_sublattice_formula():
-    """Gruber's counts: sigma(n) sublattices of index n in Z^2, sum m*sigma(m) over m | n in Z^3."""
-    for n in list(range(1, 41)) + [128]:
-        assert len(_hnfs_of_order(n, 2)) == _sigma(n), n
+    """Gruber's counts on the HNF oracle: sigma(n) sublattices of index n in Z^2,
+    sum m*sigma(m) over m | n in Z^3."""
+    for n in range(1, 41):
+        assert len(hnf_oracle(n, 2)) == _sigma(n), n
         want = sum(m * _sigma(m) for m in range(1, n + 1) if n % m == 0)
-        assert len(_hnfs_of_order(n, 3)) == want, n
+        assert len(hnf_oracle(n, 3)) == want, n
     assert sum(m * _sigma(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)) == 43435
-    # the cuts keep these of the 255 and 43,435 HNFs of index 128 (the orbit cut
-    # alone kept 20,736 at d = 3); 339 of the 14,005 are degenerate
-    assert len(_hnfs_of_order(128, 2, orbit_cut=True)) == 170
-    kept = _hnfs_of_order(128, 3, orbit_cut=True)
-    assert (len(kept), sum(rots is None for _, rots in kept)) == (14005, 339)
+    # the pass judges these of the 255 and 43,435 HNFs of index 128, those with
+    # a_1 > 1 that the cuts keep; 337 of the 13,835 are degenerate
+    assert len(_kept_hnfs(128, 2)) == 169
+    kept = _kept_hnfs(128, 3)
+    assert (len(kept), sum(rots is None for _, rots in kept)) == (13835, 337)
 
 
 def _order_oracle(rows, j):
@@ -699,44 +706,33 @@ def _degenerate_oracle(rows):
     )
 
 
-def _degenerate_closed_form(rows):
-    """The triangular solve of `_hnfs`: e_1 = e_2, e_1 = e_3 or e_2 = e_3."""
-    (a1, _, _), (b21, a2, _) = (tuple(row) + (0,) * (3 - len(row)) for row in rows[:2])
-    if a2 == 1 and b21 == a1 - 1:
-        return True
-    if len(rows) == 2 or rows[2][2] != 1:
-        return False
-    b31, b32, _ = rows[2]
-    return (b32, b31) == (0, a1 - 1) or (b32, b31) == (a2 - 1, b21)
-
-
 def test_orbit_cut_orders_match_lattice_oracle():
-    """The closed-form orders of e_2 and e_3 and the closed-form degeneracy test,
-    and the HNFs the cuts keep, every HNF with d = 2 and 3, n <= 24: those where no
-    e_i has order below a_1 and, at d = 3, gcd(a_2, b_32) >= a_3 and, on the
-    diagonal (a_1, 1, 1), b_31 >= b_21. A kept HNF has its rotations unless two
-    e_i coincide."""
+    """The closed-form orders of e_2 and e_3, and the HNFs the pass judges, every
+    HNF with d = 2 and 3, n <= 24: those with a_1 > 1 where no e_i has order below
+    a_1 and, at d = 3, gcd(a_2, b_32) >= a_3 and, on the diagonal (a_1, 1, 1),
+    b_31 >= b_21, each once. A kept HNF has its rotations unless two e_i
+    coincide, which the oracle decides."""
     for d in (2, 3):
         for n in range(1, 25):
-            kept = dict(_hnfs_of_order(n, d, orbit_cut=True))
+            listed = _kept_hnfs(n, d)
+            kept = dict(listed)
+            assert len(kept) == len(listed), (d, n)
             for rows in hnf_oracle(n, d):
                 orders = [_order_oracle(rows, j) for j in range(d)]
                 a1, a2 = rows[0][0], rows[1][1]
                 b21 = rows[1][0]
                 assert orders[0] == a1, rows
                 assert orders[1] == a2 * a1 // gcd(a1, b21), rows
-                keep = min(orders) == a1
+                keep = a1 > 1 and min(orders) == a1
                 if d == 3:
                     (b31, b32, a3) = rows[2]
                     g = gcd(a2, b32)
                     u, v = a2 // g, b32 // g
                     assert orders[2] == a3 * u * a1 // gcd(a1, u * b31 - v * b21), rows
                     keep = keep and g >= a3 and (b31 >= b21 or (a2, a3) != (1, 1))
-                degenerate = _degenerate_oracle(rows)
-                assert _degenerate_closed_form(rows) == degenerate, rows
                 assert (rows in kept) == keep, rows
                 if keep:
-                    assert (kept[rows] is None) == degenerate, rows
+                    assert (kept[rows] is None) == _degenerate_oracle(rows), rows
 
 
 def _points_mod_oracle(rows, n):
@@ -751,11 +747,12 @@ def _points_mod_oracle(rows, n):
 
 def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
     """d = 3, n <= 16: the orbit of L under S_3 is that of its points mod n (which
-    fix L), permuted. Every orbit holds an HNF that the cuts keep, and one with its
-    rotations unless two e_i coincide in it, which the oracle decides."""
+    fix L), permuted. Every orbit where no e_i is 0 (no member has a_1 = 1) holds an
+    HNF that the pass judges, and one with its rotations unless two e_i coincide
+    in it, which the oracle decides; the pass judges no member of the others."""
     for n in range(1, 17):
         hnfs = {_points_mod_oracle(rows, n): rows for rows in hnf_oracle(n, 3)}
-        kept = dict(_hnfs_of_order(n, 3, orbit_cut=True))
+        kept = dict(_kept_hnfs(n, 3))
         seen = set()
         for points, rows in hnfs.items():
             if rows in seen:
@@ -765,8 +762,9 @@ def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
                 for sigma in permutations(range(3))
             }
             assert rows in orbit and len(orbit) <= 6, rows
-            assert orbit & kept.keys(), sorted(orbit)
-            if all(kept.get(other) is None for other in orbit):
+            judged = all(other[0][0] > 1 for other in orbit)  # no e_i is 0
+            assert bool(orbit & kept.keys()) == judged, sorted(orbit)
+            if judged and all(kept.get(other) is None for other in orbit):
                 assert all(_degenerate_oracle(other) for other in orbit), sorted(orbit)
             seen |= orbit
 
@@ -785,8 +783,8 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
     which are the same on 1 and 2 workers, its shards, its slowest shard and the
     number of processes it ran on."""
-    every = [rows for rows, _ in _hnfs_of_order(48, 3) if rows[0][0] > 1]
-    kept = [rows for rows, _ in _hnfs_of_order(48, 3, orbit_cut=True) if rows[0][0] > 1]
+    every = [rows for rows in hnf_oracle(48, 3) if rows[0][0] > 1]
+    kept = _kept_hnfs(48, 3)
     lines = []
     with monkeypatch.context() as patch:
         patch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
@@ -818,7 +816,7 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     for d, n in ((3, 7), (2, 7), (1, 7)):
         fields, line = _debug_fields(caplog, d, n, 2)
         assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
-        listed = 1 if d == 1 else len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
+        listed = len([rows for rows in hnf_oracle(n, d) if rows[0][0] > 1])
         assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
         assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
         assert int(fields["workers"]) == 1, line
@@ -855,9 +853,9 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
 def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
     """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
     the cuts keep is in exactly one shard, the shards come largest first, and
-    the pass gives the 1-worker (k, chain) and the same HNF counts: those of
-    `_hnfs`, where every HNF in a shard-less b_21 counts as cut. The size of a
-    b_21 in the plan bounds the HNFs `_hnfs` keeps of it."""
+    the pass gives the 1-worker (k, chain) and the same HNF counts: it lists
+    every HNF with a_1 > 1 (the oracle's), and cuts all but those `_hnfs` keeps.
+    The size of a b_21 in the plan bounds the HNFs `_hnfs` keeps of it."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
@@ -871,23 +869,21 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
                     for b21 in range(diag[0])
                     if diag[1] >= gcd(diag[0], b21) and diag[1] >= diag[-1]
                 )
-                hnfs = [rows for rows, _ in _hnfs_of_order(n, d, orbit_cut=True) if rows[0][0] > 1]
+                hnfs = [rows for rows, _ in _kept_hnfs(n, d)]
                 pairs = Counter((tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs)
                 assert pairs.keys() <= kept.keys(), (d, n)
-                plan, _ = _plan(n, d)
-                size = {(diag, b21): x for diag, b21s, xs in plan for b21, x in zip(b21s, xs)}
+                size = {(diag, b21): x for diag, b21s, xs in _plan(n, d) for b21, x in zip(b21s, xs)}
                 assert size.keys() == kept.keys(), (d, n)
                 assert all(pairs[key] <= x for key, x in size.items()), (d, n)
                 listed = sum(diag[0] * per[diag] for diag in diags)
-                assert listed == len([rows for rows, _ in _hnfs_of_order(n, d) if rows[0][0] > 1])
+                assert listed == len([rows for rows in hnf_oracle(n, d) if rows[0][0] > 1])
                 alone, counts = _lattice_pass(n, d, 1)
                 assert (counts["listed"], counts["cut"]) == (listed, listed - len(hnfs)), (d, n)
                 for workers in (1, 2, 3, 5):
-                    shards, dropped, planned = _shards(n, d, workers)
+                    shards, planned = _shards(n, d, workers)
                     case = (d, n, workers)
                     assert planned == workers, case
                     assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
-                    assert dropped == listed - sum(per[diag] for diag, _ in kept), case
                     sizes = [sum(size[diag, b21] for b21 in b21s) for diag, b21s in shards]
                     assert sizes == sorted(sizes, reverse=True), case
                     value, got = _lattice_pass(n, d, workers, pool)
@@ -909,48 +905,28 @@ def test_kappa_matches_full_scan_oracle(d, monkeypatch):
             assert (rec.kappa, rec.witness) == want, (d, n, workers)
 
 
-def _golden_rows(name):
-    golden = Path(__file__).parent / "golden" / name
-    return [json.loads(line) for line in golden.read_text().splitlines() if not line.startswith("#")]
+# the orders each committed kappa table holds, one record per order
+KAPPA_TABLES = {1: range(2, 401), 2: range(3, 301), 3: range(4, 513)}
 
 
-def test_kappa_matches_the_records_of_the_retired_routes():
-    """Every d = 2 order (n = 3..300) and every multi-chain d = 3 order n <= 72
-    gives, on 1 and 2 workers, the (kappa, witness) the search stored before it
-    took the lattice pass first: then a pruned search scanned each chain at the
-    bound first, and a d = 2 order with one chain was scanned alone. The file
-    holds each d = 2 order pruned and unpruned, and the two rows agree, so one
-    record serves both: the cache key is (d, n).
-
-    So do every d = 1 order n = 2..400 and every single-chain d = 3 order
-    n <= 100, which the search once scanned alone on their one chain (a d = 1
-    scan stopping at the proven bound), and the other d = 3 orders n = 73..100,
-    recorded before the lattice pass cut the e_2/e_3 swap twins. The d = 3 rows
-    of both files above n = 100, which take longer, are searched again in CI's
-    north-star step."""
-    routes = _golden_rows("kappa_routes.jsonl")
-    assert len(routes) == 2 * 298 + 27
-    single = _golden_rows("kappa_single_chain.jsonl")
-    assert len(single) == 399 + 95
-    assert [(row["d"], row["n"]) for row in single if row["d"] == 1] == [(1, n) for n in range(2, 401)]
-    cut = _golden_rows("kappa_orbit_cut.jsonl")
-    by_order = {}
-    for row in routes:
-        by_order.setdefault((row["d"], row["n"]), []).append(row)
-    for (d, n), same in by_order.items():
-        assert sorted(row["prune"] for row in same) == ([False, True] if d == 2 else [True])
-    for row in single:
-        assert (row["d"], row["n"]) not in by_order and len(enumerate_groups(row["n"], row["d"])) == 1
-    held = by_order.keys() | {(row["d"], row["n"]) for row in single}
-    assert [(row["d"], row["n"]) for row in cut] == [
-        (3, n) for n in range(73, 201) if (3, n) not in held
-    ]
-    for row in single + cut:
-        if row["d"] == 1 or row["n"] <= 100:
-            by_order[row["d"], row["n"]] = [row]
+def test_kappa_tables_match_the_search():
+    """tests/golden/kappa_d{d}.jsonl holds one {d, kappa, n, witness} record per
+    order, with no gap. Every witness has order n, degree d and diameter kappa,
+    and kappa is at least the lower bound. On 1 and 2 workers the search gives
+    the record of every d = 1 and d = 2 order and of every d = 3 order n <= 100;
+    CI's north-star step searches the d = 3 rows of 100 < n <= 200 again."""
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        for (d, n), same in by_order.items():
-            (want,) = {json.dumps([row["kappa"], row["witness"]], sort_keys=True) for row in same}
-            for w in (1, 2):
-                rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
-                assert [rec.kappa, rec.witness] == json.loads(want), (d, n, w)
+        for d, orders in KAPPA_TABLES.items():
+            table = Path(__file__).parent / "golden" / f"kappa_d{d}.jsonl"
+            rows = [json.loads(line) for line in table.read_text().splitlines() if not line.startswith("#")]
+            assert [row["n"] for row in rows] == list(orders), d
+            for row in rows:
+                n, k = row["n"], row["kappa"]
+                assert sorted(row) == ["d", "kappa", "n", "witness"] and row["d"] == d, row
+                g = CayleyDigraph.from_literal(row["witness"])
+                assert (g.order, g.degree, diameter(g)) == (n, d, k), row
+                assert k >= lower_bound(d, n), row
+                if d < 3 or n <= 100:
+                    for w in (1, 2):
+                        rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
+                        assert [rec.kappa, rec.witness] == [k, row["witness"]], (d, n, w)
