@@ -10,9 +10,14 @@ matrix, are unimodular (`mdd.is_proper`).
 
 `bfs_distances` is the one BFS that computes distances; elements are
 indexed mixed-radix, last coordinate fastest, and `successor_table` maps
-each index to the index of its sum with a generator. A digraph keeps its
-own distances (`CayleyDigraph.distances`), so its diameter, its diagram's
-build and the diagram's verification share one search. Successor tables are
+each index to the index of its sum with a generator. Distances are
+searched once per digraph value (`CayleyDigraph.distances`), so a
+digraph's diameter, its diagram's build and the diagram's verification
+share one search, and so does an equal digraph made again, such as the
+dilate `mdd.dilate_mdd` makes. A small memo keyed by the group and the
+reduced generators holds the last DISTANCE_CACHE_SIZE values searched.
+`bfs_distances` itself stays uncached: a census calls it once on each of
+thousands of distinct sets, which no memo would serve. Successor tables are
 immutable tuples shared by every caller through one least-recently-used
 cache of TABLE_CACHE_SIZE tables, so a digraph's own tables always fit
 together and memory stays bounded by that many tables of the largest
@@ -88,13 +93,14 @@ class CayleyDigraph:
     def distances(self) -> tuple[int, ...]:
         """BFS distance from the identity to each element, by mixed-radix index.
 
-        Searched once per digraph. `bfs_distances` itself keeps no cache: a
-        census calls it once on each of thousands of distinct sets.
+        Searched once per digraph value: digraphs with the same group and
+        reduced generators share one search through a memo of the
+        DISTANCE_CACHE_SIZE values searched last, so the dilate that
+        `mdd.dilate_mdd` makes shares the BFS of an equal dilate made
+        before it. `bfs_distances` itself keeps no cache: a census calls it
+        once on each of thousands of distinct sets.
         """
-        dist = bfs_distances(self.group, self.normalized_gens)
-        if dist is None:  # unreachable: construction already checked generation
-            raise InternalConsistencyError(f"BFS does not reach every vertex of {self}")
-        return tuple(dist)
+        return _distances(self.group, self.normalized_gens)
 
     def to_literal(self) -> dict:
         return {"moduli": list(self.group), "gens": [list(t) for t in self.gens]}
@@ -177,6 +183,21 @@ def _build_table(group: InvariantFactors, gen: tuple[int, ...]) -> tuple[int, ..
     return tuple(tbl)
 
 
+# Distance tuples kept, least recently used first out. Sized for re-use
+# within one dilating step, where `mdd.dilate_mdd` remakes the dilate the
+# step has just searched; memory stays bounded by that many tuples of the
+# largest group in use.
+DISTANCE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=DISTANCE_CACHE_SIZE)
+def _distances(group: InvariantFactors, gens: tuple[GroupElement, ...]) -> tuple[int, ...]:
+    dist = bfs_distances(group, gens)
+    if dist is None:  # unreachable: construction already checked generation
+        raise InternalConsistencyError(f"BFS from {gens} does not reach every vertex of {group}")
+    return tuple(dist)
+
+
 def bfs_distances(
     group: InvariantFactors, gens: Sequence[GroupElement]
 ) -> list[int] | None:
@@ -205,7 +226,7 @@ def bfs_distances(
 
 
 def distance_profile(g: CayleyDigraph) -> DistanceProfile:
-    """The digraph's distances, searched once per digraph (`CayleyDigraph.distances`)."""
+    """The digraph's distances, searched once per digraph value (`CayleyDigraph.distances`)."""
     return DistanceProfile(g.group, g.distances)
 
 

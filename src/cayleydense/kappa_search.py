@@ -444,9 +444,10 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
     w1, w2 = a2 * a3, a3
     e1 = _parts(n, [(full, w1)])
     below2 = _digit_below(n, w2, a2, a2 - 1)
-    below3 = _digit_below(n, 1, a3, a3 - 1)
-    up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
-    borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in _b32s(a2, a3)]
+    if len(diag) == 3:  # a degree-2 HNF has no e_3
+        below3 = _digit_below(n, 1, a3, a3 - 1)
+        up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
+        borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in _b32s(a2, a3)]
     swapped = a2 == a3 == 1  # (b_21, b_31) and (b_31, b_21) are twins
     for b21 in b21s:
         e2 = _parts(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])

@@ -10,8 +10,12 @@ Each element is represented by its graded-lex least word: the
 lexicographically least point among those of minimal 1-norm mapping to it.
 Graded lex is a term order, so these points form a downward-closed set (the
 staircase of a monomial ideal, in the view of Gomez-Perez, Gutierrez and
-Ibeas, SIAM J. Discrete Math. 21, 2007) and one pass in BFS order over the
-n vertices and d generators finds them all, in O(n*d).
+Ibeas, SIAM J. Discrete Math. 21, 2007). A walk over the columns (the points
+that share all but their last coordinate), in lex order of the columns and
+up each column, meets the points in lex order, so the first word of minimal
+norm to reach an element is its least one, and each column ends at its
+first point that is no such word. So one walk finds them all, in O(n*d),
+with no sort and no backtracking.
 
 Diameter convention: the diagram's own diameter is measured at the far
 corner of each cube, so it exceeds the max point norm by d. This module
@@ -94,37 +98,67 @@ def phi(g: CayleyDigraph, a: tuple[int, ...]) -> GroupElement:
 def build_mdd(g: CayleyDigraph) -> Mdd:
     """The graded-lex diagram: each element's lex least word of minimal norm.
 
-    rep(0) = 0, and rep(x) is the lexicographic minimum of rep(x - g_i) + e_i
-    over the generators i with dist(x - g_i) = dist(x) - 1. One pass over the
-    vertices in BFS order offers rep(v) + e_i to every successor one level
-    further out, so the build is O(n*d) on top of the digraph's one BFS
-    (`CayleyDigraph.distances`).
+    A column walk. A point (p, j) has prefix p (all but its last coordinate)
+    and height j. The prefixes are visited in lex order, an odometer that
+    counts each coordinate up from 0 until its first empty column and then
+    carries into the coordinate before it. A prefix's start index phi(p, 0)
+    comes from the prefix generators' successor tables, and its column then
+    climbs by the last generator's table. (p, j) joins the diagram iff
+    dist(idx) = |p| + j and no earlier point claimed idx; the column stops at
+    the first point that fails. Each element is claimed once, so the walk is
+    O(n*d) on top of the digraph's one BFS (`CayleyDigraph.distances`), with
+    no sort and no candidate word.
 
-    The recurrence is exact because graded lex is compatible with
-    translation: if rep(x)_i > 0, then rep(x) - e_i reaches x - g_i with norm
-    dist(x) - 1, and a lex smaller word there plus e_i would beat rep(x), so
-    rep(x) - e_i = rep(x - g_i). Hence rep(x) is among the offered
-    candidates, and every point's lower neighbours are in the set. The BFS
-    and the pass read the same memoized successor tables.
+    The walk is exact. The graded-lex set S of least words is downward
+    closed: if rep(x)_i > 0, then rep(x) - e_i has norm dist(x) - 1 and
+    reaches x - g_i, and a lex smaller word there plus e_i would beat
+    rep(x), so rep(x) - e_i = rep(x - g_i). Every point with a lex smaller
+    prefix is lex smaller, and two points of one column differ in norm, so
+    the words of one norm that are lex smaller than (p, j) all lie in
+    columns visited before it. By induction over the walk, the points that
+    joined before (p, j) are exactly the members of S before it, so idx is
+    claimed iff a lex smaller word of the same norm reaches it: (p, j) joins
+    iff it is in S. Downward closure makes the stops exact: a column holds
+    no member of S above its first failure, so it is never resumed, and once
+    the column of (p_1, ..., p_i, 0, ..., 0) is empty, no prefix that starts
+    (p_1, ..., p_i') with p_i' >= p_i has a nonempty column. The walk and
+    the BFS read the same memoized successor tables.
     """
     group = g.group
-    n = group.order
     tables = [successor_table(group, t) for t in g.normalized_gens]
+    climb = tables[-1]
     dist = g.distances
-    rep: list[tuple[int, ...] | None] = [None] * n
-    rep[0] = (0,) * g.degree
-    for v in sorted(range(n), key=dist.__getitem__):
-        a = rep[v]
-        level = dist[v] + 1
-        for i, tbl in enumerate(tables):
-            w = tbl[v]
-            if dist[w] == level:
-                b = a[:i] + (a[i] + 1,) + a[i + 1 :]
-                if rep[w] is None or b < rep[w]:
-                    rep[w] = b
+    claimed = bytearray(group.order)
+    points: set[tuple[int, ...]] = set()
+    top = g.degree - 1  # prefix coordinates 0, ..., top - 1
+    prefix = [0] * top
+    starts = [0] * (top + 1)  # starts[i]: index of p's first i coordinates, then 0s
+    base = 0  # |p|
+    i = top  # the coordinate last counted up; none before the first column
+    while True:
+        idx = starts[top]
+        norm = base
+        while dist[idx] == norm and not claimed[idx]:
+            claimed[idx] = 1
+            idx = climb[idx]
+            norm += 1
+        if norm > base:
+            points.update(product(*zip(prefix), range(norm - base)))
+            i = top - 1
+        else:  # the first column of a count of coordinate i: carry
+            base -= prefix[i]
+            prefix[i] = 0
+            i -= 1
+        if i < 0:
+            break
+        prefix[i] += 1
+        base += 1
+        start = starts[i + 1] = tables[i][starts[i + 1]]
+        for t in range(i + 2, top + 1):
+            starts[t] = start
     # copied from a set, the frozenset is sized to fit; grown from a list it
     # can take twice the memory, and callers keep many diagrams alive
-    return Mdd(points=frozenset(set(rep)), source=g)
+    return Mdd(points=frozenset(points), source=g)
 
 
 def verify_mdd(h: Mdd) -> bool:

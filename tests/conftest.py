@@ -293,6 +293,38 @@ def dilate_points_oracle(points, m):
     return frozenset(out)
 
 
+def bfs_order_mdd_oracle(moduli, gens):
+    """The graded-lex diagram by one pass over the elements in BFS order.
+
+    rep(0) = 0, and rep(x) is the lexicographic minimum of rep(x - g_i) + e_i
+    over the generators i with dist(x - g_i) = dist(x) - 1; the pass offers
+    rep(v) + e_i to every successor one level further out. Plain tables and
+    a plain BFS, and fast enough for orders in the thousands, where
+    lex_least_word_oracle is not.
+    """
+    tables = [successor_table_oracle(moduli, t) for t in gens]
+    n = len(tables[0])
+    dist = [0] + [-1] * (n - 1)
+    order = [0]
+    for v in order:  # grows as it goes: the elements in BFS order
+        for table in tables:
+            w = table[v]
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    rep = [None] * n
+    rep[0] = (0,) * len(gens)
+    for v in order:
+        a = rep[v]
+        for i, table in enumerate(tables):
+            w = table[v]
+            if dist[w] == dist[v] + 1:
+                b = a[:i] + (a[i] + 1,) + a[i + 1 :]
+                if rep[w] is None or b < rep[w]:
+                    rep[w] = b
+    return frozenset(rep)
+
+
 def word_length_oracle(moduli, gens, max_norm):
     """Min 1-norm of a nonnegative word for each element, by full enumeration."""
     d = len(gens)

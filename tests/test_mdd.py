@@ -30,6 +30,7 @@ from cayleydense.mdd import (
 from cayleydense.zmatrix import det
 from conftest import (
     bfs_distance_oracle,
+    bfs_order_mdd_oracle,
     chains_oracle,
     closure_oracle,
     det_oracle,
@@ -77,9 +78,8 @@ def test_diagram_builds_each_table_once():
         assert cayley._build_table.cache_info().misses == tables, g
 
 
-def test_diameter_build_and_verify_share_one_bfs(monkeypatch):
-    """A digraph is searched once: its diameter, its profile, the build of its
-    diagram and the diagram's verification all read `CayleyDigraph.distances`."""
+def _counted_bfs(monkeypatch):
+    """The groups that `cayley.bfs_distances` searches from now on, in order."""
     calls = []
     bfs = cayley.bfs_distances
 
@@ -88,14 +88,54 @@ def test_diameter_build_and_verify_share_one_bfs(monkeypatch):
         return bfs(group, gens)
 
     monkeypatch.setattr(cayley, "bfs_distances", counted)
+    cayley._distances.cache_clear()
+    return calls
+
+
+def test_diameter_build_and_verify_share_one_bfs(monkeypatch):
+    """A digraph is searched once: its diameter, its profile, the build of its
+    diagram and the diagram's verification all read `CayleyDigraph.distances`."""
+    calls = _counted_bfs(monkeypatch)
     for named in (upsilon(3, 2), upsilon(2, 5), SPACE_SEED, Z7):
         g = CayleyDigraph(named.group, named.gens)  # a fresh digraph, never searched
+        cayley._distances.cache_clear()  # nor its value
         calls.clear()
         k = diameter(g)
         h = build_mdd(g)
         assert verify_mdd(h) and solid_diameter(h) == k + g.degree
         assert distance_profile(g).max_distance == k
         assert calls == [tuple(g.group)], str(g)
+
+
+def test_dilating_step_searches_its_dilate_once(monkeypatch):
+    """A step of the dilating method builds the dilate's own diagram and
+    verifies the dilated diagram of its base. `dilate_mdd` makes its own
+    dilate, equal to the step's but not the same object, and the two share
+    one BFS of the dilated group."""
+    calls = _counted_bfs(monkeypatch)
+    for g, m in ((U2, 3), (GAMMA2, 2), (SPACE_SEED, 2), (upsilon(3, 1), 2)):
+        h = build_mdd(g)
+        calls.clear()
+        gm = dilate_digraph(g, m, strict=True)
+        assert verify_mdd(build_mdd(gm))
+        hd = dilate_mdd(h, m)
+        assert hd.source == gm and hd.source is not gm
+        assert verify_mdd(hd)
+        assert calls == [tuple(gm.group)], str(g)
+
+
+def test_distances_are_shared_by_digraph_value(monkeypatch):
+    """Different lifts of the same generators search the group once; the same
+    lifts over another group, or other generators, search it again."""
+    calls = _counted_bfs(monkeypatch)
+    a = CayleyDigraph(InvariantFactors((3, 24)), ((0, 1), (-1, 3)))
+    b = CayleyDigraph(InvariantFactors((3, 24)), ((3, 25), (2, -21)))
+    assert a.gens != b.gens and a.normalized_gens == b.normalized_gens
+    assert a.distances is b.distances and calls == [(3, 24)]
+    c = CayleyDigraph(InvariantFactors((6, 48)), a.gens)  # a's dilate by 2
+    d = CayleyDigraph(InvariantFactors((3, 24)), ((0, 1), (1, 3)))
+    assert diameter(c) == 2 * (diameter(a) + 2) - 2 and d.distances != a.distances
+    assert calls == [(3, 24), (6, 48), (3, 24)]
 
 
 def test_verify_mdd_rejects_bad_sets():
@@ -418,6 +458,21 @@ def test_build_mdd_matches_lex_least_word_oracle():
         assert build_mdd(g).points == want, str(g)
         count += 1
     assert count >= 1200
+
+
+def test_build_mdd_matches_bfs_order_oracle_at_scale():
+    """The column walk against the BFS-order build it replaced, at orders the
+    lex-least-word oracle cannot reach: every corpus digraph and its dilates
+    by 2 and 3, upsilon(2, m) up to n = 300, upsilon(3, m) up to n = 2,268,
+    and the paper seeds dilated up to n = 3,000."""
+    seeds = (U2, GAMMA1, GAMMA2, SPACE_SEED, upsilon(3, 1))
+    digraphs = [dilate_digraph(g, m) for g in proper_corpus() for m in (1, 2, 3)]
+    digraphs += [upsilon(2, m) for m in range(1, 11)] + [upsilon(3, m) for m in range(1, 4)]
+    digraphs += [dilate_digraph(g, m) for g in seeds for m in range(1, 8) if m**g.degree * g.order <= 3000]
+    for g in digraphs:
+        moduli = tuple(g.group)
+        assert build_mdd(g).points == bfs_order_mdd_oracle(moduli, g.gens), str(g)
+    assert len(digraphs) >= 3 * 200 + 13 and max(g.order for g in digraphs) == 2592
 
 
 def _outer_corners(pts):
