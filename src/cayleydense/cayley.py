@@ -232,7 +232,7 @@ def distance_profile(g: CayleyDigraph) -> DistanceProfile:
 
 def diameter(g: CayleyDigraph) -> int:
     """Max BFS distance from the identity; vertex-transitivity covers all roots."""
-    return distance_profile(g).max_distance
+    return max(g.distances)
 
 
 def solid_density(g: CayleyDigraph) -> Fraction:

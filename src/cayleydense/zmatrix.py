@@ -1,15 +1,20 @@
 """Exact integer linear algebra: Smith normal form with unimodular witnesses.
 
 Everything runs on arbitrary-precision Python ints; matrices are row-major
-tuples of tuples. The elimination is deterministic: pivots are the nonzero
-entries of least absolute value in the working minor, ties broken by
-column-major scan order, and pivot rows are sign-normalized as they settle
-so the final diagonal is nonnegative.
+tuples of tuples, and an entry of any other type (float, bool, str) is a
+`ValueError`, never truncated. The Smith form of an r x c matrix M is one
+elimination of the working matrix `[[M | I_r], [I_c]]`: row operations span
+the first r rows and column operations the first c columns, so the right
+block ends as U and the bottom block as V. Pivots are the nonzero entries
+of least absolute value in the working minor, ties broken by column-major
+scan order, and pivot rows are sign-normalized as they settle so the final
+diagonal is nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .abelian import InvariantFactors
@@ -17,8 +22,12 @@ from .abelian import InvariantFactors
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def _int_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A mutable copy of m, which must be rectangular with int entries (no truncated floats, no bools)."""
+    rows = [list(row) for row in m]
+    if len(set(map(len, rows))) > 1 or not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        raise ValueError(f"matrix must be rectangular with integer entries, got {m!r}")
+    return rows
 
 
 def identity(d: int) -> Matrix:
@@ -26,6 +35,7 @@ def identity(d: int) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    a, b = _int_rows(a), _int_rows(b)
     rows, inner, cols = len(a), len(b), len(b[0])
     if len(a[0]) != inner:
         raise ValueError("matrix dimensions do not match")
@@ -36,18 +46,18 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 
 def scale(m: Sequence[Sequence[int]], t: int) -> Matrix:
-    """Entrywise t*M for t >= 1; scaling commutes with the normal form."""
-    if t < 1:
-        raise ValueError(f"scale factor must be >= 1, got {t}")
-    return tuple(tuple(t * x for x in row) for row in m)
+    """Entrywise t*M for an int t >= 1; scaling commutes with the normal form."""
+    if type(t) is not int or t < 1:
+        raise ValueError(f"scale factor must be an integer >= 1, got {t!r}")
+    return tuple(tuple(t * x for x in row) for row in _int_rows(m))
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
+    a = _int_rows(m)
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
-    a = [[int(x) for x in row] for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -82,45 +92,14 @@ class SnfDecomposition:
         return tuple(self.S[i][i] for i in range(len(self.S)))
 
 
-def _eliminate(rows: list[list[int]], track: bool):
-    """Shared elimination core; returns (rows, U, V) with U/V None when untracked."""
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)] if track else None
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)] if track else None
-    a = rows
+def _eliminate(a: list[list[int]], r: int, c: int) -> list[list[int]]:
+    """Diagonalize the top-left r x c block of `a` in place, s_i | s_{i+1}.
 
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
-
-    def swap_rows(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        if track:
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        if track:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        if track:
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-        if track:
-            for row in v:
-                row[dst] += q * row[src]
-
-    steps = min(r, c)
-    for t in range(steps):
+    Row operations act on the first r rows across their full width, column
+    operations on the first c columns down every row, so blocks to the right
+    of and below the r x c block record them (module docstring).
+    """
+    for t in range(min(r, c)):
         while True:
             # smallest |entry| in the working minor, column-major tie order
             best = None
@@ -135,18 +114,19 @@ def _eliminate(rows: list[list[int]], track: bool):
                 break  # minor is zero; trailing invariant factors are 0
             _, bi, bj = best
             if bi != t:
-                swap_rows(t, bi)
+                a[t], a[bi] = a[bi], a[t]
             if bj != t:
-                swap_cols(t, bj)
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             dirty = False
             for i in range(t + 1, r):
                 if a[i][t]:
                     q, rem = divmod(a[i][t], p)
                     if q:
-                        add_row(i, t, -q)
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if rem:
                         dirty = True
             if dirty:
@@ -155,7 +135,8 @@ def _eliminate(rows: list[list[int]], track: bool):
                 if a[t][j]:
                     q, rem = divmod(a[t][j], p)
                     if q:
-                        add_col(j, t, -q)
+                        for row in a:
+                            row[j] -= q * row[t]
                     if rem:
                         dirty = True
             if dirty:
@@ -171,8 +152,8 @@ def _eliminate(rows: list[list[int]], track: bool):
                     break
             if bad is None:
                 break
-            add_row(t, bad, 1)
-    return a, u, v
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+    return a
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfDecomposition:
@@ -181,21 +162,27 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfDecomposition:
     Deterministic for a fixed input; a singular M yields trailing zeros on
     the diagonal of S.
     """
-    d = len(m)
-    if any(len(row) != d for row in m):
+    rows = _int_rows(m)
+    d = len(rows)
+    if any(len(row) != d for row in rows):
         raise ValueError("Smith normal form requires a square matrix here")
-    rows = [[int(x) for x in row] for row in m]
-    a, u, v = _eliminate(rows, track=True)
-    return SnfDecomposition(S=freeze(a), U=freeze(u), V=freeze(v))
+    unit = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    a = _eliminate([row + e for row, e in zip(rows, unit)] + unit, d, d)
+    return SnfDecomposition(
+        S=tuple(tuple(row[:d]) for row in a[:d]),
+        U=tuple(tuple(row[d:]) for row in a[:d]),
+        V=tuple(map(tuple, a[d:])),
+    )
 
 
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith form of a (possibly rectangular) integer matrix."""
-    rows = [[int(x) for x in row] for row in m]
+    rows = _int_rows(m)
     if not rows:
         return ()
-    a, _, _ = _eliminate(rows, track=False)
-    return tuple(a[i][i] for i in range(min(len(a), len(a[0]))))
+    r, c = len(rows), len(rows[0])
+    _eliminate(rows, r, c)
+    return tuple(rows[i][i] for i in range(min(r, c)))
 
 
 def proper_generating_set(
@@ -209,11 +196,7 @@ def proper_generating_set(
     canonical representatives used for dilation). U is unimodular, so every
     dilate of the resulting digraph exists.
     """
-    if det(m) == 0:
-        raise ValueError("matrix must be nonsingular")
     dec = smith_normal_form(m)
-    group = InvariantFactors(dec.invariant_factors)
-    d = len(dec.U)
-    gens = tuple(tuple(dec.U[i][j] for i in range(d)) for j in range(d))
-    return group, gens
-
+    if 0 in dec.invariant_factors:
+        raise ValueError("matrix must be nonsingular")
+    return InvariantFactors(dec.invariant_factors), tuple(zip(*dec.U))

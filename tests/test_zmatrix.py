@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -149,6 +150,56 @@ def test_snf_postconditions_fuzz():
         check_decomposition(m)
 
 
+@pytest.mark.parametrize("bad", [1.9, 6.0, True, False, "3"])
+def test_entry_points_reject_non_int_entries(bad):
+    square = ((bad, 0), (0, 1))
+    for call in (smith_normal_form, invariant_factors, det, is_unimodular, proper_generating_set):
+        with pytest.raises(ValueError, match="integer entries"):
+            call(square)
+    with pytest.raises(ValueError, match="integer entries"):
+        invariant_factors([[2, 0, 4], [0, bad, 6]])
+    for a, b in ((square, identity(2)), (identity(2), square)):
+        with pytest.raises(ValueError, match="integer entries"):
+            mat_mul(a, b)
+    with pytest.raises(ValueError, match="integer entries"):
+        scale(square, 2)
+    with pytest.raises(ValueError, match="scale factor"):
+        scale(M_PLANE, bad)
+
+
 def test_rectangular_invariant_factors():
     assert invariant_factors([[4, 16]]) == (4,)
     assert invariant_factors([[1, 1, 2, 0], [0, 1, 0, 2]]) == (1, 1)
+    with pytest.raises(ValueError, match="rectangular"):
+        invariant_factors([[1], [0, 5]])  # not (1,): the 5 is not dropped
+
+
+# sha256 of the corpus below: it pins the elimination's pivot order and signs,
+# which `proper` prints through U's columns and random lattices become
+# digraphs through.
+PINNED_ELIMINATION_DIGEST = "39753091067a03a516836904d4e640208bb58bfc3b230ab2ab86e146c3265fef"
+
+
+def test_elimination_output_is_pinned():
+    rng = random.Random(20251020)
+    h = hashlib.sha256()
+    for _ in range(1200):
+        d = rng.randint(1, 4)
+        bound = rng.choice((1, 3, 9, 60))
+        m = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.25:  # singular: last row a combination of two others
+            i, j = rng.randrange(d - 1), rng.randrange(d - 1)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[-1] = [a * x + b * y for x, y in zip(m[i], m[j])]
+        dec = smith_normal_form(m)
+        try:
+            proper = proper_generating_set(m)
+        except ValueError as exc:
+            proper = str(exc)
+        h.update(repr((m, dec.S, dec.U, dec.V, proper)).encode())
+    for _ in range(2000):
+        r, c = rng.randint(1, 4), rng.randint(1, 8)
+        bound = rng.choice((1, 3, 9, 60))
+        m = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        h.update(repr((m, invariant_factors(m))).encode())
+    assert h.hexdigest() == PINNED_ELIMINATION_DIGEST
