@@ -48,33 +48,35 @@ class InvariantFactors(tuple):
     def zero(self) -> GroupElement:
         return (0,) * len(self)
 
-    def reduce(self, coords: Sequence[int]) -> GroupElement:
-        if len(coords) != len(self):
-            raise ValueError(
-                f"element has {len(coords)} coordinates, group has rank {len(self)}"
-            )
-        for c in coords:
+    def _coords(self, a: Sequence[int]) -> Sequence[int]:
+        """a itself, once it has the group's rank and int coordinates."""
+        if len(a) != len(self):
+            raise ValueError(f"element has {len(a)} coordinates, group has rank {len(self)}")
+        for c in a:
             if type(c) is not int:  # no truncated floats, no bools
                 raise ValueError(f"coordinates must be integers, got {c!r}")
-        return tuple(c % m for c, m in zip(coords, self))
+        return a
+
+    def reduce(self, coords: Sequence[int]) -> GroupElement:
+        return tuple(c % m for c, m in zip(self._coords(coords), self))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> GroupElement:
-        if len(a) != len(self) or len(b) != len(self):
-            raise ValueError("element rank does not match the group")
-        return tuple((x + y) % m for x, y, m in zip(a, b, self))
+        return tuple((x + y) % m for x, y, m in zip(self._coords(a), self._coords(b), self))
 
     def scalar_mul(self, k: int, a: Sequence[int]) -> GroupElement:
-        return tuple((k * x) % m for x, m in zip(a, self))
+        if type(k) is not int:
+            raise ValueError(f"scalar must be an integer, got {k!r}")
+        return tuple((k * x) % m for x, m in zip(self._coords(a), self))
 
     def index(self, a: Sequence[int]) -> int:
         """Mixed-radix encoding of a (reduced) element into 0..order-1."""
-        places = _places(self)
-        return sum(x * p for x, p in zip(a, places))
+        return sum(x * p for x, p in zip(self._coords(a), _places(self)))
 
     def element(self, idx: int) -> GroupElement:
-        places = _places(self)
+        if type(idx) is not int:
+            raise ValueError(f"index must be an integer, got {idx!r}")
         out = []
-        for p, m in zip(places, self):
+        for p, m in zip(_places(self), self):
             q, idx = divmod(idx, p)
             out.append(q % m)
         return tuple(out)
@@ -127,26 +129,22 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _factorizations(n: int, d: int) -> list[tuple[int, ...]]:
+    """Every (a_1, ..., a_d) of positive integers with product n, in lex order."""
+    if d == 1:
+        return [(n,)]
+    return [(a,) + rest for a in _divisors(n) for rest in _factorizations(n // a, d - 1)]
+
+
 def enumerate_groups(n: int, d: int) -> list[InvariantFactors]:
     """All length-d chains s1 | ... | sd with product n, in ascending lex order."""
-    if n < 1 or d < 1:
-        raise ValueError("order and rank must be positive")
-    out: list[InvariantFactors] = []
-
-    def rec(rest: int, slots: int, lo: int, acc: list[int]) -> None:
-        if slots == 1:
-            if rest % lo == 0:
-                out.append(InvariantFactors(acc + [rest]))
-            return
-        for s in _divisors(rest):
-            if s % lo:
-                continue
-            if s**slots > rest:  # remaining slots-1 factors are all >= s
-                break
-            rec(rest // s, slots - 1, s, acc + [s])
-
-    rec(n, d, 1, [])
-    return out
+    if type(n) is not int or type(d) is not int or n < 1 or d < 1:
+        raise ValueError(f"order and rank must be positive integers, got {n!r}, {d!r}")
+    return [
+        InvariantFactors(s)
+        for s in _factorizations(n, d)
+        if all(b % a == 0 for a, b in zip(s, s[1:]))
+    ]
 
 
 def generates(g: InvariantFactors, gens: Sequence[Sequence[int]]) -> bool:

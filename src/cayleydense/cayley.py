@@ -142,9 +142,6 @@ class DistanceProfile:
         for idx, dist in enumerate(self.distances):
             yield self.group.element(idx), dist
 
-    def as_dict(self) -> dict[GroupElement, int]:
-        return dict(self.items())
-
 
 # Successor tables kept, least recently used first out: a census of every
 # pair in a group of order 65 (64 nonzero elements) still builds each once.

@@ -485,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes, at most the CPU count; they shard the lattice pass of an order "
-        "by HNF diagonal and b21, and a pass whose shards hold fewer than 12,000 HNFs (d=3 up to "
-        "n=90) runs in one process",
+        "by HNF diagonal and b21, and a pass whose shards hold fewer than "
+        f"{kappa_search.POOL_MIN_HNFS:,} HNFs runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -96,7 +96,7 @@ from itertools import accumulate, combinations
 from math import ceil, gcd
 from pathlib import Path
 
-from .abelian import InvariantFactors
+from .abelian import InvariantFactors, _factorizations
 from .cayley import CayleyDigraph, diameter
 from .density import bound_violation, lower_bound
 from .errors import InternalConsistencyError
@@ -375,18 +375,6 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     return balls
 
 
-def _diagonals(n: int, d: int) -> list[tuple[int, ...]]:
-    """Every (a_1, ..., a_d) of positive integers with product n, in lex order."""
-    if d == 1:
-        return [(n,)]
-    return [
-        (a,) + rest
-        for a in range(1, n + 1)
-        if n % a == 0
-        for rest in _diagonals(n // a, d - 1)
-    ]
-
-
 def _b32s(a2: int, a3: int) -> list[int]:
     """The b_32 that the swap cut keeps on a diagonal (a_1, a_2, a_3): those with
     gcd(a_2, b_32) >= a_3. None at all when a_2 < a_3, since each gcd divides a_2."""
@@ -534,7 +522,7 @@ def _plan(n: int, d: int):
     b_31 >= b_21 is kept, and one at d = 2.
     """
     plan = []
-    for diag in _diagonals(n, d):
+    for diag in _factorizations(n, d):
         a1, a2 = diag[0], diag[1]
         if a1 == 1:
             continue
@@ -618,7 +606,7 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
         counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
         return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
     shards, workers = _shards(n, d, workers)
-    listed = sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _diagonals(n, d) if a[0] > 1)
+    listed = sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _factorizations(n, d) if a[0] > 1)
     totals = Counter(listed=listed, cut=listed, shards=len(shards))
     shards.reverse()  # pop() takes the largest first
     best = None

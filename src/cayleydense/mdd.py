@@ -15,7 +15,8 @@ that share all but their last coordinate), in lex order of the columns and
 up each column, meets the points in lex order, so the first word of minimal
 norm to reach an element is its least one, and each column ends at its
 first point that is no such word. So one walk finds them all, in O(n*d),
-with no sort and no backtracking.
+with no sort and no backtracking. `verify_mdd` walks a given diagram's own
+columns with the same walk, climbing each exactly to its height.
 
 Diameter convention: the diagram's own diameter is measured at the far
 corner of each cube, so it exceeds the max point norm by d. This module
@@ -90,46 +91,51 @@ def phi(g: CayleyDigraph, a: tuple[int, ...]) -> GroupElement:
         raise ValueError("lattice point rank does not match the digraph")
     out = group.zero()
     for coeff, gen in zip(a, g.normalized_gens):
-        if coeff:
-            out = group.add(out, group.scalar_mul(coeff, gen))
+        out = group.add(out, group.scalar_mul(coeff, gen))  # refuses a coeff that is no int
     return out
 
 
-def build_mdd(g: CayleyDigraph) -> Mdd:
-    """The graded-lex diagram: each element's lex least word of minimal norm.
+def _walk(
+    g: CayleyDigraph, heights: dict[tuple[int, ...], int] | None = None
+) -> set[tuple[int, ...]] | bool:
+    """The column walk of `build_mdd` and `verify_mdd`.
 
-    A column walk. A point (p, j) has prefix p (all but its last coordinate)
-    and height j. The prefixes are visited in lex order, an odometer that
-    counts each coordinate up from 0 until its first empty column and then
-    carries into the coordinate before it. A prefix's start index phi(p, 0)
-    comes from the prefix generators' successor tables, and its column then
-    climbs by the last generator's table. (p, j) joins the diagram iff
-    dist(idx) = |p| + j and no earlier point claimed idx; the column stops at
-    the first point that fails. Each element is claimed once, so the walk is
-    O(n*d) on top of the digraph's one BFS (`CayleyDigraph.distances`), with
-    no sort and no candidate word.
+    A point (p, j) has prefix p (all but its last coordinate) and height j.
+    The prefixes are visited in lex order, an odometer that counts each
+    coordinate up from 0 until its first empty column and then carries into
+    the coordinate before it. A prefix's start index phi(p, 0) takes one step
+    of the successor table of the coordinate just counted up, and its column
+    climbs by the last generator's table, as phi(a) = phi(a - e_i) + g_i.
+    On a downward-closed set the walk visits every column: once the column
+    of (p_1, ..., p_i, 0, ..., 0) is empty, so is that of every prefix that
+    starts (p_1, ..., p_i') with p_i' >= p_i.
 
-    The walk is exact. The graded-lex set S of least words is downward
-    closed: if rep(x)_i > 0, then rep(x) - e_i has norm dist(x) - 1 and
-    reaches x - g_i, and a lex smaller word there plus e_i would beat
+    With no heights, a column climbs while its point's norm is its image's
+    distance and no earlier point hit that image, and the walk returns the
+    points it climbed. They are the graded-lex set S of least words. S is
+    downward closed: if rep(x)_i > 0, then rep(x) - e_i has norm dist(x) - 1
+    and reaches x - g_i, and a lex smaller word there plus e_i would beat
     rep(x), so rep(x) - e_i = rep(x - g_i). Every point with a lex smaller
     prefix is lex smaller, and two points of one column differ in norm, so
     the words of one norm that are lex smaller than (p, j) all lie in
-    columns visited before it. By induction over the walk, the points that
-    joined before (p, j) are exactly the members of S before it, so idx is
-    claimed iff a lex smaller word of the same norm reaches it: (p, j) joins
-    iff it is in S. Downward closure makes the stops exact: a column holds
-    no member of S above its first failure, so it is never resumed, and once
-    the column of (p_1, ..., p_i, 0, ..., 0) is empty, no prefix that starts
-    (p_1, ..., p_i') with p_i' >= p_i has a nonempty column. The walk and
-    the BFS read the same memoized successor tables.
+    columns visited before it. By induction over the walk, the points
+    climbed before (p, j) are exactly the members of S before it, so idx is
+    hit iff a lex smaller word of the same norm reaches it: (p, j) is
+    climbed iff it is in S. A column of S ends at its first failure, so the
+    stops and carries skip no member of S.
+
+    Given the column heights of a downward-closed set, each column climbs
+    exactly to its height. The walk returns False at the first point whose
+    norm is not its image's distance or whose image was hit before, and
+    otherwise whether it climbed all n points.
     """
     group = g.group
     tables = [successor_table(group, t) for t in g.normalized_gens]
     climb = tables[-1]
     dist = g.distances
-    claimed = bytearray(group.order)
+    hit = bytearray(group.order)
     points: set[tuple[int, ...]] = set()
+    climbed = 0
     top = g.degree - 1  # prefix coordinates 0, ..., top - 1
     prefix = [0] * top
     starts = [0] * (top + 1)  # starts[i]: index of p's first i coordinates, then 0s
@@ -138,27 +144,46 @@ def build_mdd(g: CayleyDigraph) -> Mdd:
     while True:
         idx = starts[top]
         norm = base
-        while dist[idx] == norm and not claimed[idx]:
-            claimed[idx] = 1
-            idx = climb[idx]
-            norm += 1
+        if heights is None:  # build: climb to the first point that fails
+            while dist[idx] == norm and not hit[idx]:
+                hit[idx] = 1
+                idx = climb[idx]
+                norm += 1
+            if norm > base:
+                points.update(product(*zip(prefix), range(norm - base)))
+        else:  # verify: climb to the column's height, failing on any bad point
+            end = base + heights.get(tuple(prefix), 0)
+            while norm < end:
+                if hit[idx] or dist[idx] != norm:
+                    return False
+                hit[idx] = 1
+                idx = climb[idx]
+                norm += 1
+            climbed += norm - base
         if norm > base:
-            points.update(product(*zip(prefix), range(norm - base)))
             i = top - 1
         else:  # the first column of a count of coordinate i: carry
             base -= prefix[i]
             prefix[i] = 0
             i -= 1
         if i < 0:
-            break
+            return points if heights is None else climbed == group.order
         prefix[i] += 1
         base += 1
         start = starts[i + 1] = tables[i][starts[i + 1]]
         for t in range(i + 2, top + 1):
             starts[t] = start
+
+
+def build_mdd(g: CayleyDigraph) -> Mdd:
+    """The graded-lex diagram: each element's lex least word of minimal norm.
+
+    One column walk (`_walk`), O(n*d) on top of the digraph's one BFS
+    (`CayleyDigraph.distances`), with no sort and no candidate word.
+    """
     # copied from a set, the frozenset is sized to fit; grown from a list it
     # can take twice the memory, and callers keep many diagrams alive
-    return Mdd(points=frozenset(points), source=g)
+    return Mdd(points=frozenset(_walk(g)), source=g)
 
 
 def verify_mdd(h: Mdd) -> bool:
@@ -171,16 +196,13 @@ def verify_mdd(h: Mdd) -> bool:
     holds exactly when every column's last coordinates are 0, ..., k(p) - 1.
     They are distinct and nonnegative, so that is when their sum over the
     whole set is the sum of k(p)(k(p) - 1)/2, the least it can be. Along a
-    coordinate i of p, closure holds exactly when q = p - e_i has a column
-    at least as high as p's.
+    coordinate i of p, closure holds exactly when p - e_i has a column at
+    least as high as p's.
 
-    The successor tables of the source's generators, shared with its BFS
-    through the `successor_table` memo, map the points to the group without
-    phi. The prefixes are walked in norm order: idx(0) = 0 and
-    idx(p) = tables[i][idx(p - e_i)] for any i with p_i > 0, and each column
-    then climbs by the last generator's table, idx(p, j + 1) =
-    tables[-1][idx(p, j)]. phi(a) = phi(a - e_i) + g_i makes the walk exact.
-    Injectivity and norm = BFS distance are checked on those indices.
+    The set is then downward closed, and build's column walk (`_walk`)
+    climbs each column exactly to k(p), mapping the points to the group by
+    the successor tables instead of phi: it checks injectivity and norm =
+    BFS distance, and accepts only the diagram's columns at their heights.
     """
     g = h.source
     group = g.group
@@ -194,28 +216,11 @@ def verify_mdd(h: Mdd) -> bool:
     heights = Counter(map(_PREFIX, pts))
     if sum(map(_LAST, pts)) != sum(k * (k - 1) for k in heights.values()) // 2:
         return False
-    tables = [successor_table(group, t) for t in g.normalized_gens]
-    climb = tables[-1]
-    dist = g.distances
-    index: dict[tuple[int, ...], int] = {}
-    seen = bytearray(group.order)
-    for p in sorted(heights, key=sum):
-        k = heights[p]
-        idx = 0
+    for p, k in heights.items():
         for i, x in enumerate(p):
-            if x:
-                q = p[:i] + (x - 1,) + p[i + 1 :]
-                if heights.get(q, 0) < k:
-                    return False
-                idx = tables[i][index[q]]
-        index[p] = idx
-        start = sum(p)
-        for norm in range(start, start + k):
-            if seen[idx] or dist[idx] != norm:
+            if x and heights.get(p[:i] + (x - 1,) + p[i + 1 :], 0) < k:
                 return False
-            seen[idx] = 1
-            idx = climb[idx]
-    return True
+    return _walk(g, heights)
 
 
 def solid_diameter(h: Mdd) -> int:

@@ -31,6 +31,8 @@ def _int_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def identity(d: int) -> Matrix:
+    if type(d) is not int or d < 0:
+        raise ValueError(f"identity size must be an integer >= 0, got {d!r}")
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
@@ -72,7 +74,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1  # the 0 x 0 matrix: the empty product
 
 
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:

@@ -10,6 +10,8 @@ from cayleydense.abelian import (
     enumerate_groups,
     generates,
 )
+from cayleydense.cayley import upsilon
+from cayleydense.mdd import phi
 from conftest import chains_oracle, closure_oracle
 
 
@@ -21,6 +23,27 @@ def test_chain_validation():
         InvariantFactors((0, 2))
     with pytest.raises(ValueError):
         InvariantFactors(())
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, "3"])
+def test_group_arithmetic_rejects_non_int_input(bad):
+    """No layer truncates a float or reads a bool as 0 or 1."""
+    group = InvariantFactors((3, 24))
+    calls = [
+        lambda: phi(upsilon(2, 1), (bad, 0)),
+        lambda: phi(upsilon(2, 1), (0, bad)),
+        lambda: group.add((bad, 0), (0, 1)),
+        lambda: group.add((0, 1), (0, bad)),
+        lambda: group.scalar_mul(bad, (1, 1)),
+        lambda: group.scalar_mul(2, (1, bad)),
+        lambda: group.index((bad, 2)),
+        lambda: group.element(bad),
+        lambda: enumerate_groups(bad, 2),
+        lambda: enumerate_groups(12, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="integer"):
+            call()
 
 
 def test_add_examples():
@@ -73,10 +96,10 @@ def test_enumerate_examples():
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 36, 60, 97, 128, 144, 200])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_enumerate_complete_against_bruteforce(n, d):
-    got = {tuple(g) for g in enumerate_groups(n, d)}
-    assert got == chains_oracle(n, d)
+    got = [tuple(g) for g in enumerate_groups(n, d)]
+    assert got == sorted(chains_oracle(n, d))  # the lattice pass's least chain reads this order
     for chain in got:
         prod = 1
         for s in chain:

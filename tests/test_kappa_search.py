@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cayleydense import kappa_search
-from cayleydense.abelian import InvariantFactors
+from cayleydense.abelian import InvariantFactors, _factorizations
 from cayleydense.cayley import CayleyDigraph, diameter
 from cayleydense.cli import main as cli_main
 from cayleydense.density import lower_bound
@@ -24,7 +25,6 @@ from cayleydense.kappa_search import (
     KappaCache,
     KappaRecord,
     SearchSpec,
-    _diagonals,
     _grow_balls,
     _hnfs,
     _lattice_pass,
@@ -637,6 +637,28 @@ def test_witness_scan_matches_oracle(d, max_n, total):
     assert cases == total
 
 
+# sha256 of repr((d, n, _plan(n, d))) for d = 2, 3 and n = 1..300: it pins the
+# diagonals, their lex order (the least witness chain is a tuple comparison),
+# and the b_21 and sizes the lattice pass shards by.
+PINNED_PLAN_DIGEST = "130c5cdfe7f4e96137ccc5f14b86a066be18f206dde84e935695c2c1bd06bbd5"
+
+
+def test_plan_output_is_pinned():
+    h = hashlib.sha256()
+    for d in (2, 3):
+        for n in range(1, 301):
+            h.update(repr((d, n, _plan(n, d))).encode())
+    assert h.hexdigest() == PINNED_PLAN_DIGEST
+
+
+def test_factorizations_list_every_product_in_lex_order():
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 12, 36, 97, 128):
+            divs = [a for a in range(1, n + 1) if n % a == 0]
+            want = [t for t in product(divs, repeat=d) if prod(t) == n]
+            assert _factorizations(n, d) == want, (n, d)
+
+
 def _kept_hnfs(n, d):
     """The HNFs the lattice pass of (d, n) judges, with their rotations."""
     return [hnf for diag, b21s, _ in _plan(n, d) for hnf in _hnfs(n, diag, b21s)]
@@ -807,7 +829,7 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     # on both workers
     for n, workers in ((90, 1), (96, 2)):
         fields, line = _debug_fields(caplog, 3, n, 2)
-        listed = sum(a[0] * a[0] * a[1] for a in _diagonals(n, 3) if a[0] > 1)
+        listed = sum(a[0] * a[0] * a[1] for a in _factorizations(n, 3) if a[0] > 1)
         assert int(fields["listed"]) == listed, line
         assert int(fields["workers"]) == workers, line
         assert int(fields["shards"]) == len(_shards(n, 3, workers)[0]), line
@@ -861,7 +883,7 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
         for d in (2, 3):
             for n in range(d + 1, 49):
-                diags = [diag for diag in _diagonals(n, d) if diag[0] > 1]
+                diags = [diag for diag in _factorizations(n, d) if diag[0] > 1]
                 per = {diag: diag[0] * diag[1] if d == 3 else 1 for diag in diags}
                 kept = Counter(
                     (diag, b21)

@@ -165,6 +165,13 @@ def test_entry_points_reject_non_int_entries(bad):
         scale(square, 2)
     with pytest.raises(ValueError, match="scale factor"):
         scale(M_PLANE, bad)
+    with pytest.raises(ValueError, match="identity size"):
+        identity(bad)
+    with pytest.raises(ValueError, match="identity size"):
+        identity(-1)
+    # the 0 x 0 matrix is no bad input: the normal form and det both take it
+    assert smith_normal_form([]).invariant_factors == ()
+    assert (identity(0), det([]), is_unimodular([])) == ((), 1, True)
 
 
 def test_rectangular_invariant_factors():
