@@ -23,7 +23,7 @@ it. That chain is the Smith form of the HNF basis
 (`zmatrix.invariant_factors`). Ties therefore count: an HNF counts when its
 ball of radius best_k is the whole group, unless the best chain is already
 the cyclic one, which no chain precedes. The pass is exhaustive, with no
-pruning by any bound.
+pruning by any bound on kappa.
 
 The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
 Cay(Z_n, {1}), of diameter n - 1.
@@ -37,7 +37,7 @@ k: the witness a full scan of every chain would keep, whatever --jobs is.
 The scan's diameter must equal k, and k must not beat the lower bound:
 below a proven bound (d <= 2) that is an InternalConsistencyError, below
 the conjectural one (d = 3) a ConjectureRefutation that carries the
-witness. No bound ever cuts a search.
+witness. No bound on kappa ever cuts a search.
 
 Both passes judge a candidate by its balls, not by a BFS. A vertex set is an
 n-bit int (bit v is the element of index v), and translating it by an
@@ -56,6 +56,19 @@ starts with it. Once a ball equals the one before it stays fixed, so if
 that happens before it is the whole group, the set generates a proper
 subgroup.
 
+The last element's balls stop early, by Macaulay's theorem, once they
+cannot be the whole group by the radius sought (`_reach`). The sphere sizes
+h(j) = |B_j| - |B_j-1| are the Hilbert function of the associated graded
+ring of the group algebra filtered by word length, which is commutative
+and generated in degree 1 by the d elements, so h(j+1) <= h(j)^<j>
+(Macaulay, Proc. London Math. Soc. 26, 1927; Bruns and Herzog, Cohen-Macaulay
+Rings, 4.2). A ball of radius L stops when |B_L| plus the most it can still
+grow up to the limit is below n. The bound is a fact about every ball, not
+a bound on kappa, so the abort is exact: it stops only balls that would not
+have been the whole group, the search judges every candidate as before, and
+a set that beats the lower bound is still found, so no refutation can hide.
+A prefix's balls are shared and never stop early.
+
 --jobs shards the lattice pass by (diagonal, b_21) on a process pool of
 that many workers, or of os.cpu_count() where that is fewer. The
 b_21 that the cuts keep split into shards of about equal HNF count,
@@ -73,10 +86,11 @@ orders; the pool starts no process until a pass first submits to it.
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and of the witness scan, the HNFs the lattice pass listed
 (every HNF with a_1 > 1), cut (by order or as a swap twin), found
-degenerate and evaluated (grew up to the whole group within the limit),
-its number of shards and the seconds of the slowest, and the number of
-processes it ran on (1 when it ran in this process), so a traced run shows
-where the pass ran and whether --jobs kept its workers evenly busy.
+degenerate, evaluated (grew up to the whole group within the limit) and
+aborted (stopped by Macaulay's bound below the limit), its number of shards
+and the seconds of the slowest, and the number of processes it ran on (1
+when it ran in this process), so a traced run shows where the pass ran and
+whether --jobs kept its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -92,8 +106,9 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import accumulate, combinations
-from math import ceil, gcd
+from math import ceil, comb, gcd
 from pathlib import Path
 
 from .abelian import InvariantFactors, _factorizations
@@ -355,7 +370,8 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     len - 1), at a ball equal to the one before (it stopped growing, so it
     is a proper subgroup and the set does not generate), or at radius
     `limit`. In each case its last entry again stands for larger radii up to
-    `limit`.
+    `limit`. It grows the balls of a prefix, which are shared and so never
+    stop early; `_reach` grows the last element's.
     """
     balls = [1]
     ball = 1
@@ -373,6 +389,125 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
         if ball == full:
             break
     return balls
+
+
+@lru_cache(maxsize=4096)
+def _macaulay(j: int, h: int) -> int:
+    """h^<j>, Macaulay's bound on h(j + 1) given h(j) = h, for j >= 1.
+
+    h has one expansion h = C(k_j, j) + C(k_(j-1), j-1) + ... + C(k_s, s)
+    with k_j > k_(j-1) > ... > k_s >= s >= 1, found greedily (each k the
+    largest with C(k, i) <= what is left), and h^<j> = C(k_j+1, j+1) + ... +
+    C(k_s+1, s+1). Where h <= j every term is C(i, i) = 1, so h^<j> = h.
+    """
+    if h <= j:
+        return h
+    out = 0
+    while h:
+        k = j
+        while comb(k + 1, j) <= h:
+            k += 1
+        h -= comb(k, j)
+        out += comb(k + 1, j + 1)
+        j -= 1
+    return out
+
+
+@lru_cache(maxsize=64)
+def _rows(n: int, d: int, limit: int) -> list:
+    """One slot per level 0..limit for `_row(n, d, level, limit)`, filled by `_reach` on
+    first use. Every caller may fill a slot, since a row depends on its key alone."""
+    return [None] * (limit + 1)
+
+
+def _row(n: int, d: int, level: int, limit: int) -> list[int]:
+    """The abort thresholds at `level` for spheres h > level, as row[h].
+
+    A ball of radius `level` with sphere h grows by at most h_1 + ... + h_r
+    over the r = limit - level levels left, with h_0 = h and
+    h_t = h_(t-1)^<level+t-1> (`_macaulay`, which is monotone in h), so it
+    cannot be the whole group by radius `limit` when its size is below
+    n - that sum. The row has an entry for every sphere a ball can have, up to
+    the C(level+d-1, d-1) words of length `level` in d generators, and holds 0
+    (no abort) for h <= level, where `_reach` needs no table, and from the
+    first h where no ball can abort: its size is at least level + h, and the
+    sum only grows with h. A sum stops once it rules out an abort, so the
+    operator is never evaluated past n. A full sphere stays full under the
+    operator, so its sum is the count of words of length level+1..limit.
+    """
+    words = comb(level + d - 1, d - 1)
+    top = min(words, n)
+    row = [0] * (top + 1)
+    for h in range(level + 1, top + 1):
+        if h == words:
+            grown = comb(limit + d, d) - comb(level + d, d)
+        else:
+            grown, sphere = 0, h
+            for j in range(level, limit):
+                if level + h + grown >= n:
+                    break
+                sphere = _macaulay(j, sphere)
+                grown += sphere
+        if level + h + grown >= n:
+            break
+        row[h] = n - grown
+    return row
+
+
+def _reach(below, rots, limit: int, full: int, n: int, d: int):
+    """(radius, level): the radius at which the ball of a d-set of elements becomes
+    the whole group, or None, and the level at which the loop stopped.
+
+    `below` and `rots` are as for `_grow_balls`, which this follows level by
+    level, but it keeps only the last ball, and it stops as soon as that ball
+    cannot be the whole group by radius `limit`. The spheres
+    h(j) = |B_j| - |B_j-1| are the Hilbert function of the associated graded
+    ring of the group algebra, filtered by word length. That ring is
+    commutative and generated in degree 1 by the d generators, so Macaulay's
+    theorem gives h(j+1) <= h(j)^<j> (`_macaulay`), and the ball of radius
+    `limit` holds at most |B_L| plus the iterated bound over the levels left.
+    Where h(L) <= L, h^<j> = h for every j >= L, so the test is
+    |B_L| + (limit - L)*h < n with no table; else it reads `_row`. A ball that
+    stopped growing (h = 0) fails the same test. The bound is the whole
+    set's, never a prefix's, and uses no bound on the diameter, so the
+    radius is exactly the one `_grow_balls` implies.
+
+    Where limit >= n - 1 the test cannot fire before a ball stops growing,
+    since every level until then adds an element, so the sizes are not
+    counted there: `_grow_balls` serves (a degree-1 witness scan, or a pass
+    that has no best yet).
+    """
+    if limit >= n - 1:
+        balls = _grow_balls(below, rots, limit, full)
+        if balls[-1] == full:
+            return len(balls) - 1, len(balls) - 1
+        return None, min(len(balls), limit)  # the level of a ball equal to the one before
+    ball = size = 1
+    top = len(below) - 1
+    rows = None
+    for level in range(1, limit + 1):
+        grown = below[level if level < top else top]
+        for mask, up, down in rots:  # ball + g
+            x = ball & mask
+            grown |= (x << up) | (x >> down)
+        ball = grown & full
+        h = -size
+        size = ball.bit_count()
+        if size == n:
+            return level, level
+        h += size
+        if h <= level:
+            if size + (limit - level) * h < n:
+                return None, level
+            continue
+        if rows is None:
+            rows = _rows(n, d, limit)
+        row = rows[level]
+        if row is None:
+            row = rows[level] = _row(n, d, level, limit)
+        if size < row[h]:
+            return None, level
+    return None, limit
 
 
 def _b32s(a2: int, a3: int) -> list[int]:
@@ -473,8 +608,9 @@ def _lattice_task(args):
 
     `found` is the least (k, chain) of the shard that beats the incoming
     `best`, or None. `counts` says how many HNFs `_hnfs` kept of it, how many
-    of those it found degenerate and how many it evaluated (grew balls up to
-    the whole group within the limit), and `seconds` how long the shard took.
+    of those it found degenerate, how many it evaluated (grew balls up to
+    the whole group within the limit) and how many `_reach` stopped below the
+    limit, and `seconds` how long the shard took.
     An HNF counts when its ball of radius best_k is the whole group, so a
     tie on a lesser chain wins; once the best chain is the cyclic one, which
     no chain precedes, only radius best_k - 1 can win.
@@ -487,26 +623,29 @@ def _lattice_task(args):
     balls = [[1]] * d  # balls[j]: the balls of e_1..e_j
     held = [None] * (d - 1)  # the rotations they grew from; _hnfs shares them
     found = None
-    kept = degenerate = evaluated = 0
+    kept = degenerate = evaluated = aborted = 0
+    limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
     for rows, rots in _hnfs(n, diag, b21s):
         kept += 1
         if rots is None:  # two e_i coincide
             degenerate += 1
             continue
-        limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
         j = 0
         while j < d - 1 and rots[j] is held[j]:
             j += 1
         for t in range(j, d - 1):  # best only falls, so held balls stay deep enough
             balls[t + 1] = _grow_balls(balls[t], rots[t], limit, full)
             held[t] = rots[t]
-        reach = _grow_balls(balls[-1], rots[-1], limit, full)
-        if reach[-1] == full:
-            evaluated += 1
-            candidate = (len(reach) - 1, invariant_factors(rows))
-            if best is None or candidate < best:
-                best = found = candidate
-    counts = {"kept": kept, "degenerate": degenerate, "evaluated": evaluated}
+        radius, level = _reach(balls[-1], rots[-1], limit, full, n, d)
+        if radius is None:
+            aborted += level < limit
+            continue
+        evaluated += 1
+        candidate = (radius, invariant_factors(rows))
+        if best is None or candidate < best:
+            best = found = candidate
+            limit = radius - (best[1] == cyclic)
+    counts = {"kept": kept, "degenerate": degenerate, "evaluated": evaluated, "aborted": aborted}
     return found, counts, time.monotonic() - started
 
 
@@ -589,8 +728,8 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     """The least diameter k over all HNFs of index n with the least chain attaining it,
     as (k, chain) or None, and the pass's counts: the HNFs listed, every HNF of
     a diagonal with a_1 > 1 (a_1*a_1*a_2 of them at d = 3, a_1 at d = 2), those
-    cut (listed but not kept by `_hnfs`), the shards' degenerate and evaluated
-    HNFs summed, the number of shards, the seconds of the slowest and the
+    cut (listed but not kept by `_hnfs`), the shards' degenerate, evaluated and
+    aborted HNFs summed, the number of shards, the seconds of the slowest and the
     number of processes the pass ran on.
 
     A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
@@ -603,7 +742,7 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     HNF is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass
     returns in closed form."""
     if d == 1:
-        counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1}
+        counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1, "aborted": 0}
         return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
     shards, workers = _shards(n, d, workers)
     listed = sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _factorizations(n, d) if a[0] > 1)
@@ -636,7 +775,9 @@ def _witness(group: InvariantFactors, d: int, k: int):
 
     Sets come in lexicographic order. The balls of each proper prefix of the
     current set are kept in `balls` and shared by every set that starts with
-    it; the sets that share a prefix come one after another.
+    it; the sets that share a prefix come one after another. The last
+    element's balls are `_reach`'s, which stop a set once Macaulay's bound
+    shows its ball of radius k cannot be the whole group.
     """
     n = group.order
     full = (1 << n) - 1
@@ -659,9 +800,9 @@ def _witness(group: InvariantFactors, d: int, k: int):
             for t in range(j, d - 1):
                 balls[t + 1] = _grow_balls(balls[t], rots_of(idxs[t]), k, full)
             held = prefix
-        reach = _grow_balls(balls[d - 1], rots_of(idxs[-1]), k, full)
-        if reach[-1] == full:
-            return len(reach) - 1, idxs
+        radius = _reach(balls[d - 1], rots_of(idxs[-1]), k, full, n, d)[0]
+        if radius is not None:
+            return radius, idxs
     return None
 
 

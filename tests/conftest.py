@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from cayleydense.abelian import InvariantFactors
 from cayleydense.cayley import CayleyDigraph
@@ -214,6 +214,52 @@ def quotient_chain_oracle(rows):
         if all(prod(gcd(m, x) for x in s) == c for m, c in counts.items())
     ]
     return chain
+
+
+def macaulay_oracle(j, h):
+    """h^<j> from the j-th binomial expansion of h, built term by term.
+
+    Each top k_i is found by counting down from h + i - 1, where
+    C(h + i - 1, i) >= h already holds; the expansion is
+    h = C(k_j, j) + ... + C(k_s, s) with k_j > ... > k_s >= s >= 1, and
+    h^<j> replaces each C(k, i) by C(k + 1, i + 1).
+    """
+    terms = []
+    i = j
+    while h > 0:
+        k = h + i - 1
+        while comb(k, i) > h:
+            k -= 1
+        terms.append((k, i))
+        h -= comb(k, i)
+        i -= 1
+    return sum(comb(k + 1, i + 1) for k, i in terms)
+
+
+def translation_parts_oracle(rows, j):
+    """Masked rotations of e_j on Z^d/L: one (mask, c, n - c) part per offset c mod n.
+
+    Every element x + e_j is reduced at once, one coordinate column at a
+    time, by the same integer reduction as lattice_reduce_oracle: subtract
+    q = x_i // a_i times row i, for i = d, d - 1, ..., 1.
+    """
+    d = len(rows)
+    diag = [rows[i][i] for i in range(d)]
+    n = prod(diag)
+    elems = list(product(*(range(a) for a in diag)))  # index order
+    cols = [[x[i] + (i == j) for x in elems] for i in range(d)]
+    for i in reversed(range(d)):
+        qs = [x // diag[i] for x in cols[i]]
+        for k in range(i + 1):
+            cols[k] = [x - q * rows[i][k] for x, q in zip(cols[k], qs)]
+    index = [0] * n
+    for a, col in zip(diag, cols):
+        index = [v * a + x for v, x in zip(index, col)]
+    masks = {}
+    for v, w in enumerate(index):
+        c = (w - v) % n
+        masks[c] = masks.get(c, 0) | 1 << v
+    return tuple((mask, c, n - c) for c, mask in masks.items())
 
 
 def tightness_coefficient_oracle(d, n, delta):

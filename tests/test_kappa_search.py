@@ -10,7 +10,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from itertools import combinations, permutations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,9 @@ from cayleydense.kappa_search import (
     _grow_balls,
     _hnfs,
     _lattice_pass,
+    _macaulay,
     _plan,
+    _reach,
     _rotations,
     _shards,
     _witness,
@@ -43,10 +45,12 @@ from conftest import (
     hnf_oracle,
     kappa_oracle,
     lattice_reduce_oracle,
+    macaulay_oracle,
     mixed_radix_index,
     quotient_chain_oracle,
     scan_group_oracle,
     successor_table_oracle,
+    translation_parts_oracle,
 )
 
 
@@ -610,6 +614,7 @@ def test_scan_abort_rule():
             for bound in range(1, (n if k is None else k) + 3):
                 balls = [1]
                 for g in gens:
+                    below = balls
                     balls = _grow_balls(balls, _rotations(group, g), bound - 1, full)
                 case = (moduli, gens, bound)
                 assert (balls[-1] == full) == (k is not None and k < bound), case
@@ -617,6 +622,81 @@ def test_scan_abort_rule():
                 if k is not None:
                     assert len(balls) - 1 == min(k, bound - 1), case
                     assert balls == [_ball_bits(moduli, oracle, r) for r in range(len(balls))]
+                # the last generator's loop, with the Macaulay abort, from the same prefix
+                rots = _rotations(group, gens[-1])
+                radius, level = _reach(below, rots, bound - 1, full, n, len(gens))
+                assert radius == (k if k is not None and k < bound else None), case
+                assert level == radius if radius is not None else level <= bound - 1, case
+
+
+def test_macaulay_matches_binomial_expansion_oracle():
+    """h^<j> against the oracle's expansion on every (j, h) with h up to the
+    C(j+2, 2) elements at distance j from three generators and beyond, and
+    against hand values; it is monotone in h, as `_row` needs."""
+    for j in range(1, 21):
+        values = [_macaulay(j, h) for h in range(comb(j + 2, 2) + 40)]
+        assert values == [macaulay_oracle(j, h) for h in range(len(values))], j
+        assert values == sorted(values), j
+        assert values[: j + 1] == list(range(j + 1)), j  # h^<j> = h for h <= j
+    assert [_macaulay(1, h) for h in range(50)] == [comb(h + 1, 2) for h in range(50)]
+    assert _macaulay(2, 5) == 7  # 5 = C(3, 2) + C(2, 1) -> C(4, 3) + C(3, 2)
+    assert _macaulay(2, 6) == 10 and _macaulay(3, 10) == 15  # full spheres of degree 3
+    assert _macaulay(2, 4) == 5 and _macaulay(4, 4) == 4
+
+
+@pytest.mark.parametrize("d,sets", [(2, (4471, 19395)), (3, (38652, 30322))])
+def test_spheres_obey_macaulays_bound(d, sets):
+    """The premise of the abort: on every generating d-set of every chain of
+    order n <= 30, the sphere sizes h(j) of the BFS oracle obey
+    h(j+1) <= h(j)^<j>, as the Hilbert function of a standard graded ring must."""
+    generating = attained = 0
+    for n in range(2, 31):
+        for moduli in sorted(chains_oracle(n, d)):
+            elems = list(product(*(range(m) for m in moduli)))[1:]
+            for gens in combinations(elems, d):
+                dist = bfs_distance_oracle(moduli, gens)
+                if dist is None:
+                    continue
+                generating += 1
+                h = Counter(dist.values())
+                for j in range(1, max(h)):
+                    assert h[j + 1] <= _macaulay(j, h[j]), (moduli, gens, j)
+                    attained += h[j + 1] == _macaulay(j, h[j])
+    assert (generating, attained) == sets  # sets, and levels that meet the bound exactly
+
+
+def check_reach_against_grow_balls(d, orders):
+    """On every HNF of each index n in `orders` (hnf_oracle, n >= 2) and every
+    limit from 1 to its diameter + 2, `_reach` from the balls of e_1..e_(d-1)
+    gives the radius, or None, that `_grow_balls` implies: the diameter when it
+    is at most the limit, else None. The rotations come from the oracle, and
+    every HNF generates. Returns the number of (HNF, limit) cases."""
+    cases = 0
+    for n in orders:
+        full = (1 << n) - 1
+        held = None
+        for rows in hnf_oracle(n, d):
+            if (rows[:-1], rows[-1][-1]) != held:  # e_1..e_(d-1) move by these rows only
+                held = (rows[:-1], rows[-1][-1])
+                below = [1]
+                for j in range(d - 1):
+                    below = _grow_balls(below, translation_parts_oracle(rows, j), n, full)
+            rots = translation_parts_oracle(rows, d - 1)
+            balls = _grow_balls(below, rots, n, full)
+            assert balls[-1] == full, rows
+            diameter = len(balls) - 1
+            for limit in range(1, diameter + 3):
+                radius, level = _reach(below, rots, limit, full, n, d)
+                assert radius == (diameter if diameter <= limit else None), (rows, limit)
+                assert level == diameter if radius is not None else level <= limit, (rows, limit)
+                cases += 1
+    return cases
+
+
+@pytest.mark.parametrize("d,cases", [(2, 25928), (3, 717622)])
+def test_reach_matches_grow_balls_on_every_hnf(d, cases):
+    """The abort is exact on every HNF of index n <= 48 (CI runs d = 3 to n = 96)."""
+    assert check_reach_against_grow_balls(d, range(2, 49)) == cases
 
 
 @pytest.mark.parametrize("d,max_n,total", [(1, 40, 858), (2, 40, 481), (3, 30, 245)])
@@ -801,10 +881,16 @@ def _debug_fields(caplog, d, n, workers=1):
     return dict(field.split("=") for field in line.split(": ", 1)[1].split()), line
 
 
+def _reach_without_abort(below, rots, limit, full, n, d):
+    """`_reach` with no early abort: the last generator's balls grown to `limit`."""
+    balls = _grow_balls(below, rots, limit, full)
+    return (len(balls) - 1 if balls[-1] == full else None), limit
+
+
 def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
-    which are the same on 1 and 2 workers, its shards, its slowest shard and the
-    number of processes it ran on."""
+    which are the same on 1 and 2 workers and with or without the abort, its
+    shards, its slowest shard and the number of processes it ran on."""
     every = [rows for rows in hnf_oracle(48, 3) if rows[0][0] > 1]
     kept = _kept_hnfs(48, 3)
     lines = []
@@ -820,10 +906,19 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
         assert int(fields["cut"]) == len(every) - len(kept)
         judged = len(kept) - int(fields["degenerate"])
         assert 0 < int(fields["evaluated"]) <= judged < len(kept)
+        assert 0 < int(fields["aborted"]) <= judged - int(fields["evaluated"]), line
         assert int(fields["shards"]) == shards > 1, line
         assert 0 <= float(fields["slowest_shard_s"]) <= float(fields["lattice_s"]), line
     counted = [[fields[key] for key in ("listed", "cut", "degenerate")] for fields, _ in lines]
     assert counted[0] == counted[1]  # evaluated depends on the hint each shard starts from
+    # the abort changes no count but its own: on one worker, in this process, the
+    # same pass with every last generator's balls grown to the limit
+    with monkeypatch.context() as patch:
+        patch.setattr(kappa_search, "_reach", _reach_without_abort)
+        plain, line = _debug_fields(caplog, 3, 48)
+    assert int(plain["aborted"]) == 0, line
+    keys = ("listed", "cut", "degenerate", "evaluated")
+    assert [plain[key] for key in keys] == [lines[0][0][key] for key in keys], line
     # on both sides of the constant: the shards of n = 90 hold 11,229 HNFs and it
     # runs in process on the 1-worker plan, those of n = 96 hold 14,020 and it runs
     # on both workers
