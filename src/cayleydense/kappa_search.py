@@ -12,18 +12,22 @@ Aut(G) orbit of generating tuples, on every chain at once, and every HNF
 generates. Permuting the coordinates of Z^d gives the same digraph, so the
 pass lists one HNF of each permutation orbit at least: those where a_1, the
 order of e_1, is the least order of an e_i, and of two HNFs that differ by
-swapping coordinates 2 and 3, the one whose a_3 is not the larger (on
-the diagonal (a_1, 1, 1), the one with b_31 >= b_21). It skips the diagonals
-with a_1 = 1, where e_1 is 0, and a listed HNF where two e_i coincide; no
-other e_i is 0, since each has order >= a_1 >= 2. `_plan` and `_hnfs`
-decide all of this in closed form, before any rotation is built. The pass
-judges each HNF by its balls (below) and returns k, the least diameter,
-together with the least chain (in `enumerate_groups` order) that attains
-it. That chain is the Smith form of the HNF basis
-(`zmatrix.invariant_factors`). Ties therefore count: an HNF counts when its
-ball of radius best_k is the whole group, unless the best chain is already
-the cyclic one, which no chain precedes. The pass is exhaustive, with no
-pruning by any bound on kappa.
+swapping coordinates 2 and 3, the one whose a_3 is not the larger or, where
+the two share a diagonal, the one whose (b_32, b_21, b_31) is not the
+larger. On the cyclic diagonal (n, 1, 1) it lists one HNF of each orbit:
+there an HNF is Cay(Z_n, {1, p, q}) with p and q units, and of its three
+normalizations, by 1, p^-1 and q^-1, each pair sorted, the least. It skips
+the diagonals with a_1 = 1, where e_1 is 0, and a listed HNF where two e_i
+coincide; no other e_i is 0, since each has order >= a_1 >= 2. `_plan` and
+`_hnfs` decide all of this in closed form, before any rotation is built. A
+cut HNF is the same digraph as one the pass keeps, so the cuts are exact
+quotients: they change no (k, chain). The pass judges each HNF by its
+balls (below) and returns k, the least diameter, together with the least
+chain (in `enumerate_groups` order) that attains it. That chain is the
+Smith form of the HNF basis (`zmatrix.invariant_factors`). Ties therefore
+count: an HNF counts when its ball of radius best_k is the whole group,
+unless the best chain is already the cyclic one, which no chain precedes.
+The pass is exhaustive, with no pruning by any bound on kappa.
 
 The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
 Cay(Z_n, {1}), of diameter n - 1.
@@ -85,12 +89,13 @@ orders; the pool starts no process until a pass first submits to it.
 
 Each search logs one DEBUG line on this module's logger: the seconds of the
 lattice pass and of the witness scan, the HNFs the lattice pass listed
-(every HNF with a_1 > 1), cut (by order or as a swap twin), found
-degenerate, evaluated (grew up to the whole group within the limit) and
-aborted (stopped by Macaulay's bound below the limit), its number of shards
-and the seconds of the slowest, and the number of processes it ran on (1
-when it ran in this process), so a traced run shows where the pass ran and
-whether --jobs kept its workers evenly busy.
+(every HNF with a_1 > 1), cut (by order, as a swap twin or as another unit
+normalization on the cyclic diagonal), found degenerate, evaluated (grew up
+to the whole group within the limit) and aborted (stopped by Macaulay's
+bound below the limit), its number of shards and the seconds of the
+slowest, and the number of processes it ran on (1 when it ran in this
+process), so a traced run shows where the pass ran and whether --jobs kept
+its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -121,9 +126,11 @@ logger = logging.getLogger(__name__)
 
 # A lattice pass whose shards hold fewer HNFs than this (`_shards`) runs in one
 # process, whatever --jobs is: on two workers, a d = 3 pass that starts its own
-# pool broke even at about 11,000-12,700 held HNFs (n = 90 holds 11,229 and
-# n = 100 12,709). Every d = 3 order up to n = 90 holds fewer; n = 96 holds
-# 14,020, and no d = 2 order up to n = 400 holds 1,000.
+# pool broke even at about 11,000-12,700 held HNFs, as the shard sizes were
+# counted before the tied twins were cut. Cutting them shrinks a pass and its
+# held count alike, so the constant stays: every d = 3 order up to n = 90 holds
+# fewer (n = 90 holds 10,532), n = 96 holds 13,878, and no d = 2 order up to
+# n = 400 holds 1,000.
 POOL_MIN_HNFS = 12_000
 
 
@@ -510,10 +517,36 @@ def _reach(below, rots, limit: int, full: int, n: int, d: int):
     return None, limit
 
 
+def _twin(a2: int, a3: int, b32: int) -> tuple[int, int, int, int]:
+    """The (2 3) twin of the HNFs of a diagonal (a_1, a_2, a_3) with this b_32 and
+    gcd(a_2, b_32) = a_3, in closed form, as (u, v, y, z): the twin of
+    (b_21, b_31, b_32) is ((u*b_31 - v*b_21) mod a_1, (y*b_21 + z*b_31) mod a_1,
+    z*a_3) on the same diagonal, with u = a_2/a_3, v = b_32/a_3, z = v^-1 mod u
+    (0 when u = 1) and y = (1 - z*v)/u.
+
+    Swapping coordinates 2 and 3 maps L to the lattice spanned by (a_1, 0, 0),
+    (b_21, 0, a_2) and (b_31, a_3, b_32). The combination s*(b_21, 0, a_2) +
+    t*(b_31, a_3, b_32) has third coordinate a_3*(s*u + t*v), and
+    gcd(u, v) = 1: (s, t) = (-v, u) gives its least vector with third
+    coordinate 0, (u*b_31 - v*b_21, a_2, 0), and (s, t) = (y, z) one with the
+    least positive third coordinate, (y*b_21 + z*b_31, z*a_3, a_3), where
+    z*a_3 < a_2 is already reduced.
+    """
+    u, v = a2 // a3, b32 // a3
+    z = pow(v, -1, u)
+    return u, v, (1 - z * v) // u, z
+
+
 def _b32s(a2: int, a3: int) -> list[int]:
     """The b_32 that the swap cut keeps on a diagonal (a_1, a_2, a_3): those with
-    gcd(a_2, b_32) >= a_3. None at all when a_2 < a_3, since each gcd divides a_2."""
-    return [b32 for b32 in range(a2) if gcd(a2, b32) >= a3]
+    gcd(a_2, b_32) > a_3, and those with gcd(a_2, b_32) = a_3 whose (2 3) twin
+    (`_twin`) has a b_32 that is not below theirs. None at all when a_2 < a_3,
+    since each gcd divides a_2."""
+    return [
+        b32
+        for b32 in range(a2)
+        if (g := gcd(a2, b32)) > a3 or g == a3 and _twin(a2, a3, b32)[3] * a3 >= b32
+    ]
 
 
 def _hnfs(n: int, diag: tuple[int, ...], b21s):
@@ -552,8 +585,21 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
     the same generator orders, so the orbit cut keeps both or neither. The
     cut skips every b_32 with g < a_3, whose twin has g' = a_3 > a_3' and is
     kept (`_b32s`); `_plan` lists no diagonal with a_2 < a_3, which keeps
-    none. On the diagonal (a_1, 1, 1) the twin of (b_21, b_31) is
-    (b_31, b_21), and the cut keeps b_31 >= b_21 (b_31 = b_21 is
+    none. Where g = a_3 the twin lies on the same diagonal, with b_32' =
+    z*a_3 (`_twin`): `_b32s` skips the b_32 whose twin's b_32' is below it,
+    and where b_32' = b_32 the cut keeps an HNF when its (b_21, b_31) is not
+    above the twin's, so exactly one of each pair.
+
+    The cyclic cut (d = 3) replaces the swap cut's tie rule on the diagonal
+    (n, 1, 1), where the orbit cut keeps only units b_21 and b_31. An HNF
+    there is Cay(Z_n, {1, p, q}) with p = -b_21 and q = -b_31, and each
+    member of its coordinate-permutation orbit has all three generators
+    units, so lies on this diagonal, normalized by the inverse of the
+    generator moved first: by 1, p^-1 or q^-1, in either order. The cut
+    keeps an HNF when its (b_21, b_31) is the least of its three
+    normalizations, each pair sorted, so exactly one of each orbit; the
+    inverses come from one table per diagonal. As its own normalization by
+    1, sorted, is (min, max), only b_31 >= b_21 can be kept (b_31 = b_21 is
     degenerate, below).
 
     An HNF where two e_i coincide, e_i - e_j in L, is yielded with rots None.
@@ -571,7 +617,9 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
         below3 = _digit_below(n, 1, a3, a3 - 1)
         up3 = _parts(n, [(below3, 1)])  # e_3 where x_3 does not wrap
         borrows = [(b32, (full ^ below3) & _digit_below(n, w2, a2, b32)) for b32 in _b32s(a2, a3)]
-    swapped = a2 == a3 == 1  # (b_21, b_31) and (b_31, b_21) are twins
+    cyclic = diag[1:] == (1, 1)  # the d = 3 diagonal (n, 1, 1)
+    if cyclic:  # the orbit cut keeps units b_21 and b_31 only
+        inv = [pow(x, -1, n) if gcd(x, n) == 1 else 0 for x in range(n)]
     for b21 in b21s:
         e2 = _parts(n, [(below2, w2), (full ^ below2, (1 - a2) * w2 - b21 * w1)])
         e12 = a2 == 1 and b21 == a1 - 1  # e_1 = e_2
@@ -583,13 +631,26 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
             g = gcd(a2, b32)
             u, v = a2 // g, b32 // g
             cut = a3 * u < a1  # else no gcd with a_1 exceeds a_3*u
+            tied = False  # the twin has this b_32 too
+            if g == a3 and not cyclic:
+                _, _, y, z = _twin(a2, a3, b32)
+                tied = z == v
             same = ()  # the b_31 where e_3 = e_1 or e_3 = e_2
             if a3 == 1:
                 same = (a1 - 1 if b32 == 0 else -1, b21 if b32 == a2 - 1 else -1)
             wrap = full ^ below3 ^ borrow
-            for b31 in range(b21 if swapped else 0, a1):
+            for b31 in range(b21 if cyclic else 0, a1):
                 if cut and a3 * u < gcd(a1, u * b31 - v * b21):
                     continue  # ord(e_3) < a_1
+                if tied and (b21, b31) > ((u * b31 - v * b21) % a1, (y * b21 + z * b31) % a1):
+                    continue  # the twin is kept
+                if cyclic:  # (b_21, b_31) normalized by p^-1 and by q^-1, each sorted
+                    p21, p31 = inv[b21], -b31 * inv[b21] % n
+                    q21, q31 = inv[b31], -b21 * inv[b31] % n
+                    by_p = (p21, p31) if p21 <= p31 else (p31, p21)
+                    by_q = (q21, q31) if q21 <= q31 else (q31, q21)
+                    if (b21, b31) > min(by_p, by_q):
+                        continue  # another normalization is kept
                 rows = ((a1, 0, 0), (b21, a2, 0), (b31, b32, a3))
                 if e12 or b31 in same:
                     yield rows, None
@@ -656,9 +717,10 @@ def _plan(n: int, d: int):
     swap cut keeps no b_32 (a_2 < a_3). Of the others, only the b_21 that
     survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept:
     `_hnfs` lists the HNFs of these b21s and no others. sizes[i] bounds how
-    many HNFs the kept b21s[i] holds after the swap cut: a_1 per kept b_32 at
-    d = 3, or a_1 - b_21 on the diagonal (a_1, 1, 1), where only
-    b_31 >= b_21 is kept, and one at d = 2.
+    many HNFs the kept b21s[i] holds after the swap cut: a_1 per b_32 that
+    `_b32s` keeps at d = 3, or a_1 - b_21 on the diagonal (n, 1, 1), where
+    only b_31 >= b_21 can be kept, and one at d = 2. It still counts the
+    tied twins and normalizations that `_hnfs` cuts HNF by HNF.
     """
     plan = []
     for diag in _factorizations(n, d):

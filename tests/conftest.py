@@ -192,6 +192,49 @@ def lattice_reduce_oracle(rows, v):
     return tuple(v)
 
 
+def in_lattice_oracle(rows, v):
+    """Whether v lies in the lattice of these HNF rows: it reduces to 0."""
+    return not any(lattice_reduce_oracle(rows, v))
+
+
+@lru_cache(maxsize=None)
+def _hnf_set_oracle(n, d):
+    return frozenset(hnf_oracle(n, d))
+
+
+def permuted_hnf_oracle(rows, sigma):
+    """The HNF of L with its coordinates permuted, by brute force: the lattice
+    whose points are (x_sigma[0], ..., x_sigma[d-1]) for the points x of L.
+
+    Row i of an HNF is the one vector (b_1, ..., b_(i-1), a_i, 0, ..., 0) of the
+    lattice with a_i > 0 least and 0 <= b_j < a_j, so each row is the first
+    such vector, a_i = 1, 2, ... in turn, that lies in the lattice: its point
+    moved back lies in L (`in_lattice_oracle`). The result is looked up in
+    `hnf_oracle`.
+    """
+    d = len(rows)
+    n = prod(rows[i][i] for i in range(d))
+
+    def member(y):
+        x = [0] * d
+        for k, v in enumerate(y):
+            x[sigma[k]] = v
+        return in_lattice_oracle(rows, x)
+
+    found = []
+    for i in range(d):
+        for a in range(1, n + 1):
+            bs = (range(row[j]) for j, row in enumerate(found))
+            shape = product(*bs, [a], *[[0]] * (d - i - 1))
+            row = next((y for y in shape if member(y)), None)
+            if row is not None:
+                break
+        found.append(row)
+    found = tuple(found)
+    assert found in _hnf_set_oracle(n, d), (rows, sigma, found)
+    return found
+
+
 def quotient_chain_oracle(rows):
     """Invariant factors of Z^d/L, from the sizes of its m-torsion subgroups.
 

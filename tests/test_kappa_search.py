@@ -25,6 +25,7 @@ from cayleydense.kappa_search import (
     KappaCache,
     KappaRecord,
     SearchSpec,
+    _b32s,
     _grow_balls,
     _hnfs,
     _lattice_pass,
@@ -33,6 +34,7 @@ from cayleydense.kappa_search import (
     _reach,
     _rotations,
     _shards,
+    _twin,
     _witness,
     gap_table,
     kappa,
@@ -43,10 +45,12 @@ from conftest import (
     cache_scan_oracle,
     chains_oracle,
     hnf_oracle,
+    in_lattice_oracle,
     kappa_oracle,
     lattice_reduce_oracle,
     macaulay_oracle,
     mixed_radix_index,
+    permuted_hnf_oracle,
     quotient_chain_oracle,
     scan_group_oracle,
     successor_table_oracle,
@@ -144,11 +148,11 @@ def _held(n, d):
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
     """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs submits nothing to a
     pool, at any d, whether the search opens its own or is handed one; kappa(3, 96),
-    whose shards hold 14,020, runs on two workers. The rule is the same at d = 2.
+    whose shards hold 13,878, runs on two workers. The rule is the same at d = 2.
     Every search gives the 1-worker record."""
     RecordingPool = recording_pool
     opened, submitted = RecordingPool.opened, RecordingPool.submitted
-    assert _held(90, 3) == 11229 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14020
+    assert _held(90, 3) == 10532 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 13878
     assert _shards(90, 3, 2)[1] == 1 and _shards(96, 3, 2)[1] == 2  # the workers planned for
     for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 90)):
         alone = kappa(SearchSpec(d=d, n=n))
@@ -720,7 +724,7 @@ def test_witness_scan_matches_oracle(d, max_n, total):
 # sha256 of repr((d, n, _plan(n, d))) for d = 2, 3 and n = 1..300: it pins the
 # diagonals, their lex order (the least witness chain is a tuple comparison),
 # and the b_21 and sizes the lattice pass shards by.
-PINNED_PLAN_DIGEST = "130c5cdfe7f4e96137ccc5f14b86a066be18f206dde84e935695c2c1bd06bbd5"
+PINNED_PLAN_DIGEST = "f106abbc78195b3051cf283efca2144d3e44d3b147061462fb327a933c9313a1"
 
 
 def test_plan_output_is_pinned():
@@ -767,7 +771,7 @@ def test_hnf_rotations_match_lattice_oracle():
                         y = lattice_reduce_oracle(rows, [v + (i == j) for i, v in enumerate(x)])
                         got = _translate(1 << mixed_radix_index(diag, x), rots[j], (1 << n) - 1)
                         assert got == 1 << mixed_radix_index(diag, y), (rows, j, x)
-    assert (hnfs, degenerate) == (3432, 638)
+    assert (hnfs, degenerate) == (2311, 482)
 
 
 def _sigma(m):
@@ -783,10 +787,10 @@ def test_hnf_count_matches_sublattice_formula():
         assert len(hnf_oracle(n, 3)) == want, n
     assert sum(m * _sigma(m) for m in (1, 2, 4, 8, 16, 32, 64, 128)) == 43435
     # the pass judges these of the 255 and 43,435 HNFs of index 128, those with
-    # a_1 > 1 that the cuts keep; 337 of the 13,835 are degenerate
+    # a_1 > 1 that the cuts keep; 274 of the 9,162 are degenerate
     assert len(_kept_hnfs(128, 2)) == 169
     kept = _kept_hnfs(128, 3)
-    assert (len(kept), sum(rots is None for _, rots in kept)) == (13835, 337)
+    assert (len(kept), sum(rots is None for _, rots in kept)) == (9162, 274)
 
 
 def _order_oracle(rows, j):
@@ -811,9 +815,11 @@ def _degenerate_oracle(rows):
 def test_orbit_cut_orders_match_lattice_oracle():
     """The closed-form orders of e_2 and e_3, and the HNFs the pass judges, every
     HNF with d = 2 and 3, n <= 24: those with a_1 > 1 where no e_i has order below
-    a_1 and, at d = 3, gcd(a_2, b_32) >= a_3 and, on the diagonal (a_1, 1, 1),
-    b_31 >= b_21, each once. A kept HNF has its rotations unless two e_i
-    coincide, which the oracle decides."""
+    a_1 and, at d = 3, gcd(a_2, b_32) >= a_3 and, where gcd(a_2, b_32) = a_3,
+    (b_32, b_21, b_31) not above that of the (2 3) twin, and, on the diagonal
+    (n, 1, 1), the least HNF of its S_3 orbit, each once; the twins and orbits
+    come from `permuted_hnf_oracle`. A kept HNF has its rotations unless two
+    e_i coincide, which the oracle decides."""
     for d in (2, 3):
         for n in range(1, 25):
             listed = _kept_hnfs(n, d)
@@ -831,43 +837,120 @@ def test_orbit_cut_orders_match_lattice_oracle():
                     g = gcd(a2, b32)
                     u, v = a2 // g, b32 // g
                     assert orders[2] == a3 * u * a1 // gcd(a1, u * b31 - v * b21), rows
-                    keep = keep and g >= a3 and (b31 >= b21 or (a2, a3) != (1, 1))
+                    keep = keep and g >= a3
+                    if keep and g == a3:
+                        twin = permuted_hnf_oracle(rows, (0, 2, 1))
+                        keep = (b32, b21, b31) <= (twin[2][1], twin[1][0], twin[2][0])
+                    if keep and a1 == n:
+                        orbit = [permuted_hnf_oracle(rows, p) for p in permutations(range(3))]
+                        keep = rows == min(orbit)
                 assert (rows in kept) == keep, rows
                 if keep:
                     assert (kept[rows] is None) == _degenerate_oracle(rows), rows
 
 
-def _points_mod_oracle(rows, n):
-    """L mod n, as the set of its points in [0, n)^3: L has index n, so it holds
-    nZ^3, and c_i*row_i with 0 <= c_i < n/a_i reach each point once."""
-    a = [rows[i][i] for i in range(3)]
-    return frozenset(
-        tuple(sum(c * row[k] for c, row in zip(cs, rows)) % n for k in range(3))
-        for cs in product(*(range(n // x) for x in a))
-    )
+def _closed_form_twin(rows):
+    """The (2 3) twin of a d = 3 HNF with gcd(a_2, b_32) = a_3, by `_twin`."""
+    (a1, _, _), (b21, a2, _), (b31, b32, a3) = rows
+    u, v, y, z = _twin(a2, a3, b32)
+    return ((a1, 0, 0), ((u * b31 - v * b21) % a1, a2, 0), ((y * b21 + z * b31) % a1, z * a3, a3))
+
+
+def _unit_normalizations(n, b21, b31):
+    """The (b_21, b_31) of Cay(Z_n, {1, p, q}), p = -b_21 and q = -b_31 units,
+    normalized by 1, p^-1 and q^-1 (coordinate 1, 2 or 3 moved first), unsorted."""
+    p, q = -b21 % n, -b31 % n
+    out = []
+    for first, rest in ((1, (p, q)), (p, (1, q)), (q, (1, p))):
+        m = pow(first, -1, n)
+        out.append(tuple(-m * x % n for x in rest))
+    return out
+
+
+def test_closed_forms_match_permuted_lattice_oracle():
+    """d = 3, n <= 48. Every HNF with gcd(a_2, b_32) = a_3: the closed-form twin
+    is an HNF of index n (`hnf_oracle`) whose rows, with coordinates 2 and 3
+    swapped back, lie in L, so it spans L swapped, which has the same index;
+    for n <= 16 it is `permuted_hnf_oracle`'s, found by brute force. The twin's
+    twin is the HNF. `_b32s` keeps only b_32 with gcd(a_2, b_32) >= a_3, and up
+    to a_2*a_3 = 16 exactly those with gcd(a_2, b_32) > a_3 or whose oracle
+    twin's b_32 is not below theirs. On the cyclic diagonal (n, 1, 1), each unit
+    normalization of Cay(Z_n, {1, p, q}) is the HNF of L with that generator's
+    coordinate moved first, and the pass keeps exactly the HNFs whose
+    (b_21, b_31) is the least of the three, each pair sorted."""
+    swap = (0, 2, 1)
+    for a2 in range(1, 49):
+        for a3 in range(1, 48 // a2 + 1):
+            got = _b32s(a2, a3)
+            assert all(gcd(a2, b32) >= a3 for b32 in got), (a2, a3)
+            if a2 * a3 <= 16:  # the twin's b_32 does not depend on a_1
+                want = []
+                for b32 in range(a2):
+                    g = gcd(a2, b32)
+                    rows = ((1, 0, 0), (0, a2, 0), (0, b32, a3))
+                    if g > a3 or g == a3 and permuted_hnf_oracle(rows, swap)[2][1] >= b32:
+                        want.append(b32)
+                assert got == want, (a2, a3)
+    for n in range(1, 49):
+        every = set(hnf_oracle(n, 3))
+        for rows in every:
+            if gcd(rows[1][1], rows[2][1]) != rows[2][2]:
+                continue
+            twin = _closed_form_twin(rows)
+            assert twin in every, (rows, twin)
+            back = [[row[i] for i in swap] for row in twin]
+            assert all(in_lattice_oracle(rows, v) for v in back), (rows, twin)
+            assert _closed_form_twin(twin) == rows, (rows, twin)
+            if n <= 16:
+                assert twin == permuted_hnf_oracle(rows, swap), rows
+        if n < 4:
+            continue
+        units = [x for x in range(n) if gcd(x, n) == 1]
+        want = set()
+        for b21 in units:
+            for b31 in units:
+                rows = ((n, 0, 0), (b21, 1, 0), (b31, 0, 1))
+                normal = _unit_normalizations(n, b21, b31)
+                for k, (c21, c31) in enumerate(normal):
+                    sigma = (k,) + tuple(i for i in range(3) if i != k)
+                    other = ((n, 0, 0), (c21, 1, 0), (c31, 0, 1))
+                    back = [[row[sigma.index(i)] for i in range(3)] for row in other]
+                    assert all(in_lattice_oracle(rows, v) for v in back), (rows, k)
+                    if n <= 16:
+                        assert other == permuted_hnf_oracle(rows, sigma), (rows, k)
+                if (b21, b31) == min(tuple(sorted(pair)) for pair in normal):
+                    want.add(rows)
+        assert {rows for rows, _ in _kept_hnfs(n, 3) if rows[0][0] == n} == want, n
 
 
 def test_orbit_cut_keeps_every_coordinate_permutation_orbit():
-    """d = 3, n <= 16: the orbit of L under S_3 is that of its points mod n (which
-    fix L), permuted. Every orbit where no e_i is 0 (no member has a_1 = 1) holds an
-    HNF that the pass judges, and one with its rotations unless two e_i coincide
-    in it, which the oracle decides; the pass judges no member of the others."""
+    """d = 3, n <= 16: the orbit of L under S_3, each member from
+    `permuted_hnf_oracle`. Every orbit where no e_i is 0 (no member has a_1 = 1)
+    holds an HNF that the pass judges, and one with its rotations unless two e_i
+    coincide in it, which the oracle decides; the pass judges no member of the
+    others. It judges exactly one HNF of each orbit on the cyclic diagonal
+    (n, 1, 1), and exactly one of each pair of (2 3) twins off it that the
+    orbit cut keeps (a_1 > 1 and no e_i of order below a_1)."""
     for n in range(1, 17):
-        hnfs = {_points_mod_oracle(rows, n): rows for rows in hnf_oracle(n, 3)}
         kept = dict(_kept_hnfs(n, 3))
         seen = set()
-        for points, rows in hnfs.items():
+        for rows in hnf_oracle(n, 3):
             if rows in seen:
                 continue
-            orbit = {
-                hnfs[frozenset(tuple(x[i] for i in sigma) for x in points)]
-                for sigma in permutations(range(3))
-            }
+            orbit = {permuted_hnf_oracle(rows, sigma) for sigma in permutations(range(3))}
             assert rows in orbit and len(orbit) <= 6, rows
             judged = all(other[0][0] > 1 for other in orbit)  # no e_i is 0
-            assert bool(orbit & kept.keys()) == judged, sorted(orbit)
-            if judged and all(kept.get(other) is None for other in orbit):
+            held = orbit & kept.keys()
+            assert bool(held) == judged, sorted(orbit)
+            if judged and all(kept[other] is None for other in held):
                 assert all(_degenerate_oracle(other) for other in orbit), sorted(orbit)
+            if judged and all(other[0][0] == n for other in orbit):
+                assert len(held) == 1, sorted(orbit)
+            for other in orbit:
+                a1 = other[0][0]
+                if 1 < a1 < n and min(_order_oracle(other, j) for j in range(3)) == a1:
+                    pair = {other, permuted_hnf_oracle(other, (0, 2, 1))}
+                    assert len(pair & kept.keys()) == 1, sorted(pair)
             seen |= orbit
 
 
@@ -919,8 +1002,8 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     assert int(plain["aborted"]) == 0, line
     keys = ("listed", "cut", "degenerate", "evaluated")
     assert [plain[key] for key in keys] == [lines[0][0][key] for key in keys], line
-    # on both sides of the constant: the shards of n = 90 hold 11,229 HNFs and it
-    # runs in process on the 1-worker plan, those of n = 96 hold 14,020 and it runs
+    # on both sides of the constant: the shards of n = 90 hold 10,532 HNFs and it
+    # runs in process on the 1-worker plan, those of n = 96 hold 13,878 and it runs
     # on both workers
     for n, workers in ((90, 1), (96, 2)):
         fields, line = _debug_fields(caplog, 3, n, 2)
