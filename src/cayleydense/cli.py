@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every subcommand honors --format {human,csv,jsonl}. Exit codes: 0 success,
-2 usage error (bad arguments, values out of range, unreadable files),
-3 internal-consistency violation (a proven bound failed,
-which must never happen), 4 conjecture-refutation event (a degree-3 result
-beats the conjectural constant; the payload carries the witness).
+2 usage error (bad arguments, values out of range, unreadable files, an
+order too large to hold in memory), 3 internal-consistency violation (a
+proven bound failed, which must never happen), 4 conjecture-refutation
+event (a degree-3 result beats the conjectural constant; the payload
+carries the witness).
 Degree-3 bound outputs rest on the conjectural constant 21/250 and are
 always rendered with a prime mark (l', c', N').
 """
@@ -484,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes, at most the CPU count; they shard the lattice pass of an order "
-        "by HNF diagonal and b21, and a pass whose shards hold fewer than "
+        help="worker processes, at most one per CPU this process may run on; they shard the "
+        "lattice pass of an order by HNF diagonal and b21, and a pass whose shards hold fewer than "
         f"{kappa_search.POOL_MIN_HNFS:,} HNFs runs in one process",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
@@ -549,8 +550,10 @@ def run(argv: list[str] | None = None) -> CommandResult:
         result = CommandResult(4, [payload], f"CONJECTURE REFUTATION: {exc}\n")
     except InternalConsistencyError as exc:
         result = CommandResult(3, [{"error": str(exc)}], f"INTERNAL CONSISTENCY: {exc}\n")
-    except (ValueError, OSError) as exc:  # out-of-range values, unreadable files
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:  # bad values, files, sizes
         message = " ".join(str(exc).split())
+        if isinstance(exc, (OverflowError, MemoryError)):
+            message = f"too large to hold in memory ({type(exc).__name__})"
         result = CommandResult(2, [{"error": message}], f"error: {message}\n")
     result.fmt = args.format
     return result

@@ -16,7 +16,8 @@ swapping coordinates 2 and 3, the one whose a_3 is not the larger or, where
 the two share a diagonal, the one whose (b_32, b_21, b_31) is not the
 larger. On the cyclic diagonal (n, 1, 1) it lists one HNF of each orbit:
 there an HNF is Cay(Z_n, {1, p, q}) with p and q units, and of its three
-normalizations, by 1, p^-1 and q^-1, each pair sorted, the least. It skips
+normalizations, by 1, p^-1 and q^-1, each pair sorted, the least (none where
+b_21 is above its inverse mod n, which `_plan` drops). It skips
 the diagonals with a_1 = 1, where e_1 is 0, and a listed HNF where two e_i
 coincide; no other e_i is 0, since each has order >= a_1 >= 2. `_plan` and
 `_hnfs` decide all of this in closed form, before any rotation is built. A
@@ -74,14 +75,15 @@ a set that beats the lower bound is still found, so no refutation can hide.
 A prefix's balls are shared and never stop early.
 
 --jobs shards the lattice pass by (diagonal, b_21) on a process pool of
-that many workers, or of os.cpu_count() where that is fewer. The
-b_21 that the cuts keep split into shards of about equal HNF count,
-about 8 per worker, which run largest first on a free-worker queue: a
-worker that finishes takes the next shard at once, with at most workers + 1
-in flight. Each shard starts from the best (k, chain) known when it is
+that many workers, or of the CPUs this process may run on where that is
+fewer. `_plan` counts the same number of HNFs for every kept b_21 of a
+diagonal, and each diagonal splits into runs of b_21 of equal length, about
+8 shards per worker in all, which run largest first on a free-worker queue:
+a worker that finishes takes the next shard at once, with at most workers +
+1 in flight. Each shard starts from the best (k, chain) known when it is
 submitted as its hint, and shards merge by one (k, chain) comparison, so
-the result does not depend on the order they finish in. One rule, at any
-d, decides whether a pass uses workers: a pass whose shards hold fewer than
+the result does not depend on the order they finish in. One rule, at any d,
+decides whether a pass uses workers: a pass whose shards hold fewer than
 POOL_MIN_HNFS HNFs runs in this process on the 1-worker shard plan,
 whatever --jobs is, since shipping its shards would cost more than they
 take. A `gaps` sweep on more than one worker holds one pool for all its
@@ -106,13 +108,12 @@ import logging
 import os
 import time
 import zlib
-from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import ceil, comb, gcd
 from pathlib import Path
 
@@ -127,10 +128,10 @@ logger = logging.getLogger(__name__)
 # A lattice pass whose shards hold fewer HNFs than this (`_shards`) runs in one
 # process, whatever --jobs is: on two workers, a d = 3 pass that starts its own
 # pool broke even at about 11,000-12,700 held HNFs, as the shard sizes were
-# counted before the tied twins were cut. Cutting them shrinks a pass and its
-# held count alike, so the constant stays: every d = 3 order up to n = 90 holds
-# fewer (n = 90 holds 10,532), n = 96 holds 13,878, and no d = 2 order up to
-# n = 400 holds 1,000.
+# counted before the tied twins were cut. Every d = 3 order up to n = 90 holds
+# fewer (n = 90 holds 10,712), n = 96 holds 14,262, and no d = 2 order up to
+# n = 400 holds 1,000. One count per diagonal (`_plan`) moved only n = 100, 104
+# and 145 of n <= 1024 onto the pool (12,194, 12,408 and 12,058 held).
 POOL_MIN_HNFS = 12_000
 
 
@@ -600,7 +601,8 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
     normalizations, each pair sorted, so exactly one of each orbit; the
     inverses come from one table per diagonal. As its own normalization by
     1, sorted, is (min, max), only b_31 >= b_21 can be kept (b_31 = b_21 is
-    degenerate, below).
+    degenerate, below). The normalization by p^-1 starts with b_21^-1 mod n,
+    so no HNF of a b_21 above its inverse is kept, and `_plan` drops them.
 
     An HNF where two e_i coincide, e_i - e_j in L, is yielded with rots None.
     A triangular solve gives: e_1 = e_2 iff a_2 = 1 and b_21 = a_1 - 1;
@@ -711,33 +713,28 @@ def _lattice_task(args):
 
 
 def _plan(n: int, d: int):
-    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, sizes).
+    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, per).
 
     A diagonal with a_1 = 1 is not listed (e_1 is in L), nor one where the
     swap cut keeps no b_32 (a_2 < a_3). Of the others, only the b_21 that
-    survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept:
-    `_hnfs` lists the HNFs of these b21s and no others. sizes[i] bounds how
-    many HNFs the kept b21s[i] holds after the swap cut: a_1 per b_32 that
-    `_b32s` keeps at d = 3, or a_1 - b_21 on the diagonal (n, 1, 1), where
-    only b_31 >= b_21 can be kept, and one at d = 2. It still counts the
-    tied twins and normalizations that `_hnfs` cuts HNF by HNF.
+    survive the orbit cut's closed form, a_2 >= gcd(a_1, b_21), are kept,
+    and on (n, 1, 1) only those not above their inverse mod n, of which the
+    cyclic cut keeps no HNF: `_hnfs` lists the HNFs of these b21s and no
+    others. `per` bounds how many HNFs each kept b_21 holds, a_1 per b_32
+    that `_b32s` keeps at d = 3 and one at d = 2, counting the HNFs that
+    `_hnfs` cuts HNF by HNF.
     """
     plan = []
     for diag in _factorizations(n, d):
         a1, a2 = diag[0], diag[1]
         if a1 == 1:
             continue
-        per = len(_b32s(a2, diag[2])) if d == 3 else 1
+        per = a1 * len(_b32s(a2, diag[2])) if d == 3 else 1
         b21s = [b21 for b21 in range(a1) if per and a2 >= gcd(a1, b21)]
-        if not b21s:
-            continue
-        if d == 2:
-            sizes = [1] * len(b21s)
-        elif diag[1:] == (1, 1):
-            sizes = [a1 - b21 for b21 in b21s]
-        else:
-            sizes = [a1 * per] * len(b21s)
-        plan.append((diag, b21s, sizes))
+        if diag[1:] == (1, 1):  # d = 3, every b_21 a unit
+            b21s = [b21 for b21 in b21s if b21 <= pow(b21, -1, a1)]
+        if b21s:
+            plan.append((diag, b21s, per))
     return plan
 
 
@@ -747,27 +744,21 @@ def _shards(n: int, d: int, workers: int):
     POOL_MIN_HNFS HNFs in all, since shipping them would cost more than they
     take, else `workers`.
 
-    A shard holds consecutive kept b_21 of one diagonal (`_plan`). A diagonal
-    splits into runs of b_21 that hold about 1/(8*workers) of the HNFs in
-    shards each, or one b_21 where that holds more, so the shards that run
-    last are small.
+    A shard holds consecutive kept b_21 of one diagonal (`_plan`), each
+    counted as `per` HNFs. A diagonal splits into runs of equal length (to
+    one b_21) that hold about 1/(8*workers) of the HNFs in shards each, or
+    one b_21 where that holds more, so the shards that run last are small.
     """
     plan = _plan(n, d)
-    held = sum(sum(sizes) for _, _, sizes in plan)
+    held = sum(per * len(b21s) for _, b21s, per in plan)
     if held < POOL_MIN_HNFS:
         workers = 1
     size = held / (8 * workers)
     shards = []
-    for diag, b21s, sizes in plan:
-        running = list(accumulate(sizes))
-        total = running[-1]
-        count = min(len(b21s), ceil(total / size))
-        # cut after the first b_21 whose running total reaches i/count of the diagonal
-        cuts = [0] + [bisect_left(running, -(-total * i // count)) + 1 for i in range(1, count)]
-        cuts.append(len(b21s))
-        shards += [
-            (sum(sizes[lo:hi]), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi
-        ]
+    for diag, b21s, per in plan:
+        count = min(len(b21s), ceil(per * len(b21s) / size))
+        cuts = [-(-len(b21s) * i // count) for i in range(count + 1)]
+        shards += [(per * (hi - lo), diag, b21s[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     shards.sort(key=lambda shard: -shard[0])  # stable: equal sizes keep diagonal order
     return [(diag, b21s) for _, diag, b21s in shards], workers
 
@@ -781,9 +772,11 @@ def _run_here(fn, arg) -> Future:
 
 def _pool_size(worker_count: int) -> int:
     """The processes a search of `worker_count` workers may run on: no more than
-    this machine's CPUs, since a pool under the fork start method forks all its
-    workers at its first submit, and more than the CPUs only queue for them."""
-    return min(worker_count, os.cpu_count() or 1)
+    the CPUs in this process's affinity mask (or the machine's, with no mask),
+    since a pool under the fork start method forks all its workers at its first
+    submit, and more than the CPUs only queue for them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(worker_count, cpus or 1)
 
 
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):

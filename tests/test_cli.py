@@ -339,6 +339,8 @@ VALUE_ERROR_PROBES = [
     ["diameter", '{"moduli":"5","gens":["1"]}'],  # strings are not integers
     ["mdd", "verify", "MISSING"],  # no such file
     ["tight", "value", "[" * 100000],  # nested past the recursion limit
+    # an order too large to index: the successor table raises OverflowError at once
+    ["diameter", '{"moduli":[1,100000000000000000000],"gens":[[0,1],[0,2]]}'],
 ]
 
 
@@ -471,6 +473,22 @@ def test_refutation_and_consistency_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "_cmd_diameter", boom_internal)
     parser_result = cli_mod.run(["diameter", '{"moduli":[2],"gens":[[1]]}'])
     assert parser_result.exit_code == 3
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    """A command that runs out of memory, as `upsilon -d 2 -m 100000000000` does,
+    comes back as one error row with exit code 2; the handler only raises."""
+    import cayleydense.cli as cli_mod
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "_cmd_upsilon", out_of_memory)
+    result = run(["upsilon", "-d", "2", "-m", "100000000000"])
+    message = "too large to hold in memory (MemoryError)"
+    assert (result.exit_code, result.rows, result.human) == (2, [{"error": message}], f"error: {message}\n")
+    assert main(["--format", "jsonl", "upsilon", "-d", "2", "-m", "100000000000"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
 def test_cache_env_var(tmp_path, monkeypatch, capsys):

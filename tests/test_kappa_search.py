@@ -108,7 +108,8 @@ def test_worker_count_independence(monkeypatch):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """A search on two workers runs on two, whatever this machine's CPU count."""
+    """A search on two workers runs on two, whatever CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
@@ -142,17 +143,17 @@ def recording_pool(monkeypatch):
 
 def _held(n, d):
     """How many HNFs the shards of the lattice pass of (d, n) hold in all."""
-    return sum(sum(sizes) for _, _, sizes in _plan(n, d))
+    return sum(per * len(b21s) for _, b21s, per in _plan(n, d))
 
 
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
     """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs submits nothing to a
     pool, at any d, whether the search opens its own or is handed one; kappa(3, 96),
-    whose shards hold 13,878, runs on two workers. The rule is the same at d = 2.
+    whose shards hold 14,262, runs on two workers. The rule is the same at d = 2.
     Every search gives the 1-worker record."""
     RecordingPool = recording_pool
     opened, submitted = RecordingPool.opened, RecordingPool.submitted
-    assert _held(90, 3) == 10532 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 13878
+    assert _held(90, 3) == 10712 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14262
     assert _shards(90, 3, 2)[1] == 1 and _shards(96, 3, 2)[1] == 2  # the workers planned for
     for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 90)):
         alone = kappa(SearchSpec(d=d, n=n))
@@ -723,8 +724,8 @@ def test_witness_scan_matches_oracle(d, max_n, total):
 
 # sha256 of repr((d, n, _plan(n, d))) for d = 2, 3 and n = 1..300: it pins the
 # diagonals, their lex order (the least witness chain is a tuple comparison),
-# and the b_21 and sizes the lattice pass shards by.
-PINNED_PLAN_DIGEST = "f106abbc78195b3051cf283efca2144d3e44d3b147061462fb327a933c9313a1"
+# and the b_21 and per-b_21 count the lattice pass shards by.
+PINNED_PLAN_DIGEST = "251493b15aa161ecca6d017afd6b207ecace3d60d2f10e4cf02b50b6b834fcea"
 
 
 def test_plan_output_is_pinned():
@@ -733,6 +734,32 @@ def test_plan_output_is_pinned():
         for n in range(1, 301):
             h.update(repr((d, n, _plan(n, d))).encode())
     assert h.hexdigest() == PINNED_PLAN_DIGEST
+
+
+# sha256 of repr((rows, rots is None)) for every HNF the lattice pass judges, in
+# plan order, for d = 2, 3 and n = d + 1..128 (289,134 HNFs): however the plan
+# cuts a diagonal's b_21 into shards, `_hnfs` yields these HNFs in this order.
+KEPT_HNF_DIGEST = "8f2d68702a8b4f64168f88ed00509f4767d55fa2a667e84af66aa071278bce9e"
+
+
+def test_kept_hnfs_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for d in (2, 3):
+        for n in range(d + 1, 129):
+            for rows, rots in _kept_hnfs(n, d):
+                h.update(repr((rows, rots is None)).encode())
+                count += 1
+    assert (h.hexdigest(), count) == (KEPT_HNF_DIGEST, 289_134)
+
+
+def test_cyclic_b21_above_its_inverse_keeps_no_hnf():
+    """On the diagonal (n, 1, 1), n <= 128, `_hnfs` over every unit b_21 keeps no
+    HNF whose b_21 is above its inverse mod n, so the plan may drop those b_21."""
+    for n in range(2, 129):
+        units = [b21 for b21 in range(n) if gcd(n, b21) == 1]
+        kept = {rows[1][0] for rows, _ in _hnfs(n, (n, 1, 1), units)}
+        assert kept and all(b21 <= pow(b21, -1, n) for b21 in kept), n
 
 
 def test_factorizations_list_every_product_in_lex_order():
@@ -1002,8 +1029,8 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     assert int(plain["aborted"]) == 0, line
     keys = ("listed", "cut", "degenerate", "evaluated")
     assert [plain[key] for key in keys] == [lines[0][0][key] for key in keys], line
-    # on both sides of the constant: the shards of n = 90 hold 10,532 HNFs and it
-    # runs in process on the 1-worker plan, those of n = 96 hold 13,878 and it runs
+    # on both sides of the constant: the shards of n = 90 hold 10,712 HNFs and it
+    # runs in process on the 1-worker plan, those of n = 96 hold 14,262 and it runs
     # on both workers
     for n, workers in ((90, 1), (96, 2)):
         fields, line = _debug_fields(caplog, 3, n, 2)
@@ -1023,15 +1050,23 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
 
 
 def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, recording_pool):
-    """--jobs above the CPU count runs on os.cpu_count() workers, and on one, with no
-    pool, when the count is 1 or unknown: the pool a search or a sweep opens, the
-    shard plan and the DEBUG line's workers= all use that number, and the
-    records are those of one worker. The fake pool starts no process."""
+    """--jobs above the CPU count runs on as many workers as the CPUs in this
+    process's affinity mask or, on a platform without one, os.cpu_count(), and on
+    one, with no pool, when the count is 1 or unknown: the pool a search or a
+    sweep opens, the shard plan and the DEBUG line's workers= all use that
+    number, and the records are those of one worker. The fake pool starts no
+    process."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     opened, submitted = recording_pool.opened, recording_pool.submitted
     alone = kappa(SearchSpec(d=3, n=24))
     rows = gap_table(3, 4, 12)
-    for cpus, workers in ((3, 3), (2, 2), (1, 1), (None, 1)):
+    # (CPUs, whether the platform has an affinity mask, workers)
+    cases = ((3, True, 3), (2, True, 2), (1, True, 1), (2, False, 2), (None, False, 1))
+    for cpus, mask, workers in cases:
+        if mask:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pools = [workers] if workers > 1 else []
         shards = len(_shards(24, 3, workers)[0])
@@ -1050,12 +1085,24 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
         submitted.clear()
 
 
+def test_jobs_follow_the_affinity_mask(caplog, monkeypatch, recording_pool):
+    """A process that may run on one CPU of two runs every search on one worker:
+    kappa(3, 96), whose shards hold more than POOL_MIN_HNFS HNFs, opens no pool
+    on two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert kappa_search._pool_size(4) == 1
+    fields, line = _debug_fields(caplog, 3, 96, 2)
+    assert int(fields["workers"]) == 1, line
+    assert recording_pool.opened == [] and recording_pool.submitted == []
+
+
 def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
     """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
     the cuts keep is in exactly one shard, the shards come largest first, and
     the pass gives the 1-worker (k, chain) and the same HNF counts: it lists
     every HNF with a_1 > 1 (the oracle's), and cuts all but those `_hnfs` keeps.
-    The size of a b_21 in the plan bounds the HNFs `_hnfs` keeps of it."""
+    A diagonal's `per` bounds the HNFs `_hnfs` keeps of each of its b_21."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
@@ -1068,11 +1115,13 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
                     for diag in diags
                     for b21 in range(diag[0])
                     if diag[1] >= gcd(diag[0], b21) and diag[1] >= diag[-1]
+                    # the cyclic cut keeps nothing of a b_21 above its inverse
+                    and not (diag[1:] == (1, 1) and pow(b21, -1, n) < b21)
                 )
                 hnfs = [rows for rows, _ in _kept_hnfs(n, d)]
                 pairs = Counter((tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs)
                 assert pairs.keys() <= kept.keys(), (d, n)
-                size = {(diag, b21): x for diag, b21s, xs in _plan(n, d) for b21, x in zip(b21s, xs)}
+                size = {(diag, b21): x for diag, b21s, x in _plan(n, d) for b21 in b21s}
                 assert size.keys() == kept.keys(), (d, n)
                 assert all(pairs[key] <= x for key, x in size.items()), (d, n)
                 listed = sum(diag[0] * per[diag] for diag in diags)
@@ -1086,6 +1135,10 @@ def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
                     assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
                     sizes = [sum(size[diag, b21] for b21 in b21s) for diag, b21s in shards]
                     assert sizes == sorted(sizes, reverse=True), case
+                    runs = {}  # the lengths of each diagonal's runs of b_21, equal to one b_21
+                    for diag, b21s in shards:
+                        runs.setdefault(diag, []).append(len(b21s))
+                    assert all(max(x) - min(x) <= 1 for x in runs.values()), case
                     value, got = _lattice_pass(n, d, workers, pool)
                     assert value == alone, case
                     assert (got["shards"], got["workers"]) == (len(shards), workers), case
