@@ -30,8 +30,9 @@ count: an HNF counts when its ball of radius best_k is the whole group,
 unless the best chain is already the cyclic one, which no chain precedes.
 The pass is exhaustive, with no pruning by any bound on kappa.
 
-The pass covers d = 1 in closed form: its one HNF is (n), the n-cycle
-Cay(Z_n, {1}), of diameter n - 1.
+The pass starts from the seed Cay(Z_n, {1, ..., d}) (`_seed`), whose lattice
+is an HNF of index n or in the orbit of one, so it changes no (k, chain).
+At d = 1 it is the one HNF, (n), and the pass lists no diagonal.
 
 The witness pass is one scan of that chain for the lexicographically first
 d-set whose ball of radius k is the whole group. Every order takes both
@@ -39,6 +40,8 @@ passes, on one route. The scan ranges over every d-subset of nonzero
 elements of the chain in lexicographic order, so its first hit is the
 lexicographically least set of diameter k on the least chain that attains
 k: the witness a full scan of every chain would keep, whatever --jobs is.
+On the cyclic chain at k >= the seed's diameter that hit is the first set,
+{1, ..., d}: the seed, which the scan returns without growing a ball.
 The scan's diameter must equal k, and k must not beat the lower bound:
 below a proven bound (d <= 2) that is an InternalConsistencyError, below
 the conjectural one (d = 3) a ConjectureRefutation that carries the
@@ -114,7 +117,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, gcd
+from math import ceil, comb, gcd, prod
 from pathlib import Path
 
 from .abelian import InvariantFactors, _factorizations
@@ -378,8 +381,8 @@ def _grow_balls(below: list[int], rots, limit: int, full: int) -> list[int]:
     len - 1), at a ball equal to the one before (it stopped growing, so it
     is a proper subgroup and the set does not generate), or at radius
     `limit`. In each case its last entry again stands for larger radii up to
-    `limit`. It grows the balls of a prefix, which are shared and so never
-    stop early; `_reach` grows the last element's.
+    `limit`. The search grows only the balls of a prefix with it, which are
+    shared and so never stop early; `_reach` grows the last element's.
     """
     balls = [1]
     ball = 1
@@ -479,17 +482,7 @@ def _reach(below, rots, limit: int, full: int, n: int, d: int):
     stopped growing (h = 0) fails the same test. The bound is the whole
     set's, never a prefix's, and uses no bound on the diameter, so the
     radius is exactly the one `_grow_balls` implies.
-
-    Where limit >= n - 1 the test cannot fire before a ball stops growing,
-    since every level until then adds an element, so the sizes are not
-    counted there: `_grow_balls` serves (a degree-1 witness scan, or a pass
-    that has no best yet).
     """
-    if limit >= n - 1:
-        balls = _grow_balls(below, rots, limit, full)
-        if balls[-1] == full:
-            return len(balls) - 1, len(balls) - 1
-        return None, min(len(balls), limit)  # the level of a ball equal to the one before
     ball = size = 1
     top = len(below) - 1
     rows = None
@@ -667,27 +660,26 @@ def _hnfs(n: int, diag: tuple[int, ...], b21s):
 
 
 def _lattice_task(args):
-    """(found, counts, seconds) for one shard of HNFs.
+    """(best, counts, seconds) for one shard of HNFs.
 
-    `found` is the least (k, chain) of the shard that beats the incoming
-    `best`, or None. `counts` says how many HNFs `_hnfs` kept of it, how many
-    of those it found degenerate, how many it evaluated (grew balls up to
-    the whole group within the limit) and how many `_reach` stopped below the
-    limit, and `seconds` how long the shard took.
-    An HNF counts when its ball of radius best_k is the whole group, so a
-    tie on a lesser chain wins; once the best chain is the cyclic one, which
-    no chain precedes, only radius best_k - 1 can win.
+    `best` is the least (k, chain) of the incoming hint and the shard's HNFs.
+    `counts` says how many HNFs `_hnfs` kept of it, how many of those it
+    found degenerate, how many it evaluated (grew balls up to the whole group
+    within the limit) and how many `_reach` stopped below the limit, and
+    `seconds` how long the shard took. An HNF counts when its ball of radius
+    best_k is the whole group, so a tie on a lesser chain wins; once the best
+    chain is the cyclic one, which no chain precedes, only radius best_k - 1
+    can win. The hint is at most the seed, so the limit is below n - 1 (d > 1).
     """
     started = time.monotonic()
     n, diag, b21s, best = args
     d = len(diag)
     full = (1 << n) - 1
-    cyclic = (1,) * (d - 1) + (n,)
+    cyclic = _seed(n, d)[1]
     balls = [[1]] * d  # balls[j]: the balls of e_1..e_j
     held = [None] * (d - 1)  # the rotations they grew from; _hnfs shares them
-    found = None
     kept = degenerate = evaluated = aborted = 0
-    limit = n - 1 if best is None else best[0] - (best[1] == cyclic)
+    limit = best[0] - (best[1] == cyclic)
     for rows, rots in _hnfs(n, diag, b21s):
         kept += 1
         if rots is None:  # two e_i coincide
@@ -705,15 +697,15 @@ def _lattice_task(args):
             continue
         evaluated += 1
         candidate = (radius, invariant_factors(rows))
-        if best is None or candidate < best:
-            best = found = candidate
+        if candidate < best:
+            best = candidate
             limit = radius - (best[1] == cyclic)
     counts = {"kept": kept, "degenerate": degenerate, "evaluated": evaluated, "aborted": aborted}
-    return found, counts, time.monotonic() - started
+    return best, counts, time.monotonic() - started
 
 
 def _plan(n: int, d: int):
-    """The diagonals of the lattice pass (d = 2 or 3), as (diag, b21s, per).
+    """The diagonals of the lattice pass, as (diag, b21s, per): none at d = 1.
 
     A diagonal with a_1 = 1 is not listed (e_1 is in L), nor one where the
     swap cut keeps no b_32 (a_2 < a_3). Of the others, only the b_21 that
@@ -726,9 +718,9 @@ def _plan(n: int, d: int):
     """
     plan = []
     for diag in _factorizations(n, d):
-        a1, a2 = diag[0], diag[1]
-        if a1 == 1:
+        if diag[0] == 1 or d == 1:  # e_1 is in L, or the one HNF, (n), is the seed
             continue
+        a1, a2 = diag[0], diag[1]
         per = a1 * len(_b32s(a2, diag[2])) if d == 3 else 1
         b21s = [b21 for b21 in range(a1) if per and a2 >= gcd(a1, b21)]
         if diag[1:] == (1, 1):  # d = 3, every b_21 a unit
@@ -739,7 +731,7 @@ def _plan(n: int, d: int):
 
 
 def _shards(n: int, d: int, workers: int):
-    """The shards (diag, b21s) of the lattice pass (d = 2 or 3), largest first, and
+    """The shards (diag, b21s) of the lattice pass, largest first, and
     the workers they are cut for: one when the shards hold fewer than
     POOL_MIN_HNFS HNFs in all, since shipping them would cost more than they
     take, else `workers`.
@@ -779,13 +771,20 @@ def _pool_size(worker_count: int) -> int:
     return min(worker_count, cpus or 1)
 
 
+def _seed(n: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """(k, chain) of Cay(Z_n, {1, ..., d}): x in Z_n is a sum of ceil(x/d) steps of
+    at most d, so the diameter is ceil((n-1)/d), on the chain (1, ..., 1, n)."""
+    return -(-(n - 1) // d), (1,) * (d - 1) + (n,)
+
+
 def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
-    """The least diameter k over all HNFs of index n with the least chain attaining it,
-    as (k, chain) or None, and the pass's counts: the HNFs listed, every HNF of
-    a diagonal with a_1 > 1 (a_1*a_1*a_2 of them at d = 3, a_1 at d = 2), those
-    cut (listed but not kept by `_hnfs`), the shards' degenerate, evaluated and
-    aborted HNFs summed, the number of shards, the seconds of the slowest and the
-    number of processes the pass ran on.
+    """(k, chain), the least diameter of the seed (`_seed`) and every HNF of index n
+    with the least chain attaining it, and the pass's counts: the HNFs listed,
+    every HNF of a diagonal with a_1 > 1 (the product of a_i^(d-i): 1 at
+    d = 1, a_1 at d = 2, a_1*a_1*a_2 at d = 3), those cut (listed but not kept
+    by `_hnfs`; the seed (n) at d = 1), the shards' degenerate, evaluated and
+    aborted HNFs summed, the number of shards, the seconds of the slowest and
+    the number of processes the pass ran on.
 
     A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
     process on the 1-worker plan, whatever `workers` is. The shards
@@ -793,17 +792,13 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     or on a pool of its own opened and closed here when `pool` is None, with
     at most workers + 1 in flight, so a worker that finishes finds the next
     one queued; one worker runs them here, one after another. Each takes as
-    its hint the best (k, chain) known when it is submitted. At d = 1 the one
-    HNF is (n), the n-cycle Cay(Z_n, {1}) of diameter n - 1, which the pass
-    returns in closed form."""
-    if d == 1:
-        counts = {"listed": 1, "cut": 0, "degenerate": 0, "evaluated": 1, "aborted": 0}
-        return (n - 1, (n,)), {**counts, "shards": 0, "slowest_shard_s": 0.0, "workers": 1}
+    its hint the best (k, chain) known when it is submitted."""
     shards, workers = _shards(n, d, workers)
-    listed = sum(a[0] * (a[0] * a[1] if d == 3 else 1) for a in _factorizations(n, d) if a[0] > 1)
-    totals = Counter(listed=listed, cut=listed, shards=len(shards))
+    listed = sum(prod(map(pow, a, range(d - 1, -1, -1))) for a in _factorizations(n, d) if a[0] > 1)
+    totals = Counter(listed=listed, cut=listed, kept=0, degenerate=0, evaluated=0, aborted=0)
+    totals["shards"] = len(shards)
     shards.reverse()  # pop() takes the largest first
-    best = None
+    best = _seed(n, d)
     slowest = 0.0
     own = workers > 1 and pool is None
     with (ProcessPoolExecutor(max_workers=workers) if own else nullcontext(pool)) as pool:
@@ -818,8 +813,7 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
                 found, counts, seconds = future.result()
                 totals.update(counts)
                 slowest = max(slowest, seconds)
-                if found is not None and (best is None or found < best):
-                    best = found
+                best = min(best, found)
     totals["cut"] -= totals.pop("kept")
     return best, {**totals, "slowest_shard_s": slowest, "workers": workers}
 
@@ -832,9 +826,14 @@ def _witness(group: InvariantFactors, d: int, k: int):
     current set are kept in `balls` and shared by every set that starts with
     it; the sets that share a prefix come one after another. The last
     element's balls are `_reach`'s, which stop a set once Macaulay's bound
-    shows its ball of radius k cannot be the whole group.
+    shows its ball of radius k cannot be the whole group. On the seed's chain,
+    with n > d and k at least its diameter, the hit is the first set, the
+    seed's {1, ..., d}, returned with no ball grown.
     """
     n = group.order
+    seed_k, cyclic = _seed(n, d)
+    if n > d and group == cyclic and k >= seed_k:
+        return seed_k, tuple(range(1, d + 1))
     full = (1 << n) - 1
     rotations: list = [None] * n  # per element index, built on first use
 
@@ -869,9 +868,9 @@ def kappa(
     """Exact minimum diameter over all groups and generating sets of (d, n).
 
     The lattice pass runs on `spec.worker_count` workers, but on no more than
-    the machine's CPUs (`_pool_size`). `pool`, a process pool of that many
-    workers, serves the pass when it runs on more than one; without it the
-    pass opens its own. A sweep passes one so that it starts its workers once.
+    the CPUs this process may run on (`_pool_size`). `pool`, a process pool of
+    that many workers, serves the pass when it runs on more than one, so that
+    a sweep starts its workers once; without it the pass opens its own.
     """
     if cache is not None:
         hit = cache.get(spec.d, spec.n)
@@ -884,8 +883,6 @@ def kappa(
     value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count), pool)
     stats["lattice_s"] = time.monotonic() - clock
     stats.update(counts)
-    if value is None:
-        raise InternalConsistencyError(f"no generating set found for d={spec.d}, n={spec.n}")
     clock = time.monotonic()
     group = InvariantFactors(value[1])
     found = _witness(group, spec.d, value[0])

@@ -33,6 +33,7 @@ from cayleydense.kappa_search import (
     _plan,
     _reach,
     _rotations,
+    _seed,
     _shards,
     _twin,
     _witness,
@@ -722,6 +723,29 @@ def test_witness_scan_matches_oracle(d, max_n, total):
     assert cases == total
 
 
+def test_seed_is_the_cyclic_digraph():
+    """The seed of every search, for d = 1, 2, 3 and n = d + 1..300, is the BFS
+    diameter and the chain of Cay(Z_n, {1, ..., d})."""
+    for d in (1, 2, 3):
+        for n in range(d + 1, 301):
+            g = CayleyDigraph.from_cyclic(n, range(1, d + 1))
+            assert _seed(n, d) == (diameter(g), g.group), (d, n)
+
+
+def test_degree_one_grows_no_ball(monkeypatch):
+    """A degree-1 search takes both passes without growing a ball: the lattice
+    pass lists no diagonal, and the scan's first candidate is the seed."""
+
+    def refuse(*args):
+        raise AssertionError("a degree-1 search grew a ball")
+
+    monkeypatch.setattr(kappa_search, "_grow_balls", refuse)
+    monkeypatch.setattr(kappa_search, "_reach", refuse)
+    for n in [*range(2, 401), 10**6]:
+        rec = kappa(SearchSpec(d=1, n=n))
+        assert (rec.kappa, rec.witness) == (n - 1, {"moduli": [n], "gens": [[1]]}), n
+
+
 # sha256 of repr((d, n, _plan(n, d))) for d = 2, 3 and n = 1..300: it pins the
 # diagonals, their lex order (the least witness chain is a tuple comparison),
 # and the b_21 and per-b_21 count the lattice pass shards by.
@@ -1039,7 +1063,7 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
         assert int(fields["workers"]) == workers, line
         assert int(fields["shards"]) == len(_shards(n, 3, workers)[0]), line
     # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
-    # one HNF the pass counts in closed form
+    # one HNF is the seed, judged in closed form: listed and cut, with no shard
     for d, n in ((3, 7), (2, 7), (1, 7)):
         fields, line = _debug_fields(caplog, d, n, 2)
         assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
@@ -1047,6 +1071,8 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
         assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
         assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
         assert int(fields["workers"]) == 1, line
+    seeded = "listed=1 cut=1 degenerate=0 evaluated=0 aborted=0 shards=0 workers=1"
+    assert fields.items() >= dict(field.split("=") for field in seeded.split()).items(), line
 
 
 def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, recording_pool):
@@ -1165,9 +1191,13 @@ KAPPA_TABLES = {1: range(2, 401), 2: range(3, 301), 3: range(4, 513)}
 def test_kappa_tables_match_the_search():
     """tests/golden/kappa_d{d}.jsonl holds one {d, kappa, n, witness} record per
     order, with no gap. Every witness has order n, degree d and diameter kappa,
-    and kappa is at least the lower bound. On 1 and 2 workers the search gives
-    the record of every d = 1 and d = 2 order and of every d = 3 order n <= 100;
-    CI's north-star step searches the d = 3 rows of 100 < n <= 200 again."""
+    and kappa is at least the lower bound. The witness is the seed,
+    Cay(Z_n, {1, ..., d}), exactly where kappa is the seed's diameter: every
+    d = 1 row, the d = 2 rows of n <= 9 and the d = 3 rows of n <= 10. On 1
+    and 2 workers the search gives the record of every d = 1 and d = 2 order
+    and of every d = 3 order n <= 100; CI's north-star step searches the
+    d = 3 rows of 100 < n <= 200 again."""
+    seeded = Counter()
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
         for d, orders in KAPPA_TABLES.items():
             table = Path(__file__).parent / "golden" / f"kappa_d{d}.jsonl"
@@ -1179,7 +1209,11 @@ def test_kappa_tables_match_the_search():
                 g = CayleyDigraph.from_literal(row["witness"])
                 assert (g.order, g.degree, diameter(g)) == (n, d, k), row
                 assert k >= lower_bound(d, n), row
+                seed = CayleyDigraph.from_cyclic(n, range(1, d + 1)).to_literal()
+                assert (row["witness"] == seed) == (k == _seed(n, d)[0]), row
+                seeded[d] += row["witness"] == seed
                 if d < 3 or n <= 100:
                     for w in (1, 2):
                         rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
                         assert [rec.kappa, rec.witness] == [k, row["witness"]], (d, n, w)
+    assert seeded == {1: 399, 2: 6, 3: 5}
