@@ -2,7 +2,13 @@
 
 kappa(d, n) is the least diameter of Cay(G, S) over every Abelian group G
 of order n and every generating d-set S of nonzero elements. The search
-takes two passes, a lattice pass for the value and a scan for the witness.
+takes two passes, one for the value and a scan for the witness. At d = 1
+and d = 3 the value comes from the lattice pass (below). At d = 2 it comes
+from the L-shapes alone, with no ball grown: every degree-2 minimum
+distance diagram is an L-shape, so kappa(2, n) and its least chain are the
+least largest norm over the admissible L-shapes of area n and the least
+Smith form among those that attain it (`mdd.optimal_lshapes`, which proves
+both directions). The lattice pass still covers d = 2 when called directly.
 
 The lattice pass. Cay(G, {g_1..g_d}) is Cay(Z^d/L, {e_1..e_d}) with L the
 kernel of e_i -> g_i, a sublattice of index n. Each L has one lower
@@ -35,8 +41,8 @@ is an HNF of index n or in the orbit of one, so it changes no (k, chain).
 At d = 1 it is the one HNF, (n), and the pass lists no diagonal.
 
 The witness pass is one scan of that chain for the lexicographically first
-d-set whose ball of radius k is the whole group. Every order takes both
-passes, on one route. The scan ranges over every d-subset of nonzero
+d-set whose ball of radius k is the whole group. Every order takes it, after
+the value pass of its degree. The scan ranges over every d-subset of nonzero
 elements of the chain in lexicographic order, so its first hit is the
 lexicographically least set of diameter k on the least chain that attains
 k: the witness a full scan of every chain would keep, whatever --jobs is.
@@ -47,13 +53,13 @@ below a proven bound (d <= 2) that is an InternalConsistencyError, below
 the conjectural one (d = 3) a ConjectureRefutation that carries the
 witness. No bound on kappa ever cuts a search.
 
-Both passes judge a candidate by its balls, not by a BFS. A vertex set is an
-n-bit int (bit v is the element of index v), and translating it by an
-element is a union of masked rotations: each element's index moves by an
-offset mod n that is constant on each of a few periodic masks. The ball
-B_L of a set S is the set of sums of at most L elements of S, so S
-generates with diameter k exactly when B_k is the first ball that is the
-whole group. The group is Abelian, so a word of length <= L in g_1..g_j
+The lattice pass and the scan judge a candidate by its balls, not by a BFS.
+A vertex set is an n-bit int (bit v is the element of index v), and
+translating it by an element is a union of masked rotations: each element's
+index moves by an offset mod n that is constant on each of a few periodic
+masks. The ball B_L of a set S is the set of sums of at most L elements of
+S, so S generates with diameter k exactly when B_k is the first ball that
+is the whole group. The group is Abelian, so a word of length <= L in g_1..g_j
 either avoids g_j or is g_j plus a word of length <= L - 1, which gives the
 exact recursion
 
@@ -77,7 +83,8 @@ have been the whole group, the search judges every candidate as before, and
 a set that beats the lower bound is still found, so no refutation can hide.
 A prefix's balls are shared and never stop early.
 
---jobs shards the lattice pass by (diagonal, b_21) on a process pool of
+--jobs shards the lattice pass, so it does nothing at d = 2, where no
+lattice pass runs. It shards it by (diagonal, b_21) on a process pool of
 that many workers, or of the CPUs this process may run on where that is
 fewer. `_plan` counts the same number of HNFs for every kept b_21 of a
 diagonal, and each diagonal splits into runs of b_21 of equal length, about
@@ -92,15 +99,17 @@ whatever --jobs is, since shipping its shards would cost more than they
 take. A `gaps` sweep on more than one worker holds one pool for all its
 orders; the pool starts no process until a pass first submits to it.
 
-Each search logs one DEBUG line on this module's logger: the seconds of the
-lattice pass and of the witness scan, the HNFs the lattice pass listed
-(every HNF with a_1 > 1), cut (by order, as a swap twin or as another unit
-normalization on the cyclic diagonal), found degenerate, evaluated (grew up
-to the whole group within the limit) and aborted (stopped by Macaulay's
-bound below the limit), its number of shards and the seconds of the
-slowest, and the number of processes it ran on (1 when it ran in this
-process), so a traced run shows where the pass ran and whether --jobs kept
-its workers evenly busy.
+Each search logs one DEBUG line on this module's logger. At d = 2 it gives
+the seconds of the L-shape walk and of the witness scan, the number of
+L-shapes that attain kappa and workers=1. At d = 1 and 3 it gives the
+seconds of the lattice pass and of the witness scan, the HNFs the lattice
+pass listed (every HNF with a_1 > 1), cut (by order, as a swap twin or as
+another unit normalization on the cyclic diagonal), found degenerate,
+evaluated (grew up to the whole group within the limit) and aborted
+(stopped by Macaulay's bound below the limit), its number of shards and the
+seconds of the slowest, and the number of processes it ran on (1 when it
+ran in this process), so a traced run shows where the pass ran and whether
+--jobs kept its workers evenly busy.
 """
 
 from __future__ import annotations
@@ -124,6 +133,7 @@ from .abelian import InvariantFactors, _factorizations
 from .cayley import CayleyDigraph, diameter
 from .density import bound_violation, lower_bound
 from .errors import InternalConsistencyError
+from .mdd import least_chain, optimal_lshapes
 from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
@@ -867,6 +877,14 @@ def kappa(
 ) -> KappaRecord:
     """Exact minimum diameter over all groups and generating sets of (d, n).
 
+    The value and its least chain come from the L-shapes at d = 2
+    (`mdd.optimal_lshapes`), in this process whatever `spec.worker_count`
+    and `pool` are, and from the lattice pass at d = 1 and 3. The witness
+    scan of that chain must find a set of exactly that diameter, or the
+    search raises InternalConsistencyError. A diameter below the lower bound
+    raises InternalConsistencyError where the bound is proven (d <= 2) and
+    ConjectureRefutation where it is conjectural (d = 3).
+
     The lattice pass runs on `spec.worker_count` workers, but on no more than
     the CPUs this process may run on (`_pool_size`). `pool`, a process pool of
     that many workers, serves the pass when it runs on more than one, so that
@@ -878,11 +896,16 @@ def kappa(
             return hit
     started = time.monotonic()
     target = lower_bound(spec.d, spec.n)
-    stats = {}  # seconds per pass and the lattice pass's HNF counts, logged once
+    stats = {}  # seconds per pass and the value pass's counts, logged once
     clock = time.monotonic()
-    value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count), pool)
-    stats["lattice_s"] = time.monotonic() - clock
-    stats.update(counts)
+    if spec.d == 2:
+        k, shapes = optimal_lshapes(spec.n)
+        value = k, least_chain(spec.n, shapes)
+        stats.update(lshape_s=time.monotonic() - clock, shapes=len(shapes), workers=1)
+    else:
+        value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count), pool)
+        stats["lattice_s"] = time.monotonic() - clock
+        stats.update(counts)
     clock = time.monotonic()
     group = InvariantFactors(value[1])
     found = _witness(group, spec.d, value[0])
@@ -896,8 +919,9 @@ def kappa(
 
     if found is None or found[0] != value[0]:
         raise InternalConsistencyError(
-            f"the lattice pass gives kappa({spec.d},{spec.n}) = {value[0]} "
-            f"on {value[1]}, but the scan of that chain disagrees"
+            f"the {'L-shapes give' if spec.d == 2 else 'lattice pass gives'} "
+            f"kappa({spec.d},{spec.n}) = {value[0]} on {value[1]}, but the scan of that "
+            "chain disagrees"
         )
     k, gens = found
     witness = CayleyDigraph(group, tuple(group.element(i) for i in gens))
@@ -928,7 +952,7 @@ def gap_table(
     sweep shares one process pool of `_pool_size(worker_count)` workers,
     closed when the sweep ends or raises. It starts its processes at the
     first pass large enough to use them (`_lattice_pass`), so a sweep of
-    small orders starts none.
+    small orders, or of degree 2, which takes no lattice pass, starts none.
     """
     if n_to < n_from:
         raise ValueError("empty order range")

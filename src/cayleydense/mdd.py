@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
+from math import gcd, isqrt
 from operator import itemgetter
 
 from .abelian import GroupElement
@@ -299,6 +300,95 @@ def lshape_validate(shape: LShape, g: CayleyDigraph) -> bool:
 
 def lshape_solid_diameter(shape: LShape) -> int:
     return shape.l + shape.h - min(shape.w, shape.y)
+
+
+def optimal_lshapes(n: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(kappa(2, n), shapes): the least largest norm l + h - 2 - min(w, y) of an
+    admissible L-shape of area n, and every admissible (l, h, w, y) that has it.
+
+    Admissible means what `LShape` accepts, 0 <= w < l, 0 <= y < h, y <= l and
+    w <= h, with e_1 and e_2 nonzero and distinct in Z^2/Λ, where
+    Λ = <(l, -y), (-w, h)> has index lh - wy = n. Its basis matrix
+    [[l, -w], [-y, h]] (`lshape_tessellation_matrix`) has inverse
+    (1/n)*[[h, w], [y, l]], and v lies in Λ exactly when that inverse times v
+    is integral, so e_1 is 0 when n divides h and y, e_2 when n divides w and
+    l, and e_1 = e_2 when n divides h - w and y - l.
+
+    The least norm D is kappa(2, n) exactly.
+    - kappa >= D: the minimum distance diagram of any Cay(G, {g_1, g_2}) is
+      an L-shape (Fiol, Yebra, Alegre and Valero, IEEE Trans. Comput. C-36,
+      1987; Esque, Aguilo and Fiol, Discrete Math. 114, 1993) whose tiling
+      lattice is the lattice of relations of g_1 and g_2 (`lshape_validate`).
+      So Z^2/Λ is G with e_i the g_i, which are nonzero and distinct, the
+      shape is admissible, its largest norm is the diameter, and its s_1 =
+      gcd(l, h, w, y) gives G's chain (s_1, n/s_1).
+    - kappa <= D: an admissible L-shape tiles Z^2 by Λ, so every element of
+      Z^2/Λ has a representative in it, of norm at most D, and
+      Cay(Z^2/Λ, {e_1, e_2}) has diameter at most D.
+    So the least chain attaining kappa(2, n) is the least (s_1, n/s_1) over
+    the shapes of norm D (`least_chain`).
+
+    The walk tries D = D_0, D_0 + 1, ... and stops at the first D with a
+    shape. D_0 is the least D with C(D + 2, 2) >= n, the number of points of
+    N^2 of norm <= D: a shape of area n holds n points of norm <= its
+    largest, so no D below D_0 has one. For a D, m = min(w, y) and
+    l + h = s = D + 2 + m, and lh = n + wy >= n + m^2 bounds l to a window
+    around s/2; the other of w and y is (lh - n)/m, or, for m = 0, any
+    value the interlock rules allow.
+    """
+    if type(n) is not int or n < 3:
+        raise ValueError(f"need an int n >= 3 for two distinct nonzero generators, not {n!r}")
+    D = 0
+    while (D + 2) * (D + 1) // 2 < n:
+        D += 1
+    while True:
+        shapes = []
+        for m in range(D + 1):
+            s = D + 2 + m
+            disc = s * s - 4 * (n + m * m)  # l*(s - l) >= n + m^2 for l in a window
+            if disc < 0:
+                continue
+            lo = max((s - isqrt(disc)) // 2, m + 1)
+            while lo * (s - lo) < n + m * m:
+                lo += 1
+            for l in range(lo, s - lo + 1):
+                h = s - l
+                if m == 0:
+                    if l * h != n:
+                        continue
+                    pairs = [(w, 0) for w in range(min(l - 1, h) + 1)]
+                    pairs += [(0, y) for y in range(1, min(h - 1, l) + 1)]
+                else:
+                    t, r = divmod(l * h - n, m)
+                    if r:
+                        continue
+                    pairs = [(m, t), (t, m)] if t != m else [(m, m)]
+                for w, y in pairs:
+                    if (
+                        w < l and y < h and y <= l and w <= h
+                        and (h % n or y % n)  # e_1 is not 0
+                        and (w % n or l % n)  # e_2 is not 0
+                        and ((h - w) % n or (y - l) % n)  # e_1 is not e_2
+                    ):
+                        shapes.append((l, h, w, y))
+        if shapes:
+            return D, shapes
+        D += 1
+
+
+def least_chain(n: int, shapes: list[tuple[int, int, int, int]]) -> tuple[int, int]:
+    """The least Smith form (s_1, n/s_1), s_1 = gcd(l, h, w, y), over these
+    L-shapes (l, h, w, y) of area n: the chain of the least Z^2/Λ."""
+    s1 = min(gcd(*shape) for shape in shapes)
+    return s1, n // s1
+
+
+def lshape_kappa(n: int) -> tuple[int, tuple[int, int]]:
+    """(kappa(2, n), chain): the least diameter of a degree-2 Cayley digraph of
+    order n, and the least chain that attains it, from the L-shapes alone
+    (`optimal_lshapes`), with no ball grown."""
+    k, shapes = optimal_lshapes(n)
+    return k, least_chain(n, shapes)
 
 
 def lshape_tessellation_matrix(shape: LShape) -> Matrix:

@@ -536,6 +536,30 @@ def lshape_validate_oracle(l, h, w, y, moduli, a, b):
     )
 
 
+def admissible_lshapes_oracle(n):
+    """Every L(l, h, w, y) of area n that LShape accepts and in whose quotient
+    Z^2/Λ, Λ = <(l, -y), (-w, h)>, e_1 and e_2 are nonzero and distinct, as
+    {(l, h, w, y): (moduli, (e_1, e_2))}. The quotient and e_1, e_2 come from
+    the Smith form (proper_generating_set), and admissibility from that
+    group's arithmetic, with every (l, h, w, y) of area n tried."""
+    out = {}
+    for l in range(1, n + 1):
+        for h in range(1, n + 2 - l):  # area >= l + h - 1
+            for w in range(l):
+                for y in range(h):
+                    if l * h - w * y != n:
+                        continue
+                    try:
+                        shape = LShape(l, h, w, y)
+                    except ValueError:
+                        continue
+                    group, gens = proper_generating_set(lshape_tessellation_matrix(shape))
+                    e1, e2 = (group.reduce(g) for g in gens)
+                    if group.zero() not in (e1, e2) and e1 != e2:
+                        out[l, h, w, y] = (tuple(group), (e1, e2))
+    return out
+
+
 def _lshape_seeds(max_side=9, max_order=60):
     shapes = []
     for l in range(1, max_side + 1):

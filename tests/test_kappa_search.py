@@ -40,6 +40,7 @@ from cayleydense.kappa_search import (
     gap_table,
     kappa,
 )
+from cayleydense.mdd import lshape_kappa, optimal_lshapes
 from cayleydense.zmatrix import invariant_factors
 from conftest import (
     bfs_distance_oracle,
@@ -101,7 +102,7 @@ def test_worker_count_independence(monkeypatch):
     multi = kappa(SearchSpec(d=3, n=24, worker_count=3))
     assert base.kappa == multi.kappa
     assert base.witness == multi.witness
-    for d in (1, 2, 3):  # two workers shard the lattice pass of every d = 2 and 3 order
+    for d in (1, 2, 3):  # two workers shard the lattice pass of every d = 3 order
         for n in range(4, 25):
             base, multi = (kappa(SearchSpec(d=d, n=n, worker_count=w)) for w in (1, 2))
             assert (base.kappa, base.witness) == (multi.kappa, multi.witness), (d, n)
@@ -150,8 +151,10 @@ def _held(n, d):
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
     """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs submits nothing to a
     pool, at any d, whether the search opens its own or is handed one; kappa(3, 96),
-    whose shards hold 14,262, runs on two workers. The rule is the same at d = 2.
-    Every search gives the 1-worker record."""
+    whose shards hold 14,262, runs on two workers. The rule is the same for the
+    d = 2 lattice pass, which a d = 2 search never takes: such a search opens and
+    submits nothing, even where its pass would use the pool. Every search gives
+    the 1-worker record."""
     RecordingPool = recording_pool
     opened, submitted = RecordingPool.opened, RecordingPool.submitted
     assert _held(90, 3) == 10712 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14262
@@ -174,10 +177,15 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _held(30, 2))
     assert _held(29, 2) < _held(30, 2)
     for n, pooled in ((29, False), (30, True)):
-        alone = kappa(SearchSpec(d=2, n=n))
-        rec = kappa(SearchSpec(d=2, n=n, worker_count=2))
+        alone = _lattice_pass(n, 2, 1)[0]
+        value, counts = _lattice_pass(n, 2, 2)
         assert (opened, bool(submitted)) == (([2], True) if pooled else ([], False)), n
-        assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), n
+        assert counts["workers"] == (2 if pooled else 1) and value == alone, n
+        opened.clear()
+        submitted.clear()
+        rec = kappa(SearchSpec(d=2, n=n, worker_count=2))
+        assert (opened, submitted) == ([], []), n
+        assert (rec.kappa, tuple(rec.witness["moduli"])) == alone, n
 
 
 def test_gap_sweep_holds_one_pool(monkeypatch, two_cpus):
@@ -752,6 +760,47 @@ def test_degree_one_grows_no_ball(monkeypatch):
 PINNED_PLAN_DIGEST = "251493b15aa161ecca6d017afd6b207ecace3d60d2f10e4cf02b50b6b834fcea"
 
 
+def test_lshape_kappa_matches_the_lattice_pass():
+    """The L-shapes give the (k, chain) of the d = 2 lattice pass, n = 3..300
+    (CI compares them for 300 < n <= 1000)."""
+    for n in range(3, 301):
+        assert lshape_kappa(n) == _lattice_pass(n, 2, 1)[0], n
+
+
+def test_lshape_kappa_matches_full_scan_oracle():
+    """kappa(2, n) and its least chain against a scan of every set on every
+    chain, n <= 48."""
+    for n in range(3, 49):
+        k, witness = kappa_oracle(2, n)
+        assert lshape_kappa(n) == (k, tuple(witness["moduli"])), n
+
+
+def _kappa_table(d):
+    table = Path(__file__).parent / "golden" / f"kappa_d{d}.jsonl"
+    return [json.loads(line) for line in table.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_degree_two_takes_no_lattice_pass(monkeypatch):
+    """A degree-2 search takes its value from the L-shapes and grows no lattice
+    ball: with the lattice pass refusing d = 2, it still gives every row of
+    kappa_d2.jsonl, on one and two workers."""
+    lattice_pass = kappa_search._lattice_pass
+
+    def refuse(n, d, *args):
+        if d == 2:
+            raise AssertionError(f"a degree-2 search of n = {n} took the lattice pass")
+        return lattice_pass(n, d, *args)
+
+    monkeypatch.setattr(kappa_search, "_lattice_pass", refuse)
+    rows = _kappa_table(2)
+    assert len(rows) == 298
+    for row in rows:
+        for workers in (1, 2):
+            rec = kappa(SearchSpec(d=2, n=row["n"], worker_count=workers))
+            assert [rec.kappa, rec.witness] == [row["kappa"], row["witness"]], (row, workers)
+    assert kappa(SearchSpec(d=3, n=7)).kappa == 2  # d = 3 still takes it
+
+
 def test_plan_output_is_pinned():
     h = hashlib.sha256()
     for d in (2, 3):
@@ -1011,7 +1060,8 @@ def _debug_fields(caplog, d, n, workers=1):
     with caplog.at_level("DEBUG", logger="cayleydense.kappa_search"):
         kappa(SearchSpec(d=d, n=n, worker_count=workers))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "cayleydense.kappa_search"]
-    assert line.startswith(f"kappa({d},{n}) search: lattice_s="), line
+    first = "lshape_s" if d == 2 else "lattice_s"
+    assert line.startswith(f"kappa({d},{n}) search: {first}="), line
     return dict(field.split("=") for field in line.split(": ", 1)[1].split()), line
 
 
@@ -1024,7 +1074,8 @@ def _reach_without_abort(below, rots, limit, full, n, d):
 def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
     """One DEBUG line per search: seconds per pass, the lattice pass's HNF counts,
     which are the same on 1 and 2 workers and with or without the abort, its
-    shards, its slowest shard and the number of processes it ran on."""
+    shards, its slowest shard and the number of processes it ran on; at d = 2
+    the L-shapes that attain kappa in place of the lattice pass's fields."""
     every = [rows for rows in hnf_oracle(48, 3) if rows[0][0] > 1]
     kept = _kept_hnfs(48, 3)
     lines = []
@@ -1062,17 +1113,26 @@ def test_kappa_logs_its_pass_once(caplog, monkeypatch, two_cpus):
         assert int(fields["listed"]) == listed, line
         assert int(fields["workers"]) == workers, line
         assert int(fields["shards"]) == len(_shards(n, 3, workers)[0]), line
-    # every search takes both passes: d = 3 and d = 2 on one chain, and d = 1, whose
-    # one HNF is the seed, judged in closed form: listed and cut, with no shard
-    for d, n in ((3, 7), (2, 7), (1, 7)):
+    # d = 3 and d = 1 take the lattice pass, then the scan: d = 3 on one chain, and
+    # d = 1, whose one HNF is the seed, judged in closed form: listed and cut, with
+    # no shard
+    for d, n in ((3, 7), (1, 7)):
         fields, line = _debug_fields(caplog, d, n, 2)
         assert {"witness_s", "lattice_s"} <= fields.keys() and "scan_s" not in fields, line
         listed = len([rows for rows in hnf_oracle(n, d) if rows[0][0] > 1])
-        assert int(fields["listed"]) == listed == {3: 49, 2: 7, 1: 1}[d], line
+        assert int(fields["listed"]) == listed == {3: 49, 1: 1}[d], line
         assert int(fields["shards"]) == (0 if d == 1 else len(_shards(n, d, 1)[0])), line
         assert int(fields["workers"]) == 1, line
     seeded = "listed=1 cut=1 degenerate=0 evaluated=0 aborted=0 shards=0 workers=1"
     assert fields.items() >= dict(field.split("=") for field in seeded.split()).items(), line
+    # d = 2 takes the L-shapes, then the scan, in this process on any worker count:
+    # the seconds of each, the number of L-shapes that attain kappa(2, 7) = 3, and
+    # no lattice count
+    fields, line = _debug_fields(caplog, 2, 7, 2)
+    assert list(fields) == ["lshape_s", "shapes", "workers", "witness_s"], line
+    shapes = [(2, 4, 1, 1), (3, 3, 1, 2), (3, 3, 2, 1), (4, 2, 1, 1), (4, 4, 3, 3)]
+    assert optimal_lshapes(7) == (3, shapes) and int(fields["shapes"]) == 5, line
+    assert int(fields["workers"]) == 1, line
 
 
 def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, recording_pool):
@@ -1200,8 +1260,7 @@ def test_kappa_tables_match_the_search():
     seeded = Counter()
     with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
         for d, orders in KAPPA_TABLES.items():
-            table = Path(__file__).parent / "golden" / f"kappa_d{d}.jsonl"
-            rows = [json.loads(line) for line in table.read_text().splitlines() if not line.startswith("#")]
+            rows = _kappa_table(d)
             assert [row["n"] for row in rows] == list(orders), d
             for row in rows:
                 n, k = row["n"], row["kappa"]

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,15 +21,18 @@ from cayleydense.mdd import (
     dilate_mdd,
     extract_lshape,
     is_proper,
+    lshape_kappa,
     lshape_solid_diameter,
     lshape_tessellation_matrix,
     lshape_validate,
+    optimal_lshapes,
     phi,
     solid_diameter,
     verify_mdd,
 )
 from cayleydense.zmatrix import det
 from conftest import (
+    admissible_lshapes_oracle,
     bfs_distance_oracle,
     bfs_order_mdd_oracle,
     chains_oracle,
@@ -280,6 +284,37 @@ def test_lshape_tessellation_matrix_examples():
     assert lshape_tessellation_matrix(LShape(2, 2, 1, 1)) == ((2, -1), (-1, 2))
     assert lshape_tessellation_matrix(LShape(6, 6, 3, 3)) == ((6, -3), (-3, 6))
     assert lshape_tessellation_matrix(LShape(9, 1, 0, 0)) == ((9, 0), (0, 1))
+
+
+def test_optimal_lshapes_match_every_admissible_lshape():
+    """n = 3..40, against every admissible L-shape of area n, with its quotient
+    Z^2/Λ and e_1, e_2 from the Smith form (`admissible_lshapes_oracle`). Each
+    shape's Cay(Z^2/Λ, {e_1, e_2}) has BFS diameter at most the shape's
+    largest norm l + h - 2 - min(w, y), so kappa(2, n) is at most the least
+    norm, and the shapes attaining it are exactly those `optimal_lshapes`
+    returns, on the chain (gcd(l, h, w, y), n/gcd)."""
+    shapes = 0
+    for n in range(3, 41):
+        every = admissible_lshapes_oracle(n)
+        norm = {s: s[0] + s[1] - 2 - min(s[2], s[3]) for s in every}
+        for s, (moduli, gens) in every.items():
+            dist = bfs_distance_oracle(moduli, gens)
+            assert dist is not None and max(dist.values()) <= norm[s], (n, s)
+            assert moduli == (gcd(*s), n // gcd(*s)), (n, s)
+        k = min(norm.values())
+        best = sorted(s for s in every if norm[s] == k)
+        got = optimal_lshapes(n)
+        assert (got[0], sorted(got[1])) == (k, best), n
+        assert lshape_kappa(n) == (k, min(every[s][0] for s in best)), n
+        shapes += len(every)
+    assert shapes == 1412
+
+
+def test_lshape_kappa_refuses_orders_below_three():
+    assert lshape_kappa(3) == (1, (1, 3))  # Cay(Z_3, {1, 2})
+    for n in (2, 1, 0, -4, 3.0, True):
+        with pytest.raises(ValueError):
+            optimal_lshapes(n)
 
 
 def test_lshape_parameter_validation():
