@@ -83,21 +83,20 @@ have been the whole group, the search judges every candidate as before, and
 a set that beats the lower bound is still found, so no refutation can hide.
 A prefix's balls are shared and never stop early.
 
---jobs shards the lattice pass, so it does nothing at d = 2, where no
-lattice pass runs. It shards it by (diagonal, b_21) on a process pool of
-that many workers, or of the CPUs this process may run on where that is
-fewer. `_plan` counts the same number of HNFs for every kept b_21 of a
-diagonal, and each diagonal splits into runs of b_21 of equal length, about
-8 shards per worker in all, which run largest first on a free-worker queue:
-a worker that finishes takes the next shard at once, with at most workers +
-1 in flight. Each shard starts from the best (k, chain) known when it is
-submitted as its hint, and shards merge by one (k, chain) comparison, so
-the result does not depend on the order they finish in. One rule, at any d,
-decides whether a pass uses workers: a pass whose shards hold fewer than
+--jobs shards the lattice pass of one search (none runs at d = 2) by
+(diagonal, b_21) on a process pool of its own, of that many workers or of
+the CPUs this process may run on where that is fewer. `_plan` counts the
+same number of HNFs for every kept b_21 of a diagonal, and each diagonal
+splits into runs of b_21 of equal length, about 8 shards per worker in all,
+which run largest first on a free-worker queue: a worker that finishes
+takes the next shard at once, with at most workers + 1 in flight. Each
+shard starts from the best (k, chain) known when it is submitted as its
+hint, and shards merge by one (k, chain) comparison, so the result does not
+depend on the order they finish in. A pass whose shards hold fewer than
 POOL_MIN_HNFS HNFs runs in this process on the 1-worker shard plan,
 whatever --jobs is, since shipping its shards would cost more than they
-take. A `gaps` sweep on more than one worker holds one pool for all its
-orders; the pool starts no process until a pass first submits to it.
+take. A `gaps` sweep on more than one worker runs whole orders, each a
+1-worker search, on one pool of its own (`gap_table`).
 
 Each search logs one DEBUG line on this module's logger. At d = 2 it gives
 the seconds of the L-shape walk and of the witness scan, the number of
@@ -138,10 +137,10 @@ from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
 
-# A lattice pass whose shards hold fewer HNFs than this (`_shards`) runs in one
-# process, whatever --jobs is: on two workers, a d = 3 pass that starts its own
-# pool broke even at about 11,000-12,700 held HNFs, as the shard sizes were
-# counted before the tied twins were cut. Every d = 3 order up to n = 90 holds
+# A lattice pass whose shards hold fewer HNFs than this (`_shards`), and a sweep
+# whose orders all do (`gap_table`), run in one process, whatever --jobs is: on
+# two workers, a d = 3 pass with its own pool broke even near 11,000-12,700 held
+# HNFs, counted before the tied twins were cut. Every d = 3 order to n = 90 holds
 # fewer (n = 90 holds 10,712), n = 96 holds 14,262, and no d = 2 order up to
 # n = 400 holds 1,000. One count per diagonal (`_plan`) moved only n = 100, 104
 # and 145 of n <= 1024 onto the pool (12,194, 12,408 and 12,058 held).
@@ -740,6 +739,11 @@ def _plan(n: int, d: int):
     return plan
 
 
+def _held(plan) -> int:
+    """How many HNFs the shards of a `_plan` hold in all."""
+    return sum(per * len(b21s) for _, b21s, per in plan)
+
+
 def _shards(n: int, d: int, workers: int):
     """The shards (diag, b21s) of the lattice pass, largest first, and
     the workers they are cut for: one when the shards hold fewer than
@@ -752,7 +756,7 @@ def _shards(n: int, d: int, workers: int):
     one b_21 where that holds more, so the shards that run last are small.
     """
     plan = _plan(n, d)
-    held = sum(per * len(b21s) for _, b21s, per in plan)
+    held = _held(plan)
     if held < POOL_MIN_HNFS:
         workers = 1
     size = held / (8 * workers)
@@ -787,7 +791,7 @@ def _seed(n: int, d: int) -> tuple[int, tuple[int, ...]]:
     return -(-(n - 1) // d), (1,) * (d - 1) + (n,)
 
 
-def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None = None):
+def _lattice_pass(n: int, d: int, workers: int):
     """(k, chain), the least diameter of the seed (`_seed`) and every HNF of index n
     with the least chain attaining it, and the pass's counts: the HNFs listed,
     every HNF of a diagonal with a_1 > 1 (the product of a_i^(d-i): 1 at
@@ -798,11 +802,11 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
 
     A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
     process on the 1-worker plan, whatever `workers` is. The shards
-    (`_shards`) run largest first. More than one worker runs them on `pool`,
-    or on a pool of its own opened and closed here when `pool` is None, with
-    at most workers + 1 in flight, so a worker that finishes finds the next
-    one queued; one worker runs them here, one after another. Each takes as
-    its hint the best (k, chain) known when it is submitted."""
+    (`_shards`) run largest first. More than one worker runs them on a pool
+    opened and closed here, with at most workers + 1 in flight, so a worker
+    that finishes finds the next one queued; one worker runs them here, one
+    after another. Each takes as its hint the best (k, chain) known when it is
+    submitted."""
     shards, workers = _shards(n, d, workers)
     listed = sum(prod(map(pow, a, range(d - 1, -1, -1))) for a in _factorizations(n, d) if a[0] > 1)
     totals = Counter(listed=listed, cut=listed, kept=0, degenerate=0, evaluated=0, aborted=0)
@@ -810,8 +814,7 @@ def _lattice_pass(n: int, d: int, workers: int, pool: ProcessPoolExecutor | None
     shards.reverse()  # pop() takes the largest first
     best = _seed(n, d)
     slowest = 0.0
-    own = workers > 1 and pool is None
-    with (ProcessPoolExecutor(max_workers=workers) if own else nullcontext(pool)) as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         submit, in_flight = (pool.submit, workers + 1) if workers > 1 else (_run_here, 1)
         pending = set()
         while shards or pending:
@@ -870,25 +873,17 @@ def _witness(group: InvariantFactors, d: int, k: int):
     return None
 
 
-def kappa(
-    spec: SearchSpec,
-    cache: KappaCache | None = None,
-    pool: ProcessPoolExecutor | None = None,
-) -> KappaRecord:
+def kappa(spec: SearchSpec, cache: KappaCache | None = None) -> KappaRecord:
     """Exact minimum diameter over all groups and generating sets of (d, n).
 
     The value and its least chain come from the L-shapes at d = 2
-    (`mdd.optimal_lshapes`), in this process whatever `spec.worker_count`
-    and `pool` are, and from the lattice pass at d = 1 and 3. The witness
-    scan of that chain must find a set of exactly that diameter, or the
-    search raises InternalConsistencyError. A diameter below the lower bound
-    raises InternalConsistencyError where the bound is proven (d <= 2) and
+    (`mdd.optimal_lshapes`), in this process, and from the lattice pass at
+    d = 1 and 3, on `spec.worker_count` workers but no more than the CPUs
+    this process may run on (`_pool_size`). The witness scan of that chain
+    must find a set of exactly that diameter, or the search raises
+    InternalConsistencyError. A diameter below the lower bound raises
+    InternalConsistencyError where the bound is proven (d <= 2) and
     ConjectureRefutation where it is conjectural (d = 3).
-
-    The lattice pass runs on `spec.worker_count` workers, but on no more than
-    the CPUs this process may run on (`_pool_size`). `pool`, a process pool of
-    that many workers, serves the pass when it runs on more than one, so that
-    a sweep starts its workers once; without it the pass opens its own.
     """
     if cache is not None:
         hit = cache.get(spec.d, spec.n)
@@ -903,7 +898,7 @@ def kappa(
         value = k, least_chain(spec.n, shapes)
         stats.update(lshape_s=time.monotonic() - clock, shapes=len(shapes), workers=1)
     else:
-        value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count), pool)
+        value, counts = _lattice_pass(spec.n, spec.d, _pool_size(spec.worker_count))
         stats["lattice_s"] = time.monotonic() - clock
         stats.update(counts)
     clock = time.monotonic()
@@ -946,21 +941,26 @@ def gap_table(
     worker_count: int = 1,
     cache: KappaCache | None = None,
 ) -> list[tuple[int, int]]:
-    """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range.
+    """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range, in n order.
 
-    With more than one worker on more than one CPU, every search of the
-    sweep shares one process pool of `_pool_size(worker_count)` workers,
-    closed when the sweep ends or raises. It starts its processes at the
-    first pass large enough to use them (`_lattice_pass`), so a sweep of
-    small orders, or of degree 2, which takes no lattice pass, starts none.
+    Each order is checked as a SearchSpec of `worker_count` workers before any
+    is read or searched. Only this process reads and appends to `cache`. The
+    missed orders, each a 1-worker `kappa`, run largest `_held` first on one
+    pool of `_pool_size(worker_count)` workers if that is more than one and
+    some missed order holds POOL_MIN_HNFS HNFs, else here, in n order.
     """
     if n_to < n_from:
         raise ValueError("empty order range")
     specs = [SearchSpec(d=d, n=n, worker_count=worker_count) for n in range(n_from, n_to + 1)]
+    records = {spec.n: None if cache is None else cache.get(d, spec.n) for spec in specs}
+    missed = [SearchSpec(d=d, n=n) for n, rec in records.items() if rec is None]
     workers = _pool_size(worker_count)
-    rows = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        for spec in specs:
-            rec = kappa(spec, cache=cache, pool=pool)
-            rows.append((spec.n, rec.kappa - lower_bound(d, spec.n)))
-    return rows
+    held = {spec: _held(_plan(spec.n, d)) for spec in missed} if workers > 1 else {}
+    if pooled := any(count >= POOL_MIN_HNFS for count in held.values()):
+        missed.sort(key=held.get, reverse=True)
+    with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
+        for rec in (pool.map if pooled else map)(kappa, missed):  # map cancels the rest on a raise
+            records[rec.n] = rec
+            if cache is not None:
+                cache.put(rec)
+    return [(n, rec.kappa - lower_bound(d, n)) for n, rec in records.items()]

@@ -5,7 +5,8 @@ Each draw is one argv for one subcommand, with literals well formed or not
 flags at and past their limits, and options argparse does not know. Orders
 stay at most 40, dilation factors at most 3 and gap ranges a few orders wide,
 so no draw starts a long search; a stand-in pool fails the draw that would
-submit to a process pool.
+submit or map work to a process pool, and two explicit argvs search on two
+workers.
 """
 
 import io
@@ -15,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import prod
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from cayleydense import kappa_search
 from cayleydense.cayley import CayleyDigraph, upsilon
@@ -222,6 +223,9 @@ class _NoPool:
     def submit(self, fn, arg):
         raise AssertionError("a drawn argv submitted work to a process pool")
 
+    def map(self, fn, args):
+        raise AssertionError("a drawn argv mapped work on a process pool")
+
 
 ERROR_LINE = re.compile(r"cayleydense( [\w-]+)*: error: ")
 
@@ -263,6 +267,9 @@ def test_every_argv_exits_0_2_3_or_4(files):
         phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink],
     )
     @given(argv=_argvs(files), diagram=DIAGRAM)
+    # drawn argvs seldom reach a search on two workers, which must still open no pool
+    @example(argv=["gaps", "-d", "3", "--jobs", "2", "--from", "30", "--to", "34"], diagram="")
+    @example(argv=["kappa", "-d", "3", "--jobs", "2", "-n", "40"], diagram="")
     def check(argv, diagram):
         with open(files["diagram"], "w", encoding="utf-8") as fh:
             fh.write(diagram)

@@ -27,6 +27,7 @@ from cayleydense.kappa_search import (
     SearchSpec,
     _b32s,
     _grow_balls,
+    _held,
     _hnfs,
     _lattice_pass,
     _macaulay,
@@ -138,35 +139,28 @@ def recording_pool(monkeypatch):
             future.set_result(fn(arg))
             return future
 
+        def map(self, fn, args):
+            return [self.submit(fn, arg).result() for arg in args]
+
     RecordingPool.opened, RecordingPool.submitted = opened, submitted
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
 
 
-def _held(n, d):
-    """How many HNFs the shards of the lattice pass of (d, n) hold in all."""
-    return sum(per * len(b21s) for _, b21s, per in _plan(n, d))
-
-
 def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, recording_pool):
-    """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs submits nothing to a
-    pool, at any d, whether the search opens its own or is handed one; kappa(3, 96),
-    whose shards hold 14,262, runs on two workers. The rule is the same for the
-    d = 2 lattice pass, which a d = 2 search never takes: such a search opens and
-    submits nothing, even where its pass would use the pool. Every search gives
-    the 1-worker record."""
-    RecordingPool = recording_pool
-    opened, submitted = RecordingPool.opened, RecordingPool.submitted
-    assert _held(90, 3) == 10712 < kappa_search.POOL_MIN_HNFS <= _held(96, 3) == 14262
+    """A pass whose shards hold fewer than POOL_MIN_HNFS HNFs opens no pool, at
+    any d; kappa(3, 96), whose shards hold 14,262, opens its own and runs on two
+    workers. The rule is the same for the d = 2 lattice pass, which a d = 2
+    search never takes: such a search opens and submits nothing, even where
+    its pass would use the pool. Every search gives the 1-worker record."""
+    opened, submitted = recording_pool.opened, recording_pool.submitted
+    assert _held(_plan(90, 3)) == 10712 < kappa_search.POOL_MIN_HNFS <= _held(_plan(96, 3)) == 14262
     assert _shards(90, 3, 2)[1] == 1 and _shards(96, 3, 2)[1] == 2  # the workers planned for
     for d, n in ((1, 30), (1, 7), (2, 30), (2, 7), (3, 30), (3, 7), (3, 16), (3, 90)):
         alone = kappa(SearchSpec(d=d, n=n))
         rec = kappa(SearchSpec(d=d, n=n, worker_count=2))
-        handed = kappa(SearchSpec(d=d, n=n, worker_count=2), pool=RecordingPool(2))
-        assert submitted == [] and opened == [2], (d, n)  # only the pool handed in
+        assert (opened, submitted) == ([], []), (d, n)
         assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness), (d, n)
-        assert (handed.kappa, handed.witness) == (alone.kappa, alone.witness), (d, n)
-        opened.clear()
     alone = kappa(SearchSpec(d=3, n=96))
     assert opened == [] and submitted == []
     rec = kappa(SearchSpec(d=3, n=96, worker_count=2))
@@ -174,8 +168,8 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
     assert (rec.kappa, rec.witness) == (alone.kappa, alone.witness)
     opened.clear()
     submitted.clear()
-    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _held(30, 2))
-    assert _held(29, 2) < _held(30, 2)
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", _held(_plan(30, 2)))
+    assert _held(_plan(29, 2)) < _held(_plan(30, 2))
     for n, pooled in ((29, False), (30, True)):
         alone = _lattice_pass(n, 2, 1)[0]
         value, counts = _lattice_pass(n, 2, 2)
@@ -188,55 +182,84 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
         assert (rec.kappa, tuple(rec.witness["moduli"])) == alone, n
 
 
-def test_gap_sweep_holds_one_pool(monkeypatch, two_cpus):
-    """A sweep on two workers holds one pool, closed when it ends or raises. A
-    sweep of small orders, below POOL_MIN_HNFS, starts no worker process in it."""
-    opened, closed, started, submitted = [], [], [], []
+def test_gap_sweep_holds_one_pool(tmp_path, monkeypatch, two_cpus, recording_pool):
+    """A 2-worker sweep opens no pool while every order it searches holds fewer
+    than POOL_MIN_HNFS HNFs; else it opens one, of two workers, and maps the
+    1-worker search of each missed order on it, the largest `_held` first
+    (ties in n order). This process reads the cache for every order before it
+    searches any, and appends each record it searches, so a second sweep maps
+    nothing. One worker computes no held count. Every sweep gives the
+    1-worker rows."""
+    opened, submitted = recording_pool.opened, recording_pool.submitted
+    path = tmp_path / "k.jsonl"
+    want = {d: gap_table(d, 4, 40) for d in (2, 3)}
+    for d in (2, 3):  # every order below the constant
+        assert gap_table(d, 4, 40, worker_count=2) == want[d]
+        assert (opened, submitted) == ([], []), d
+    counted = []
+    with monkeypatch.context() as patch:
+        patch.setattr(kappa_search, "_held", lambda plan: counted.append(plan) or _held(plan))
+        patch.setattr(kappa_search, "POOL_MIN_HNFS", 0)
+        assert gap_table(3, 4, 12, cache=KappaCache(path)) == want[3][:9]
+    assert (opened, submitted) == ([], []) and len(counted) == 9  # one per pass (`_shards`)
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every 2-worker sweep on the pool
+    reads, get = [], KappaCache.get
+    monkeypatch.setattr(KappaCache, "get", lambda self, d, n: reads.append(n) or get(self, d, n))
+    assert gap_table(3, 4, 40, worker_count=2, cache=KappaCache(path)) == want[3]
+    assert reads[:37] == list(range(4, 41)) and opened == [2]
+    held = {n: _held(_plan(n, 3)) for n in range(13, 41)}
+    assert len(set(held.values())) < len(held)  # some orders tie
+    assert submitted == [SearchSpec(d=3, n=n) for n in sorted(held, key=lambda n: -held[n])]
+    cached = [json.loads(line)["n"] for line in path.read_text().splitlines()]
+    assert sorted(cached) == list(range(4, 41)) and cached[:9] == list(range(4, 13))
+    opened.clear()
+    submitted.clear()
+    assert gap_table(3, 4, 40, worker_count=2, cache=KappaCache(path)) == want[3]
+    assert (opened, submitted) == ([], []) and len(path.read_text().splitlines()) == 37
 
-    class CountingPool(kappa_search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
+
+def test_gap_table_refuses_a_worker_count_before_any_read(tmp_path, monkeypatch, capsys):
+    """A worker count below one raises ValueError, and `gaps` exits 2, before the
+    sweep reads its cache or searches any order."""
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("read or searched before the specs were checked")
+
+    monkeypatch.setattr(kappa_search, "kappa", untouched)
+    monkeypatch.setattr(KappaCache, "get", untouched)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="worker count"):
+            gap_table(3, 4, 6, workers, KappaCache(tmp_path / "k.jsonl"))
+        argv = ["--format", "jsonl", "gaps", "-d", "3", "--from", "4", "--to", "6"]
+        assert cli_main(argv + ["--jobs", str(workers), "--cache", str(tmp_path / "k.jsonl")]) == 2
+        assert "worker count" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_a_refutation_in_a_pooled_order_keeps_its_witness(monkeypatch, two_cpus):
+    """A ConjectureRefutation raised in an order searched on the sweep's pool
+    reaches the caller with its witness, and the pool is closed. The forked
+    workers see the planted bound and the constant patched to 0."""
+    fork = multiprocessing.get_context("fork")
+    opened, closed = [], []
+
+    class ForkedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
             opened.append(self)
-            super().__init__(*args, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            submitted.append(self)
-            return super().submit(*args, **kwargs)
+            super().__init__(max_workers=max_workers, mp_context=fork)
 
         def shutdown(self, *args, **kwargs):
             closed.append(self)
-            started.append(len(self._processes))
             super().shutdown(*args, **kwargs)
 
-    want = gap_table(3, 4, 40)
-    want2 = gap_table(2, 3, 40)
-    monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", CountingPool)
-    assert gap_table(3, 4, 40) == want
-    assert opened == []
-    for d, rows in ((2, want2), (3, want)):  # every pass below the constant
-        assert gap_table(d, 3 if d == 2 else 4, 40, worker_count=2) == rows
-        assert len(opened) == 1 and closed == opened, d
-        assert submitted == [] and started == [0], d
-        for seen in (opened, closed, started):
-            seen.clear()
-    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
-    assert gap_table(3, 4, 40, worker_count=2) == want
+    witness = kappa(SearchSpec(d=3, n=30)).witness
+    monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)
+    monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", ForkedPool)
+    monkeypatch.setattr(kappa_search, "lower_bound", lambda d, n: 99 if n == 30 else lower_bound(d, n))
+    with pytest.raises(ConjectureRefutation, match="d=3, n=30") as caught:
+        gap_table(3, 24, 36, worker_count=2)
+    assert caught.value.witness == witness
+    assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
     assert len(opened) == 1 and closed == opened
-    assert opened[0]._max_workers == 2
-    assert set(submitted) == set(opened) and started[0] > 0
-    search = kappa_search.kappa
-
-    def failing(spec, cache=None, pool=None):
-        if spec.n == 30:
-            raise InternalConsistencyError("planted")
-        return search(spec, cache=cache, pool=pool)
-
-    monkeypatch.setattr(kappa_search, "kappa", failing)
-    with pytest.raises(InternalConsistencyError, match="planted"):
-        gap_table(3, 4, 40, worker_count=2)
-    assert len(opened) == 2 and closed == opened
-    monkeypatch.setattr(kappa_search, "kappa", search)
-    kappa(SearchSpec(d=3, n=36, worker_count=2))  # a search on its own opens its own
-    assert len(opened) == 3 and closed == opened
 
 
 def test_witness_upper_bounds():
@@ -1140,8 +1163,8 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
     process's affinity mask or, on a platform without one, os.cpu_count(), and on
     one, with no pool, when the count is 1 or unknown: the pool a search or a
     sweep opens, the shard plan and the DEBUG line's workers= all use that
-    number, and the records are those of one worker. The fake pool starts no
-    process."""
+    number, a sweep's pool takes 1-worker searches, and the records are those
+    of one worker. The fake pool starts no process."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     opened, submitted = recording_pool.opened, recording_pool.submitted
     alone = kappa(SearchSpec(d=3, n=24))
@@ -1160,9 +1183,13 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
         assert int(fields["workers"]) == workers and int(fields["shards"]) == shards, line
         assert opened == pools and len(submitted) == (shards if pools else 0), cpus
         opened.clear()
+        submitted.clear()
         assert gap_table(3, 4, 12, worker_count=100_000) == rows
         assert opened == pools, cpus
+        want = [SearchSpec(d=3, n=n) for n in range(4, 13)] if pools else []
+        assert sorted(submitted, key=lambda spec: spec.n) == want, cpus
         opened.clear()
+        submitted.clear()
         assert cli_main(["--format", "jsonl", "kappa", "-d", "3", "-n", "24", "--jobs", "100000"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert (row["kappa"], row["witness"]) == (alone.kappa, alone.witness), cpus
@@ -1183,53 +1210,55 @@ def test_jobs_follow_the_affinity_mask(caplog, monkeypatch, recording_pool):
     assert recording_pool.opened == [] and recording_pool.submitted == []
 
 
-def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch):
+def test_shards_hold_each_kept_b21_once_on_any_worker_count(monkeypatch, recording_pool):
     """d = 2 and 3, n <= 48, on 1, 2, 3 and 5 workers: every (diagonal, b_21) that
     the cuts keep is in exactly one shard, the shards come largest first, and
     the pass gives the 1-worker (k, chain) and the same HNF counts: it lists
     every HNF with a_1 > 1 (the oracle's), and cuts all but those `_hnfs` keeps.
-    A diagonal's `per` bounds the HNFs `_hnfs` keeps of each of its b_21."""
+    A diagonal's `per` bounds the HNFs `_hnfs` keeps of each of its b_21. The
+    stand-in pool runs the shards here: real pools run them in
+    `test_worker_count_independence` and `test_kappa_matches_full_scan_oracle`."""
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        for d in (2, 3):
-            for n in range(d + 1, 49):
-                diags = [diag for diag in _factorizations(n, d) if diag[0] > 1]
-                per = {diag: diag[0] * diag[1] if d == 3 else 1 for diag in diags}
-                kept = Counter(
-                    (diag, b21)
-                    for diag in diags
-                    for b21 in range(diag[0])
-                    if diag[1] >= gcd(diag[0], b21) and diag[1] >= diag[-1]
-                    # the cyclic cut keeps nothing of a b_21 above its inverse
-                    and not (diag[1:] == (1, 1) and pow(b21, -1, n) < b21)
-                )
-                hnfs = [rows for rows, _ in _kept_hnfs(n, d)]
-                pairs = Counter((tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs)
-                assert pairs.keys() <= kept.keys(), (d, n)
-                size = {(diag, b21): x for diag, b21s, x in _plan(n, d) for b21 in b21s}
-                assert size.keys() == kept.keys(), (d, n)
-                assert all(pairs[key] <= x for key, x in size.items()), (d, n)
-                listed = sum(diag[0] * per[diag] for diag in diags)
-                assert listed == len([rows for rows in hnf_oracle(n, d) if rows[0][0] > 1])
-                alone, counts = _lattice_pass(n, d, 1)
-                assert (counts["listed"], counts["cut"]) == (listed, listed - len(hnfs)), (d, n)
-                for workers in (1, 2, 3, 5):
-                    shards, planned = _shards(n, d, workers)
-                    case = (d, n, workers)
-                    assert planned == workers, case
-                    assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
-                    sizes = [sum(size[diag, b21] for b21 in b21s) for diag, b21s in shards]
-                    assert sizes == sorted(sizes, reverse=True), case
-                    runs = {}  # the lengths of each diagonal's runs of b_21, equal to one b_21
-                    for diag, b21s in shards:
-                        runs.setdefault(diag, []).append(len(b21s))
-                    assert all(max(x) - min(x) <= 1 for x in runs.values()), case
-                    value, got = _lattice_pass(n, d, workers, pool)
-                    assert value == alone, case
-                    assert (got["shards"], got["workers"]) == (len(shards), workers), case
-                    for key in ("listed", "cut", "degenerate"):
-                        assert got[key] == counts[key], (case, key)
+    for d in (2, 3):
+        for n in range(d + 1, 49):
+            diags = [diag for diag in _factorizations(n, d) if diag[0] > 1]
+            per = {diag: diag[0] * diag[1] if d == 3 else 1 for diag in diags}
+            kept = Counter(
+                (diag, b21)
+                for diag in diags
+                for b21 in range(diag[0])
+                if diag[1] >= gcd(diag[0], b21) and diag[1] >= diag[-1]
+                # the cyclic cut keeps nothing of a b_21 above its inverse
+                and not (diag[1:] == (1, 1) and pow(b21, -1, n) < b21)
+            )
+            hnfs = [rows for rows, _ in _kept_hnfs(n, d)]
+            pairs = Counter((tuple(rows[i][i] for i in range(d)), rows[1][0]) for rows in hnfs)
+            assert pairs.keys() <= kept.keys(), (d, n)
+            size = {(diag, b21): x for diag, b21s, x in _plan(n, d) for b21 in b21s}
+            assert size.keys() == kept.keys(), (d, n)
+            assert all(pairs[key] <= x for key, x in size.items()), (d, n)
+            listed = sum(diag[0] * per[diag] for diag in diags)
+            assert listed == len([rows for rows in hnf_oracle(n, d) if rows[0][0] > 1])
+            alone, counts = _lattice_pass(n, d, 1)
+            assert (counts["listed"], counts["cut"]) == (listed, listed - len(hnfs)), (d, n)
+            for workers in (1, 2, 3, 5):
+                shards, planned = _shards(n, d, workers)
+                case = (d, n, workers)
+                assert planned == workers, case
+                assert Counter((diag, b21) for diag, b21s in shards for b21 in b21s) == kept, case
+                sizes = [sum(size[diag, b21] for b21 in b21s) for diag, b21s in shards]
+                assert sizes == sorted(sizes, reverse=True), case
+                runs = {}  # the lengths of each diagonal's runs of b_21, equal to one b_21
+                for diag, b21s in shards:
+                    runs.setdefault(diag, []).append(len(b21s))
+                assert all(max(x) - min(x) <= 1 for x in runs.values()), case
+                value, got = _lattice_pass(n, d, workers)
+                assert recording_pool.opened == ([workers] if workers > 1 else []), case
+                recording_pool.opened.clear()
+                assert value == alone, case
+                assert (got["shards"], got["workers"]) == (len(shards), workers), case
+                for key in ("listed", "cut", "degenerate"):
+                    assert got[key] == counts[key], (case, key)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1258,21 +1287,20 @@ def test_kappa_tables_match_the_search():
     and of every d = 3 order n <= 100; CI's north-star step searches the
     d = 3 rows of 100 < n <= 200 again."""
     seeded = Counter()
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        for d, orders in KAPPA_TABLES.items():
-            rows = _kappa_table(d)
-            assert [row["n"] for row in rows] == list(orders), d
-            for row in rows:
-                n, k = row["n"], row["kappa"]
-                assert sorted(row) == ["d", "kappa", "n", "witness"] and row["d"] == d, row
-                g = CayleyDigraph.from_literal(row["witness"])
-                assert (g.order, g.degree, diameter(g)) == (n, d, k), row
-                assert k >= lower_bound(d, n), row
-                seed = CayleyDigraph.from_cyclic(n, range(1, d + 1)).to_literal()
-                assert (row["witness"] == seed) == (k == _seed(n, d)[0]), row
-                seeded[d] += row["witness"] == seed
-                if d < 3 or n <= 100:
-                    for w in (1, 2):
-                        rec = kappa(SearchSpec(d=d, n=n, worker_count=w), pool=pool if w > 1 else None)
-                        assert [rec.kappa, rec.witness] == [k, row["witness"]], (d, n, w)
+    for d, orders in KAPPA_TABLES.items():
+        rows = _kappa_table(d)
+        assert [row["n"] for row in rows] == list(orders), d
+        for row in rows:
+            n, k = row["n"], row["kappa"]
+            assert sorted(row) == ["d", "kappa", "n", "witness"] and row["d"] == d, row
+            g = CayleyDigraph.from_literal(row["witness"])
+            assert (g.order, g.degree, diameter(g)) == (n, d, k), row
+            assert k >= lower_bound(d, n), row
+            seed = CayleyDigraph.from_cyclic(n, range(1, d + 1)).to_literal()
+            assert (row["witness"] == seed) == (k == _seed(n, d)[0]), row
+            seeded[d] += row["witness"] == seed
+            if d < 3 or n <= 100:
+                for w in (1, 2):
+                    rec = kappa(SearchSpec(d=d, n=n, worker_count=w))
+                    assert [rec.kappa, rec.witness] == [k, row["witness"]], (d, n, w)
     assert seeded == {1: 399, 2: 6, 3: 5}
