@@ -485,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes, at most one per CPU this process may run on: kappa shards its "
-        "lattice pass by HNF diagonal and b21, gaps searches whole orders on them, and neither "
-        f"starts any unless a pass holds {kappa_search.POOL_MIN_HNFS:,} HNFs",
+        help="worker processes, at most one per CPU this process may run on: they shard a lattice "
+        "pass by HNF diagonal and b21, or search whole orders of a gaps sweep, and none start "
+        f"unless a pass or a sweep's largest order holds {kappa_search.POOL_MIN_HNFS:,} HNFs",
     )
     search.add_argument("--cache", default=None, help=f"cache path (or ${CACHE_ENV_VAR})")
     search.add_argument("--long-running", action="store_true")

@@ -83,20 +83,16 @@ have been the whole group, the search judges every candidate as before, and
 a set that beats the lower bound is still found, so no refutation can hide.
 A prefix's balls are shared and never stop early.
 
---jobs shards the lattice pass of one search (none runs at d = 2) by
-(diagonal, b_21) on a process pool of its own, of that many workers or of
-the CPUs this process may run on where that is fewer. `_plan` counts the
-same number of HNFs for every kept b_21 of a diagonal, and each diagonal
-splits into runs of b_21 of equal length, about 8 shards per worker in all,
-which run largest first on a free-worker queue: a worker that finishes
-takes the next shard at once, with at most workers + 1 in flight. Each
-shard starts from the best (k, chain) known when it is submitted as its
-hint, and shards merge by one (k, chain) comparison, so the result does not
-depend on the order they finish in. A pass whose shards hold fewer than
-POOL_MIN_HNFS HNFs runs in this process on the 1-worker shard plan,
-whatever --jobs is, since shipping its shards would cost more than they
-take. A `gaps` sweep on more than one worker runs whole orders, each a
-1-worker search, on one pool of its own (`gap_table`).
+--jobs shards a search's lattice pass (none runs at d = 2) by (diagonal,
+b_21) on a pool of its own, at most one worker per CPU this process may run
+on. `_plan` counts the same number of HNFs for every kept b_21 of a diagonal,
+and each diagonal splits into runs of b_21 of equal length, about 8 shards
+per worker in all, which run largest first on a free-worker queue, at most
+workers + 1 in flight. Each shard's hint is the best (k, chain) known when it
+is submitted, and shards merge by one (k, chain) comparison, so the result
+does not depend on the order they finish in. A pass whose shards hold fewer
+than POOL_MIN_HNFS HNFs runs here on one worker, since shipping them would
+cost more than they take. A `gaps` sweep may pool whole orders (`gap_table`).
 
 Each search logs one DEBUG line on this module's logger. At d = 2 it gives
 the seconds of the L-shape walk and of the witness scan, the number of
@@ -120,7 +116,7 @@ import os
 import time
 import zlib
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, as_completed, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -137,13 +133,12 @@ from .zmatrix import invariant_factors
 
 logger = logging.getLogger(__name__)
 
-# A lattice pass whose shards hold fewer HNFs than this (`_shards`), and a sweep
-# whose orders all do (`gap_table`), run in one process, whatever --jobs is: on
-# two workers, a d = 3 pass with its own pool broke even near 11,000-12,700 held
-# HNFs, counted before the tied twins were cut. Every d = 3 order to n = 90 holds
-# fewer (n = 90 holds 10,712), n = 96 holds 14,262, and no d = 2 order up to
-# n = 400 holds 1,000. One count per diagonal (`_plan`) moved only n = 100, 104
-# and 145 of n <= 1024 onto the pool (12,194, 12,408 and 12,058 held).
+# A lattice pass whose shards hold fewer HNFs than this (`_shards`) runs in one
+# process, whatever --jobs is: on two workers, a d = 3 pass with its own pool
+# broke even near 11,000-12,700 held HNFs. Every d = 3 order to n = 90 holds
+# fewer (n = 90: 10,712; n = 96: 14,262; of n <= 1024 only 100, 104 and 145 hold
+# 12,000-12,700), and no d = 2 order to n = 400 holds 1,000. A sweep pools whole
+# orders only if one holds this many (`gap_table`), a reuse not measured there.
 POOL_MIN_HNFS = 12_000
 
 
@@ -800,13 +795,9 @@ def _lattice_pass(n: int, d: int, workers: int):
     aborted HNFs summed, the number of shards, the seconds of the slowest and
     the number of processes the pass ran on.
 
-    A pass whose shards hold fewer than POOL_MIN_HNFS HNFs runs in this
-    process on the 1-worker plan, whatever `workers` is. The shards
-    (`_shards`) run largest first. More than one worker runs them on a pool
-    opened and closed here, with at most workers + 1 in flight, so a worker
-    that finishes finds the next one queued; one worker runs them here, one
-    after another. Each takes as its hint the best (k, chain) known when it is
-    submitted."""
+    The shards (`_shards`) run largest first, each hinted with the best
+    (k, chain) known when it is submitted: on a pool opened here, workers + 1
+    in flight, where `_shards` plans more than one worker, else here."""
     shards, workers = _shards(n, d, workers)
     listed = sum(prod(map(pow, a, range(d - 1, -1, -1))) for a in _factorizations(n, d) if a[0] > 1)
     totals = Counter(listed=listed, cut=listed, kept=0, degenerate=0, evaluated=0, aborted=0)
@@ -943,24 +934,33 @@ def gap_table(
 ) -> list[tuple[int, int]]:
     """Per-order gaps kappa(d, n) - lower_bound(d, n) over an order range, in n order.
 
-    Each order is checked as a SearchSpec of `worker_count` workers before any
-    is read or searched. Only this process reads and appends to `cache`. The
-    missed orders, each a 1-worker `kappa`, run largest `_held` first on one
-    pool of `_pool_size(worker_count)` workers if that is more than one and
-    some missed order holds POOL_MIN_HNFS HNFs, else here, in n order.
-    """
+    Every order's SearchSpec is checked before any cache read. This process alone
+    reads `cache`, and appends each record as its search ends. Missed orders run
+    as 1-worker `kappa`s, largest `_held` first, on one pool of more than one
+    worker (`_pool_size`) if the largest holds POOL_MIN_HNFS HNFs but no more
+    than a worker's share of all; else here in n order, on `worker_count` each,
+    as at d = 2, where no lattice pass runs and no held count is computed."""
     if n_to < n_from:
         raise ValueError("empty order range")
     specs = [SearchSpec(d=d, n=n, worker_count=worker_count) for n in range(n_from, n_to + 1)]
     records = {spec.n: None if cache is None else cache.get(d, spec.n) for spec in specs}
-    missed = [SearchSpec(d=d, n=n) for n, rec in records.items() if rec is None]
+    missed = [spec for spec in specs if records[spec.n] is None]
     workers = _pool_size(worker_count)
-    held = {spec: _held(_plan(spec.n, d)) for spec in missed} if workers > 1 else {}
-    if pooled := any(count >= POOL_MIN_HNFS for count in held.values()):
-        missed.sort(key=held.get, reverse=True)
-    with (ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext()) as pool:
-        for rec in (pool.map if pooled else map)(kappa, missed):  # map cancels the rest on a raise
+    held = {spec.n: _held(_plan(spec.n, d)) for spec in missed} if workers > 1 and d != 2 else {}
+    pooled = held and POOL_MIN_HNFS <= max(held.values()) <= sum(held.values()) / workers
+    pool = ProcessPoolExecutor(max_workers=workers) if pooled else None
+    try:
+        if pool is None:
+            searched = map(kappa, missed)
+        else:
+            largest = sorted(held, key=held.get, reverse=True)
+            futures = [pool.submit(kappa, SearchSpec(d=d, n=n)) for n in largest]
+            searched = (future.result() for future in as_completed(futures))
+        for rec in searched:
             records[rec.n] = rec
             if cache is not None:
                 cache.put(rec)
+    finally:  # on a raise, the orders the pool has not started never start
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return [(n, rec.kappa - lower_bound(d, n)) for n, rec in records.items()]

@@ -209,7 +209,8 @@ def _argvs(files):
 
 
 class _NoPool:
-    """Stands in for the search's ProcessPoolExecutor: it may be opened, never used."""
+    """Stands in for the search's ProcessPoolExecutor: it may be opened and shut down,
+    never used."""
 
     def __init__(self, max_workers):
         pass
@@ -223,8 +224,8 @@ class _NoPool:
     def submit(self, fn, arg):
         raise AssertionError("a drawn argv submitted work to a process pool")
 
-    def map(self, fn, args):
-        raise AssertionError("a drawn argv mapped work on a process pool")
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 ERROR_LINE = re.compile(r"cayleydense( [\w-]+)*: error: ")

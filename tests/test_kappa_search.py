@@ -119,9 +119,9 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def recording_pool(monkeypatch):
     """A stand-in for the search's ProcessPoolExecutor that runs each task in this
-    process and records the pool sizes opened and the tasks submitted: it
-    starts no process."""
-    opened, submitted = [], []
+    process and records the pool sizes opened, the tasks submitted and the
+    pools shut down: it starts no process."""
+    opened, submitted, closed = [], [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -139,10 +139,10 @@ def recording_pool(monkeypatch):
             future.set_result(fn(arg))
             return future
 
-        def map(self, fn, args):
-            return [self.submit(fn, arg).result() for arg in args]
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            closed.append(self)
 
-    RecordingPool.opened, RecordingPool.submitted = opened, submitted
+    RecordingPool.opened, RecordingPool.submitted, RecordingPool.closed = opened, submitted, closed
     monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
 
@@ -184,13 +184,15 @@ def test_process_pool_only_for_a_pass_of_pool_size(monkeypatch, two_cpus, record
 
 def test_gap_sweep_holds_one_pool(tmp_path, monkeypatch, two_cpus, recording_pool):
     """A 2-worker sweep opens no pool while every order it searches holds fewer
-    than POOL_MIN_HNFS HNFs; else it opens one, of two workers, and maps the
-    1-worker search of each missed order on it, the largest `_held` first
-    (ties in n order). This process reads the cache for every order before it
-    searches any, and appends each record it searches, so a second sweep maps
-    nothing. One worker computes no held count. Every sweep gives the
+    than POOL_MIN_HNFS HNFs; else, where no order holds more than half the
+    HNFs, it opens one, of two workers, submits the 1-worker search of each
+    missed order to it, the largest `_held` first (ties in n order), and shuts
+    it down once. This process reads the cache for every order before it
+    searches any, and appends each record it searches, so a second sweep
+    submits nothing. One worker computes no held count, nor does a d = 2
+    sweep, which takes no lattice pass, on any number. Every sweep gives the
     1-worker rows."""
-    opened, submitted = recording_pool.opened, recording_pool.submitted
+    opened, submitted, closed = recording_pool.opened, recording_pool.submitted, recording_pool.closed
     path = tmp_path / "k.jsonl"
     want = {d: gap_table(d, 4, 40) for d in (2, 3)}
     for d in (2, 3):  # every order below the constant
@@ -200,13 +202,14 @@ def test_gap_sweep_holds_one_pool(tmp_path, monkeypatch, two_cpus, recording_poo
     with monkeypatch.context() as patch:
         patch.setattr(kappa_search, "_held", lambda plan: counted.append(plan) or _held(plan))
         patch.setattr(kappa_search, "POOL_MIN_HNFS", 0)
+        assert gap_table(2, 4, 40, worker_count=2) == want[2]
         assert gap_table(3, 4, 12, cache=KappaCache(path)) == want[3][:9]
     assert (opened, submitted) == ([], []) and len(counted) == 9  # one per pass (`_shards`)
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every 2-worker sweep on the pool
     reads, get = [], KappaCache.get
     monkeypatch.setattr(KappaCache, "get", lambda self, d, n: reads.append(n) or get(self, d, n))
     assert gap_table(3, 4, 40, worker_count=2, cache=KappaCache(path)) == want[3]
-    assert reads[:37] == list(range(4, 41)) and opened == [2]
+    assert reads[:37] == list(range(4, 41)) and opened == [2] and len(closed) == 1
     held = {n: _held(_plan(n, 3)) for n in range(13, 41)}
     assert len(set(held.values())) < len(held)  # some orders tie
     assert submitted == [SearchSpec(d=3, n=n) for n in sorted(held, key=lambda n: -held[n])]
@@ -216,6 +219,72 @@ def test_gap_sweep_holds_one_pool(tmp_path, monkeypatch, two_cpus, recording_poo
     submitted.clear()
     assert gap_table(3, 4, 40, worker_count=2, cache=KappaCache(path)) == want[3]
     assert (opened, submitted) == ([], []) and len(path.read_text().splitlines()) == 37
+
+
+def test_a_sweep_pools_whole_orders_only_where_none_holds_most(tmp_path, two_cpus, recording_pool):
+    """A 2-worker sweep whose largest missed order holds POOL_MIN_HNFS HNFs but
+    more than half of all the missed orders hold searches them here, in n
+    order, each on two workers, so that order's pass shards on a pool of its
+    own rather than running whole on one worker: kappa(3, 96) (14,262 held)
+    alone, as the one miss of a cached sweep, and with 94 and 95 (26,195 in
+    all). Adding 93 (32,114) submits the four orders whole, largest first."""
+    opened, submitted = recording_pool.opened, recording_pool.submitted
+    shards = len(_shards(96, 3, 2)[0])
+    path = tmp_path / "k.jsonl"
+    want = gap_table(3, 90, 96, cache=KappaCache(path))
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))  # 96 missed
+    for n_from, cache in ((96, None), (90, KappaCache(path)), (94, None)):
+        assert gap_table(3, n_from, 96, worker_count=2, cache=cache) == want[n_from - 90 :], n_from
+        assert opened == [2] and len(submitted) == shards, n_from
+        assert {type(task) for task in submitted} == {tuple}, n_from  # the shards of 96's pass
+        opened.clear()
+        submitted.clear()
+    assert gap_table(3, 93, 96, worker_count=2) == want[3:]
+    assert opened == [2] and submitted == [SearchSpec(d=3, n=n) for n in (96, 94, 93, 95)]
+
+
+def test_a_pooled_sweep_appends_each_record_as_its_order_ends(tmp_path, monkeypatch, two_cpus):
+    """A pooled sweep appends each record as its order ends, not in the order the
+    orders were submitted: the largest, submitted first, ends here only once
+    every other record is in the cache, so a sweep that waited for it first
+    would wait for good (a timer ends it after 10 s, and the test then fails).
+    An interrupted sweep thus keeps every order it finished."""
+    slow, first, appended = Future(), [], []
+
+    class SlowLargestPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, spec):
+            rec = fn(spec)
+            if not first:
+                first.append(rec)
+                return slow
+            future = Future()
+            future.set_result(rec)
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    put = KappaCache.put
+
+    def put_then_end_the_largest(cache, rec):
+        put(cache, rec)
+        appended.append(rec.n)
+        if len(appended) == 3:
+            slow.set_result(first[0])
+
+    monkeypatch.setattr(kappa_search, "ProcessPoolExecutor", SlowLargestPool)
+    monkeypatch.setattr(KappaCache, "put", put_then_end_the_largest)
+    timer = threading.Timer(10, lambda: slow.done() or slow.set_result(first[0]))
+    timer.start()
+    try:
+        rows = gap_table(3, 93, 96, worker_count=2, cache=KappaCache(tmp_path / "k.jsonl"))
+    finally:
+        timer.cancel()
+    assert first[0].n == 96 and sorted(appended[:3]) == [93, 94, 95] and appended[3:] == [96]
+    assert rows == gap_table(3, 93, 96)
 
 
 def test_gap_table_refuses_a_worker_count_before_any_read(tmp_path, monkeypatch, capsys):
@@ -237,8 +306,9 @@ def test_gap_table_refuses_a_worker_count_before_any_read(tmp_path, monkeypatch,
 
 def test_a_refutation_in_a_pooled_order_keeps_its_witness(monkeypatch, two_cpus):
     """A ConjectureRefutation raised in an order searched on the sweep's pool
-    reaches the caller with its witness, and the pool is closed. The forked
-    workers see the planted bound and the constant patched to 0."""
+    reaches the caller with its witness, and the pool is shut down once, with
+    the orders it has not started cancelled. The forked workers see the
+    planted bound and the constant patched to 0."""
     fork = multiprocessing.get_context("fork")
     opened, closed = [], []
 
@@ -247,9 +317,9 @@ def test_a_refutation_in_a_pooled_order_keeps_its_witness(monkeypatch, two_cpus)
             opened.append(self)
             super().__init__(max_workers=max_workers, mp_context=fork)
 
-        def shutdown(self, *args, **kwargs):
-            closed.append(self)
-            super().shutdown(*args, **kwargs)
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            closed.append((self, cancel_futures))
+            super().shutdown(wait, cancel_futures=cancel_futures)
 
     witness = kappa(SearchSpec(d=3, n=30)).witness
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)
@@ -259,7 +329,7 @@ def test_a_refutation_in_a_pooled_order_keeps_its_witness(monkeypatch, two_cpus)
         gap_table(3, 24, 36, worker_count=2)
     assert caught.value.witness == witness
     assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
-    assert len(opened) == 1 and closed == opened
+    assert len(opened) == 1 and closed == [(opened[0], True)]
 
 
 def test_witness_upper_bounds():
@@ -1168,7 +1238,7 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
     monkeypatch.setattr(kappa_search, "POOL_MIN_HNFS", 0)  # every pass on the pool
     opened, submitted = recording_pool.opened, recording_pool.submitted
     alone = kappa(SearchSpec(d=3, n=24))
-    rows = gap_table(3, 4, 12)
+    rows = gap_table(3, 4, 16)  # no order holds a third of the HNFs: pooled on 2 or 3
     # (CPUs, whether the platform has an affinity mask, workers)
     cases = ((3, True, 3), (2, True, 2), (1, True, 1), (2, False, 2), (None, False, 1))
     for cpus, mask, workers in cases:
@@ -1184,9 +1254,9 @@ def test_jobs_open_no_more_workers_than_cpus(caplog, monkeypatch, capsys, record
         assert opened == pools and len(submitted) == (shards if pools else 0), cpus
         opened.clear()
         submitted.clear()
-        assert gap_table(3, 4, 12, worker_count=100_000) == rows
+        assert gap_table(3, 4, 16, worker_count=100_000) == rows
         assert opened == pools, cpus
-        want = [SearchSpec(d=3, n=n) for n in range(4, 13)] if pools else []
+        want = [SearchSpec(d=3, n=n) for n in range(4, 17)] if pools else []
         assert sorted(submitted, key=lambda spec: spec.n) == want, cpus
         opened.clear()
         submitted.clear()
